@@ -8,8 +8,6 @@ growing-horizon curriculum, and score the forecasts against the per-node-mean
 baseline.
 """
 
-import numpy as np
-
 from tvdbn.constraint import GrcslTrainConfig, train_grcsl
 from tvdbn.data import (
     apply_zscore,
@@ -27,9 +25,8 @@ from tvdbn.dgcpm import (
     node_mean_baseline,
     predict,
 )
-from tvdbn.grcsl import GrcslDims, grcsl_forward_batch
+from tvdbn.grcsl import GrcslDims, graph_stacks
 from tvdbn.metrics import evaluate, render_report
-from tvdbn.numerics import no_grad
 from tvdbn.synth import planar_distance_rows, sample_tvdbn, simulate_linear_sem, to_speed_series
 
 T_IN, T_OUT = 8, 4
@@ -50,19 +47,14 @@ g_run = train_grcsl(win_tr, prior.weights, GrcslDims(), g_cfg)
 print(f"structure: converged={g_run.converged}, final S={g_run.final_s:.2e}")
 
 
-def graph_stacks(winset):
-    # Deterministic graphs, one (T_in - 1, N, N) pair per window.
-    values = np.stack([w.values for w in winset.windows])
-    tod = np.stack([w.tod for w in winset.windows])
-    with no_grad():
-        fwd = grcsl_forward_batch(values, tod, prior.weights, g_run.params, train=False)
-    intra = np.stack([g.data for g in fwd.intra], axis=1)
-    inter = np.stack([g.data for g in fwd.inter], axis=1)
-    return intra, inter
+def split_arrays(winset):
+    # Deterministic graphs, one (T_in - 1, N, N) pair per window, all windows in one batch.
+    stacks = graph_stacks(winset.values, winset.tod, prior.weights, g_run.params, len(winset))
+    return SplitArrays.from_windows(winset, *stacks)
 
 
-train_split = SplitArrays.from_windows(win_tr, *graph_stacks(win_tr))
-val_split = SplitArrays.from_windows(win_va, *graph_stacks(win_va))
+train_split = split_arrays(win_tr)
+val_split = split_arrays(win_va)
 
 # 3. Curriculum training: the loss horizon grows one step per epoch, and
 #    early stopping only starts once the full horizon is reached.
@@ -79,8 +71,8 @@ print(f"\nbest val MAE {f_run.best_val_mae:.4f} vs per-node-mean baseline {base_
 
 # 5. Full evaluation report on the validation windows, original units.
 preds = predict(val_split, prior.weights, f_run.params, stats, batch_size=32)
-actuals = np.stack([stats.mean + stats.std * w.target[..., 0] for w in win_va.windows])
-valid = np.stack([w.target_mask[..., 0].astype(bool) for w in win_va.windows])
+actuals = stats.mean + stats.std * win_va.target[..., 0]
+valid = win_va.target_mask[..., 0]
 report = evaluate(preds, actuals, valid, horizons=[1, 2, 4])
 print()
 print(render_report(report))

@@ -11,8 +11,7 @@ import numpy as np
 
 from tvdbn.constraint import GrcslTrainConfig, train_grcsl
 from tvdbn.data import build_distance_graph, make_windows, split_chronological, zscore_fit_apply
-from tvdbn.grcsl import CausalGraphSeq, GrcslDims, grcsl_forward_batch
-from tvdbn.numerics import no_grad
+from tvdbn.grcsl import CausalGraphSeq, GrcslDims, graph_stacks
 from tvdbn.synth import (
     planar_distance_rows,
     random_recovery_baseline,
@@ -46,20 +45,11 @@ for row in result.history:
 print(f"converged={result.converged}  final S={result.final_s:.2e}")
 
 # 4. Deterministic (eval-mode) graphs for every window, then edge scoring.
-seqs = []
-with no_grad():
-    values = np.stack([w.values for w in windows.windows])
-    tod = np.stack([w.tod for w in windows.windows])
-    fwd = grcsl_forward_batch(values, tod, prior.weights, result.params, train=False)
-    for k, win in enumerate(windows.windows):
-        seqs.append(
-            CausalGraphSeq(
-                intra=np.stack([g.data[k] for g in fwd.intra]),
-                inter=np.stack([g.data[k] for g in fwd.inter]),
-                start_index=win.start_index,
-                start_ts=win.start_ts,
-            )
-        )
+intra, inter = graph_stacks(windows.values, windows.tod, prior.weights, result.params, len(windows))
+seqs = [
+    CausalGraphSeq(intra=a, inter=b, start_index=k, start_ts=ts)
+    for a, b, k, ts in zip(intra, inter, windows.start_index.tolist(), windows.start_ts.tolist())
+]
 score = score_recovery(seqs, truth, threshold=0.5)
 
 # 5. Context: how well random guessing with the same edge budget scores.

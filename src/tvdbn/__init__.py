@@ -81,7 +81,7 @@ from .grcsl import (
     GrcslDims,
     GrcslParams,
     export_graph_edges,
-    grcsl_forward,
+    graph_stacks,
     grcsl_forward_batch,
 )
 from .metrics import EvalReport, HorizonMetrics, evaluate, render_report
@@ -141,7 +141,7 @@ __all__ = [
     "gconv_spatial",
     "gconv_spectral",
     "grad_check",
-    "grcsl_forward",
+    "graph_stacks",
     "grcsl_forward_batch",
     "grcsl_loss",
     "invert_zscore",

@@ -9,6 +9,7 @@ shape disagrees with the rebuilt one.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -27,8 +28,9 @@ __all__ = [
 _FORMAT_VERSION = 1
 
 
-def _save(path: str, kind: str, meta: dict, named_params) -> None:
-    arrays = {f"param/{name}": tensor.data for name, tensor in named_params}
+def _save(path: str, kind: str, params) -> None:
+    arrays = {f"param/{name}": tensor.data for name, tensor in params.named_parameters()}
+    meta = {"dims": dataclasses.asdict(params.dims)}
     np.savez(
         path,
         version=np.array(_FORMAT_VERSION),
@@ -78,20 +80,7 @@ def _restore(path: str, named_params, stored: dict[str, np.ndarray]) -> None:
 
 
 def save_grcsl(path: str, params: GrcslParams) -> None:
-    meta = {
-        "dims": {
-            "heads": params.dims.heads,
-            "d_att": params.dims.d_att,
-            "h_r": params.dims.h_r,
-            "d_s": params.dims.d_s,
-            "h_m": params.dims.h_m,
-            "sem_width": params.dims.sem_width,
-            "gconv_layers": params.dims.gconv_layers,
-            "tau": params.dims.tau,
-            "use_prior": params.dims.use_prior,
-        }
-    }
-    _save(path, "structure", meta, params.named_parameters())
+    _save(path, "structure", params)
 
 
 def load_grcsl(path: str) -> GrcslParams:
@@ -103,17 +92,7 @@ def load_grcsl(path: str) -> GrcslParams:
 
 
 def save_dgcpm(path: str, params: DgcpmParams) -> None:
-    meta = {
-        "dims": {
-            "t_in": params.dims.t_in,
-            "t_out": params.dims.t_out,
-            "dy_width": params.dims.dy_width,
-            "prior_width": params.dims.prior_width,
-            "gconv_layers": params.dims.gconv_layers,
-            "use_prior": params.dims.use_prior,
-        }
-    }
-    _save(path, "forecast", meta, params.named_parameters())
+    _save(path, "forecast", params)
 
 
 def load_dgcpm(path: str) -> DgcpmParams:

@@ -25,6 +25,7 @@ files and stdout. Exit codes: 0 success, 1 usage or configuration error,
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import logging
 import os
@@ -50,6 +51,7 @@ from .data import (
     split_chronological,
     zscore_fit_apply,
     apply_zscore,
+    invert_zscore,
 )
 from .dgcpm import (
     DgcpmDims,
@@ -62,9 +64,8 @@ from .dgcpm import (
     predict as dgcpm_predict,
 )
 from .errors import ConfigError, DataError, NumericalError, ShapeError, TvdbnError
-from .grcsl import CausalGraphSeq, GrcslDims, GrcslParams, export_graph_edges, grcsl_forward_batch
+from .grcsl import CausalGraphSeq, GrcslDims, GrcslParams, export_graph_edges, graph_stacks
 from .metrics import evaluate as evaluate_metrics, render_report, write_report_csv
-from .numerics import no_grad
 from .synth import (
     export_truth_edges,
     planar_distance_rows,
@@ -161,52 +162,26 @@ class RunConfig:
         except ValueError:
             raise ConfigError(f"bad horizons list {self.horizons!r}") from None
 
+    def _build(self, cls, **renames: str):
+        """An instance of dataclass `cls` whose fields take this config's keys of the same name.
+
+        `renames` maps a field of `cls` to the config key it takes instead.
+        """
+        fields = dataclasses.fields(cls)
+        return cls(**{f.name: getattr(self, renames.get(f.name, f.name)) for f in fields})
+
     def grcsl_dims(self) -> GrcslDims:
-        return GrcslDims(
-            heads=self.heads,
-            d_att=self.d_att,
-            h_r=self.h_r,
-            d_s=self.d_s,
-            h_m=self.h_m,
-            sem_width=self.sem_width,
-            gconv_layers=self.gconv_layers,
-            tau=self.tau,
-            use_prior=self.use_prior,
-        )
+        return self._build(GrcslDims)
 
     def dgcpm_dims(self) -> DgcpmDims:
-        return DgcpmDims(
-            t_in=self.t_in,
-            t_out=self.t_out,
-            dy_width=self.dy_width,
-            prior_width=self.prior_width,
-            gconv_layers=self.gconv_layers,
-            use_prior=self.use_prior,
-        )
+        return self._build(DgcpmDims)
 
     def grcsl_train_config(self) -> GrcslTrainConfig:
-        return GrcslTrainConfig(
-            lam=self.lam,
-            eta=self.eta,
-            gamma=self.gamma,
-            xi=self.xi,
-            alpha0=self.alpha0,
-            rho0=self.rho0,
-            inner_epochs=self.inner_epochs,
-            max_outer_iters=self.max_outer_iters,
-            lr=self.structure_lr,
-            batch_size=self.structure_batch,
-            seed=self.seed,
-        )
+        return self._build(GrcslTrainConfig, lr="structure_lr", batch_size="structure_batch")
 
     def dgcpm_train_config(self) -> DgcpmTrainConfig:
-        return DgcpmTrainConfig(
-            lr=self.forecast_lr,
-            max_epochs=self.forecast_epochs,
-            batch_size=self.forecast_batch,
-            curriculum_step=self.curriculum_step,
-            patience=self.patience,
-            seed=self.seed,
+        return self._build(
+            DgcpmTrainConfig, lr="forecast_lr", max_epochs="forecast_epochs", batch_size="forecast_batch"
         )
 
 
@@ -299,15 +274,15 @@ def _load_prior(cfg: RunConfig, sensor_ids: list[str]) -> PriorGraph | None:
 
 def _split_windows(
     cfg: RunConfig, series: SpeedSeries
-) -> tuple[NormStats, dict[str, WindowSet], SpeedSeries]:
-    train_s, val_s, test_s = split_chronological(series, cfg.train_ratio, cfg.val_ratio)
-    stats, train_n = zscore_fit_apply(train_s)
+) -> tuple[NormStats, dict[str, WindowSet], dict[str, SpeedSeries]]:
+    """Normalization stats, the windows of each split, and each split's raw series."""
+    raw = dict(zip(("train", "val", "test"), split_chronological(series, cfg.train_ratio, cfg.val_ratio)))
+    stats, _ = zscore_fit_apply(raw["train"])
     sets = {
-        "train": make_windows(train_n, cfg.t_in, cfg.t_out, cfg.stride),
-        "val": make_windows(apply_zscore(stats, val_s), cfg.t_in, cfg.t_out, cfg.stride),
-        "test": make_windows(apply_zscore(stats, test_s), cfg.t_in, cfg.t_out, cfg.stride),
+        name: make_windows(apply_zscore(stats, part), cfg.t_in, cfg.t_out, cfg.stride)
+        for name, part in raw.items()
     }
-    return stats, sets, train_s
+    return stats, sets, raw
 
 
 def _structure_ckpt_path(cfg: RunConfig) -> str:
@@ -320,15 +295,13 @@ def _forecast_ckpt_path(cfg: RunConfig) -> str:
 
 def _static_graphs_from_file(cfg: RunConfig, sensor_ids: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """Constant graph pair from an edge CSV in the export format."""
-    import csv as _csv
-
     _require(cfg, "static_graph_file")
     n = len(sensor_ids)
     index = {sid: i for i, sid in enumerate(sensor_ids)}
     intra = np.zeros((n, n))
     inter = np.zeros((n, n))
     with open(cfg.static_graph_file, newline="") as fh:
-        reader = _csv.reader(fh)
+        reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or header[:6] != ["window_start_ts", "step", "lag", "src_id", "dst_id", "weight"]:
             raise DataError(f"{cfg.static_graph_file}: expected graph edge CSV header")
@@ -358,54 +331,34 @@ def _graph_stacks(
     params: GrcslParams | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-window graph stacks (W, T_in - 1, N, N) for the forecaster."""
-    w = len(windows)
-    steps = cfg.t_in - 1
-    n = len(windows.sensor_ids)
     if cfg.graph_source == "grcsl":
         if params is None:
             raise ConfigError("graph_source=grcsl needs a structure checkpoint")
-        values = np.stack([win.values for win in windows.windows])
-        tod = np.stack([win.tod for win in windows.windows])
-        intra = np.empty((w, steps, n, n))
-        inter = np.empty((w, steps, n, n))
         prior_w = prior.weights if prior is not None else None
-        with no_grad():
-            for lo in range(0, w, cfg.structure_batch):
-                hi = min(lo + cfg.structure_batch, w)
-                fwd = grcsl_forward_batch(values[lo:hi], tod[lo:hi], prior_w, params, train=False)
-                for j in range(steps):
-                    intra[lo:hi, j] = fwd.intra[j].data
-                    inter[lo:hi, j] = fwd.inter[j].data
-        return intra, inter
+        return graph_stacks(windows.values, windows.tod, prior_w, params, cfg.structure_batch)
     if cfg.graph_source == "distance":
         if prior is None:
             raise ConfigError("graph_source=distance needs a distance file")
-        base = prior.weights.copy()
-        intra0 = base.copy()
+        intra0, inter0 = prior.weights.copy(), prior.weights
         np.fill_diagonal(intra0, 0.0)
-        intra = np.broadcast_to(intra0, (w, steps, n, n)).copy()
-        inter = np.broadcast_to(base, (w, steps, n, n)).copy()
-        return intra, inter
-    if cfg.graph_source == "static-dbn-file":
+    elif cfg.graph_source == "static-dbn-file":
         intra0, inter0 = _static_graphs_from_file(cfg, windows.sensor_ids)
-        intra = np.broadcast_to(intra0, (w, steps, n, n)).copy()
-        inter = np.broadcast_to(inter0, (w, steps, n, n)).copy()
-        return intra, inter
-    raise ConfigError(f"unknown graph_source {cfg.graph_source!r}")
+    else:
+        raise ConfigError(f"unknown graph_source {cfg.graph_source!r}")
+    shape = (len(windows), cfg.t_in - 1) + intra0.shape
+    return np.broadcast_to(intra0, shape).copy(), np.broadcast_to(inter0, shape).copy()
 
 
-def _write_manifest(cfg: RunConfig, stats: NormStats, series: SpeedSeries) -> None:
-    t = series.length
-    n_train = int(np.floor(cfg.train_ratio * t))
-    n_val = int(np.floor(cfg.val_ratio * t))
+def _write_manifest(cfg: RunConfig, stats: NormStats, raw: dict[str, SpeedSeries]) -> None:
+    test = raw["test"]
     save_manifest(
         os.path.join(cfg.out_dir, "manifest.txt"),
         {
             "mean": stats.mean,
             "std": stats.std,
-            "rows": t,
-            "train_end": n_train,
-            "val_end": n_train + n_val,
+            "rows": test.offset + test.length,
+            "train_end": raw["val"].offset,
+            "val_end": test.offset,
             "t_in": cfg.t_in,
             "t_out": cfg.t_out,
             "stride": cfg.stride,
@@ -460,7 +413,7 @@ def cmd_train_structure(cfg: RunConfig) -> int:
     os.makedirs(cfg.out_dir, exist_ok=True)
     series = _load_series(cfg)
     prior = _load_prior(cfg, series.sensor_ids)
-    stats, sets, _ = _split_windows(cfg, series)
+    stats, sets, raw = _split_windows(cfg, series)
     result = train_grcsl(
         sets["train"],
         prior.weights if prior is not None else None,
@@ -469,7 +422,7 @@ def cmd_train_structure(cfg: RunConfig) -> int:
     )
     ckpt.save_grcsl(_structure_ckpt_path(cfg), result.params)
     save_history(os.path.join(cfg.out_dir, "history.csv"), result.history)
-    _write_manifest(cfg, stats, series)
+    _write_manifest(cfg, stats, raw)
     if result.converged:
         log.info("structure training converged: S=%.3e", result.final_s)
     else:
@@ -489,13 +442,8 @@ def cmd_export_graphs(cfg: RunConfig) -> int:
     params = ckpt.load_grcsl(_structure_ckpt_path(cfg)) if cfg.graph_source == "grcsl" else None
     intra, inter = _graph_stacks(cfg, windows, prior, params)
     seqs = [
-        CausalGraphSeq(
-            intra=intra[k],
-            inter=inter[k],
-            start_index=windows.windows[k].start_index,
-            start_ts=windows.windows[k].start_ts,
-        )
-        for k in range(len(windows))
+        CausalGraphSeq(intra=a, inter=b, start_index=k, start_ts=ts)
+        for a, b, k, ts in zip(intra, inter, windows.start_index.tolist(), windows.start_ts.tolist())
     ]
     path = os.path.join(cfg.out_dir, "graphs.csv")
     edge_count = export_graph_edges(path, seqs, windows.sensor_ids, cfg.graph_threshold)
@@ -508,7 +456,7 @@ def cmd_train_forecast(cfg: RunConfig) -> int:
     os.makedirs(cfg.out_dir, exist_ok=True)
     series = _load_series(cfg)
     prior = _load_prior(cfg, series.sensor_ids)
-    stats, sets, train_raw = _split_windows(cfg, series)
+    stats, sets, raw = _split_windows(cfg, series)
     params = ckpt.load_grcsl(_structure_ckpt_path(cfg)) if cfg.graph_source == "grcsl" else None
     splits = {}
     for name in ("train", "val"):
@@ -530,7 +478,7 @@ def cmd_train_forecast(cfg: RunConfig) -> int:
                 f"{row['epoch']},{row['horizon_limit']},"
                 f"{row['train_loss']:.10g},{row['val_mae']:.10g}\n"
             )
-    baseline = node_mean_baseline(train_raw)
+    baseline = node_mean_baseline(raw["train"])
     base_mae = baseline_masked_mae(baseline, sets["val"], stats)
     log.info(
         "forecast training done: best val MAE %.4f (constant per-node baseline %.4f)",
@@ -555,34 +503,29 @@ def _predict_test(cfg: RunConfig):
         stats,
         batch_size=cfg.forecast_batch,
     )
-    from .data import invert_zscore
-
     actual_norm = split.target[..., 0]
     valid = split.target_mask[..., 0]
     actuals = np.where(valid, invert_zscore(stats, actual_norm), 0.0)
-    start_ts = [win.start_ts for win in windows.windows]
-    return windows, preds, actuals, valid, start_ts
+    return windows, preds, actuals, valid
 
 
 def cmd_predict(cfg: RunConfig) -> int:
     _require(cfg, "speed_csv", "out_dir")
     os.makedirs(cfg.out_dir, exist_ok=True)
-    windows, preds, actuals, valid, start_ts = _predict_test(cfg)
+    windows, preds, actuals, valid = _predict_test(cfg)
     path = os.path.join(cfg.out_dir, "forecasts.csv")
-    export_forecasts(path, start_ts, preds, actuals, valid, windows.sensor_ids)
+    export_forecasts(path, windows.start_ts.tolist(), preds, actuals, valid, windows.sensor_ids)
     log.info("wrote %d window forecasts to %s", preds.shape[0], path)
     return 0
 
 
 def _load_forecast_csv(path: str):
-    import csv as _csv
-
     by_window: dict[int, dict[tuple[int, str], tuple[float, float, bool]]] = {}
     horizon_max = 0
     sensor_order: list[str] = []
     seen_sensors = set()
     with open(path, newline="") as fh:
-        reader = _csv.reader(fh)
+        reader = csv.reader(fh)
         header = next(reader, None)
         expected = ["window_start_ts", "horizon_step", "sensor_id", "predicted", "actual", "valid"]
         if header is None or header[:6] != expected:
@@ -628,7 +571,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     if cfg.forecast_csv:
         preds, actuals, valid = _load_forecast_csv(cfg.forecast_csv)
     else:
-        _, preds, actuals, valid, _ = _predict_test(cfg)
+        _, preds, actuals, valid = _predict_test(cfg)
     horizons = [h for h in cfg.horizon_list() if h <= preds.shape[1]]
     if not horizons:
         raise ConfigError(

@@ -172,13 +172,6 @@ def auglag_update(state: AugLagState, s_new: float, eta: float = 10.0, gamma: fl
 # --------------------------------------------------------------------- #
 
 
-def _windows_to_arrays(windows: WindowSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    values = np.stack([w.values for w in windows.windows])
-    tod = np.stack([w.tod for w in windows.windows])
-    mask = np.stack([w.mask for w in windows.windows])
-    return values, tod, mask
-
-
 def _eval_epoch(
     values: np.ndarray,
     tod: np.ndarray,
@@ -225,7 +218,7 @@ def train_grcsl(
     rng = np.random.default_rng(train_seed)
     opt = Adam(params.parameters(), lr=cfg.lr)
 
-    values, tod, mask = _windows_to_arrays(windows)
+    values, tod, mask = windows.values, windows.tod, windows.mask
     w = values.shape[0]
     state = AugLagState(alpha=cfg.alpha0, rho=cfg.rho0)
     history: list[dict] = []

@@ -130,14 +130,47 @@ class Window:
 
 @dataclass
 class WindowSet:
-    windows: list[Window]
+    """Every window of one series, as arrays with the window on axis 0.
+
+    `values`, `mask` and `tod` are (W, T_in, N, 1) and `target`,
+    `target_mask` are (W, T_out, N, 1), with the meanings of the same
+    fields of Window; `start_index` and `start_ts` are (W,) int64.
+    """
+
+    values: np.ndarray
+    mask: np.ndarray
+    tod: np.ndarray
+    target: np.ndarray
+    target_mask: np.ndarray
+    start_index: np.ndarray
+    start_ts: np.ndarray
     t_in: int
     t_out: int
     stride: int
     sensor_ids: list[str] = field(default_factory=list)
 
     def __len__(self) -> int:
-        return len(self.windows)
+        return self.values.shape[0]
+
+    @property
+    def windows(self) -> list[Window]:
+        """Per-window views of the arrays.
+
+        Only the benchmark harness in perfbench/ reads windows one at a
+        time; the package, its tests and demos use the arrays.
+        """
+        return [
+            Window(
+                values=self.values[k],
+                mask=self.mask[k],
+                tod=self.tod[k],
+                target=self.target[k],
+                target_mask=self.target_mask[k],
+                start_index=int(self.start_index[k]),
+                start_ts=int(self.start_ts[k]),
+            )
+            for k in range(len(self))
+        ]
 
 
 # --------------------------------------------------------------------- #
@@ -367,26 +400,33 @@ def make_windows(series: SpeedSeries, t_in: int, t_out: int, stride: int = 1) ->
     t = series.length
     if t < t_in + t_out:
         raise DataError(f"series of length {t} shorter than one window ({t_in}+{t_out})")
-    tod = time_of_day(series.timestamps)
     n = series.num_sensors
-    windows: list[Window] = []
-    count = (t - t_in - t_out) // stride + 1
-    for w in range(count):
-        lo = w * stride
-        mid = lo + t_in
-        hi = mid + t_out
-        windows.append(
-            Window(
-                values=series.values[lo:mid, :, None].copy(),
-                mask=series.mask[lo:mid, :, None].copy(),
-                tod=np.broadcast_to(tod[lo:mid, None, None], (t_in, n, 1)).copy(),
-                target=series.values[mid:hi, :, None].copy(),
-                target_mask=series.mask[mid:hi, :, None].copy(),
-                start_index=series.offset + lo,
-                start_ts=int(series.timestamps[lo]),
-            )
-        )
-    return WindowSet(windows=windows, t_in=t_in, t_out=t_out, stride=stride, sensor_ids=list(series.sensor_ids))
+    values, mask = series.values[:, :, None], series.mask[:, :, None]
+    tod = np.broadcast_to(time_of_day(series.timestamps)[:, None, None], (t, n, 1))
+    starts = np.arange(0, t - t_in - t_out + 1, stride, dtype=np.int64)
+    return WindowSet(
+        values=_slide(values[: t - t_out], t_in, stride),
+        mask=_slide(mask[: t - t_out], t_in, stride),
+        tod=_slide(tod[: t - t_out], t_in, stride),
+        target=_slide(values[t_in:], t_out, stride),
+        target_mask=_slide(mask[t_in:], t_out, stride),
+        start_index=series.offset + starts,
+        start_ts=series.timestamps[starts],
+        t_in=t_in,
+        t_out=t_out,
+        stride=stride,
+        sensor_ids=list(series.sensor_ids),
+    )
+
+
+def _slide(a: np.ndarray, width: int, stride: int) -> np.ndarray:
+    """Windows of `width` rows of `a`, one every `stride` rows, as one contiguous (W, width, ...) array.
+
+    A copy, not a strided view of overlapping windows: training gathers
+    batches from these arrays many times over, so they stay contiguous.
+    """
+    view = np.lib.stride_tricks.sliding_window_view(a, width, axis=0)[::stride]
+    return np.ascontiguousarray(np.moveaxis(view, -1, 1))
 
 
 # --------------------------------------------------------------------- #

@@ -218,30 +218,35 @@ class SplitArrays:
     @classmethod
     def from_windows(cls, windows: WindowSet, intra: np.ndarray, inter: np.ndarray) -> "SplitArrays":
         return cls(
-            values=np.stack([w.values for w in windows.windows]),
-            tod=np.stack([w.tod for w in windows.windows]),
-            target=np.stack([w.target for w in windows.windows]),
-            target_mask=np.stack([w.target_mask for w in windows.windows]),
+            values=windows.values,
+            tod=windows.tod,
+            target=windows.target,
+            target_mask=windows.target_mask,
             intra=intra,
             inter=inter,
         )
 
 
-def _val_mae(split: SplitArrays, prior, params: DgcpmParams, stats: NormStats, batch: int) -> float:
-    """Full-horizon masked MAE on a split, in original units."""
-    w = split.values.shape[0]
-    total = 0.0
-    count = 0.0
-    with no_grad():
-        for lo in range(0, w, batch):
-            hi = min(lo + batch, w)
+def _forward_batches(split: SplitArrays, prior, params: DgcpmParams, batch_size: int):
+    """Eval-mode forecasts (B, T_out, N, 1) of a split's consecutive batches, each with its slice."""
+    for lo in range(0, split.values.shape[0], batch_size):
+        rows = slice(lo, lo + batch_size)
+        with no_grad():
             pred = dgcpm_forward_batch(
-                split.values[lo:hi], split.tod[lo:hi], split.intra[lo:hi], split.inter[lo:hi],
+                split.values[rows], split.tod[rows], split.intra[rows], split.inter[rows],
                 prior, params,
             )
-            m = split.target_mask[lo:hi]
-            total += float((np.abs(pred.data - split.target[lo:hi]) * m).sum())
-            count += float(m.sum())
+        yield rows, pred.data
+
+
+def _val_mae(split: SplitArrays, prior, params: DgcpmParams, stats: NormStats, batch: int) -> float:
+    """Full-horizon masked MAE on a split, in original units."""
+    total = 0.0
+    count = 0.0
+    for rows, pred in _forward_batches(split, prior, params, batch):
+        m = split.target_mask[rows]
+        total += float((np.abs(pred - split.target[rows]) * m).sum())
+        count += float(m.sum())
     if count == 0:
         return 0.0
     return stats.std * total / count  # |a - b| scales linearly back to original units
@@ -329,16 +334,7 @@ def predict(
     batch_size: int = 32,
 ) -> np.ndarray:
     """Forecast every window of a split; returns (W, T_out, N) original units."""
-    w = split.values.shape[0]
-    outputs = []
-    with no_grad():
-        for lo in range(0, w, batch_size):
-            hi = min(lo + batch_size, w)
-            pred = dgcpm_forward_batch(
-                split.values[lo:hi], split.tod[lo:hi], split.intra[lo:hi], split.inter[lo:hi],
-                prior, params,
-            )
-            outputs.append(pred.data[..., 0])
+    outputs = [pred[..., 0] for _, pred in _forward_batches(split, prior, params, batch_size)]
     return invert_zscore(stats, np.concatenate(outputs, axis=0))
 
 
@@ -358,14 +354,10 @@ def baseline_masked_mae(
     baseline: np.ndarray, windows: WindowSet, stats: NormStats
 ) -> float:
     """Masked MAE of the constant per-node predictor, original units."""
-    total = 0.0
-    count = 0.0
-    for win in windows.windows:
-        actual = invert_zscore(stats, win.target[..., 0])
-        m = win.target_mask[..., 0]
-        total += float((np.abs(baseline[None, :] - actual) * m).sum())
-        count += float(m.sum())
-    return total / count if count else 0.0
+    actual = invert_zscore(stats, windows.target[..., 0])
+    m = windows.target_mask[..., 0]
+    count = float(m.sum())
+    return float((np.abs(baseline - actual) * m).sum()) / count if count else 0.0
 
 
 def export_forecasts(

@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .graphops import GconvParams, gconv_spectral
-from .numerics import Tensor, concat, glorot_uniform, stack
+from .numerics import Tensor, concat, glorot_uniform, no_grad, stack
 
 __all__ = [
     "GrcslDims",
@@ -52,8 +52,8 @@ __all__ = [
     "gru_step",
     "graph_head",
     "sem_reconstruct",
-    "grcsl_forward",
     "grcsl_forward_batch",
+    "graph_stacks",
     "export_graph_edges",
 ]
 
@@ -480,22 +480,30 @@ def grcsl_forward_batch(
     return out
 
 
-def grcsl_forward(
+def graph_stacks(
     values: np.ndarray,
     tod: np.ndarray,
     prior: np.ndarray | None,
     params: GrcslParams,
-    train: bool = False,
-    rng: np.random.Generator | None = None,
-    start_index: int = 0,
-    start_ts: int = 0,
-) -> tuple[CausalGraphSeq, GrcslForward]:
-    """Single-window forward; returns the emitted graph sequence as arrays."""
-    fwd = grcsl_forward_batch(values[None], tod[None], prior, params, train, rng)
-    intra = np.stack([g.data[0] for g in fwd.intra])
-    inter = np.stack([g.data[0] for g in fwd.inter])
-    seq = CausalGraphSeq(intra=intra, inter=inter, start_index=start_index, start_ts=start_ts)
-    return seq, fwd
+    batch_size: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eval-mode graph stacks of every window, generated `batch_size` windows at a time.
+
+    `values` and `tod` are (W, T_in, N, 1). Returns the lag-0 and lag-1
+    stacks, each (W, T_in - 1, N, N); slice [k, j] is window k's graph of
+    step j + 2.
+    """
+    w, t_in, n, _ = values.shape
+    intra = np.empty((w, t_in - 1, n, n))
+    inter = np.empty((w, t_in - 1, n, n))
+    with no_grad():
+        for lo in range(0, w, batch_size):
+            rows = slice(lo, lo + batch_size)
+            fwd = grcsl_forward_batch(values[rows], tod[rows], prior, params, train=False)
+            for j in range(t_in - 1):
+                intra[rows, j] = fwd.intra[j].data
+                inter[rows, j] = fwd.inter[j].data
+    return intra, inter
 
 
 # --------------------------------------------------------------------- #

@@ -38,9 +38,9 @@ from tvdbn.dgcpm import (
     node_mean_baseline,
 )
 from tvdbn.graphops import GconvParams, dygconv, gconv_spatial, gconv_spectral
-from tvdbn.grcsl import CausalGraphSeq, GrcslDims, GruCell, grcsl_forward_batch, gru_step
+from tvdbn.grcsl import CausalGraphSeq, GrcslDims, GruCell, graph_stacks, gru_step
 from tvdbn.metrics import evaluate
-from tvdbn.numerics import Tensor, no_grad
+from tvdbn.numerics import Tensor
 from tvdbn.synth import (
     GroundTruthTvdbn,
     planar_distance_rows,
@@ -247,25 +247,6 @@ def forecast_bench():
     return make_benchmark(persistent_truth(BENCH_SEED))
 
 
-def eval_graph_stacks(windows, prior, params, batch=64):
-    """Deterministic per-window graph stacks (W, T_in - 1, N, N)."""
-    w = len(windows)
-    steps = T_IN - 1
-    n = len(windows.sensor_ids)
-    values = np.stack([win.values for win in windows.windows])
-    tod = np.stack([win.tod for win in windows.windows])
-    intra = np.empty((w, steps, n, n))
-    inter = np.empty((w, steps, n, n))
-    with no_grad():
-        for lo in range(0, w, batch):
-            hi = min(lo + batch, w)
-            fwd = grcsl_forward_batch(values[lo:hi], tod[lo:hi], prior, params, train=False)
-            for j in range(steps):
-                intra[lo:hi, j] = fwd.intra[j].data
-                inter[lo:hi, j] = fwd.inter[j].data
-    return intra, inter
-
-
 def train_structure(b: Benchmark):
     cfg = GrcslTrainConfig(batch_size=64, seed=BENCH_SEED)
     return train_grcsl(b.win_train, b.prior, GrcslDims(), cfg)
@@ -276,15 +257,11 @@ def structure(bench):
     start = time.perf_counter()
     result = train_structure(bench)
     elapsed = time.perf_counter() - start
-    intra, inter = eval_graph_stacks(bench.win_train, bench.prior, result.params)
+    win = bench.win_train
+    intra, inter = graph_stacks(win.values, win.tod, bench.prior, result.params, 64)
     seqs = [
-        CausalGraphSeq(
-            intra=intra[k],
-            inter=inter[k],
-            start_index=win.start_index,
-            start_ts=win.start_ts,
-        )
-        for k, win in enumerate(bench.win_train.windows)
+        CausalGraphSeq(intra=a, inter=b, start_index=k, start_ts=ts)
+        for a, b, k, ts in zip(intra, inter, win.start_index.tolist(), win.start_ts.tolist())
     ]
     return StructureRun(result=result, seqs=seqs, elapsed=elapsed)
 
@@ -293,8 +270,11 @@ def structure(bench):
 def forecast(forecast_bench):
     b = forecast_bench
     params = train_structure(b).params
-    train = SplitArrays.from_windows(b.win_train, *eval_graph_stacks(b.win_train, b.prior, params))
-    val = SplitArrays.from_windows(b.win_val, *eval_graph_stacks(b.win_val, b.prior, params))
+
+    def split(w):
+        return SplitArrays.from_windows(w, *graph_stacks(w.values, w.tod, b.prior, params, 64))
+
+    train, val = split(b.win_train), split(b.win_val)
     cfg = DgcpmTrainConfig(max_epochs=25, batch_size=32, curriculum_step=1, patience=10, seed=BENCH_SEED)
     result = curriculum_train(train, val, b.prior, DgcpmDims(t_in=T_IN, t_out=T_OUT), b.stats, cfg)
     base_mae = baseline_masked_mae(node_mean_baseline(b.train_series), b.win_val, b.stats)
@@ -310,8 +290,8 @@ def oracle_improvement(b: Benchmark, base_mae: float) -> float:
     """
     truth, n = b.truth, len(b.series.sensor_ids)
     total = count = 0.0
-    for win in b.win_val.windows:
-        last = win.start_index + T_IN - 1  # absolute tick of the last input
+    for start in b.win_val.start_index.tolist():
+        last = start + T_IN - 1  # absolute tick of the last input
         x = (b.series.values[last] - 50.0) / 10.0
         for h in range(1, T_OUT + 1):
             r = truth.regime_at(last + h)

@@ -1,0 +1,50 @@
+"""Checkpoint round trips and the errors a wrong or damaged file raises."""
+
+import numpy as np
+import pytest
+
+from tvdbn.checkpoint import load_dgcpm, load_grcsl, save_dgcpm, save_grcsl
+from tvdbn.dgcpm import DgcpmDims, DgcpmParams
+from tvdbn.errors import DataError
+from tvdbn.grcsl import GrcslDims, GrcslParams
+
+
+def grcsl_params(rng):
+    return GrcslParams.init(rng, GrcslDims(heads=2, d_att=3, h_r=4, d_s=2, h_m=5, sem_width=3, tau=0.5))
+
+
+def dgcpm_params(rng):
+    return DgcpmParams.init(rng, DgcpmDims(t_in=4, t_out=2, dy_width=3, prior_width=2, gconv_layers=1))
+
+
+@pytest.mark.parametrize(
+    "build, save, load",
+    [(grcsl_params, save_grcsl, load_grcsl), (dgcpm_params, save_dgcpm, load_dgcpm)],
+)
+def test_round_trip_restores_dims_and_every_parameter(tmp_path, rng, build, save, load):
+    params = build(rng)
+    path = str(tmp_path / "model.npz")
+    save(path, params)
+    got = load(path)
+    assert got.dims == params.dims
+    want = dict(params.named_parameters())
+    restored = dict(got.named_parameters())
+    assert restored.keys() == want.keys()
+    for name, tensor in want.items():
+        np.testing.assert_array_equal(restored[name].data, tensor.data, err_msg=name)
+
+
+def test_loading_the_wrong_kind_is_a_data_error(tmp_path, rng):
+    path = str(tmp_path / "grcsl.npz")
+    save_grcsl(path, grcsl_params(rng))
+    with pytest.raises(DataError, match="'structure' model, expected 'forecast'"):
+        load_dgcpm(path)
+
+
+def test_shape_mismatch_names_the_key(tmp_path, rng):
+    params = dgcpm_params(rng)
+    params.w_out.data = np.zeros((1, 1))
+    path = str(tmp_path / "dgcpm.npz")
+    save_dgcpm(path, params)
+    with pytest.raises(DataError, match="shape mismatch for key 'w_out'"):
+        load_dgcpm(path)

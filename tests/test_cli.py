@@ -66,6 +66,19 @@ def test_config_file_parsing(tmp_path):
     }
 
 
+def test_run_config_builds_each_component_config():
+    cfg = RunConfig(
+        h_r=7, t_out=5, lam=0.25, structure_lr=0.5, structure_batch=3,
+        forecast_lr=0.125, forecast_epochs=9, forecast_batch=4, patience=2, seed=6,
+    )
+    assert cfg.grcsl_dims().h_r == 7
+    assert cfg.dgcpm_dims().t_out == 5
+    g = cfg.grcsl_train_config()
+    assert (g.lam, g.lr, g.batch_size, g.seed) == (0.25, 0.5, 3, 6)
+    d = cfg.dgcpm_train_config()
+    assert (d.lr, d.max_epochs, d.batch_size, d.patience, d.seed) == (0.125, 9, 4, 2, 6)
+
+
 def test_config_file_rejects_unknown_keys_and_bad_values(tmp_path):
     bad_key = tmp_path / "a.cfg"
     bad_key.write_text("no_such_knob=1\n")

@@ -2,6 +2,7 @@
 
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,8 +21,8 @@ from tvdbn.constraint import (
 )
 from tvdbn.data import make_windows, zscore_fit_apply
 from tvdbn.errors import ConfigError, ShapeError
-from tvdbn.grcsl import GrcslDims, GrcslForward, GrcslParams, grcsl_forward_batch
-from tvdbn.numerics import Tensor, no_grad
+from tvdbn.grcsl import GrcslDims, GrcslForward, GrcslParams, graph_stacks
+from tvdbn.numerics import Tensor
 from tvdbn.synth import sample_tvdbn, simulate_linear_sem, to_speed_series
 
 
@@ -329,9 +330,11 @@ def test_training_is_reproducible_for_a_fixed_seed():
 
 def test_training_rejects_empty_window_sets():
     windows = tiny_windows()
-    windows.windows = []
+    arrays = ("values", "mask", "tod", "target", "target_mask", "start_index", "start_ts")
+    empty = replace(windows, **{name: getattr(windows, name)[:0] for name in arrays})
+    assert len(empty) == 0
     with pytest.raises(ConfigError):
-        train_grcsl(windows, None, tiny_dims(), GrcslTrainConfig())
+        train_grcsl(empty, None, tiny_dims(), GrcslTrainConfig())
 
 
 def test_eval_mode_constraint_drives_termination(rng):
@@ -340,15 +343,9 @@ def test_eval_mode_constraint_drives_termination(rng):
     windows = tiny_windows()
     cfg = GrcslTrainConfig(inner_epochs=0, max_outer_iters=1, xi=1e-30, seed=9)
     result = train_grcsl(windows, None, tiny_dims(), cfg)
-    values = np.stack([w.values for w in windows.windows])
-    tod = np.stack([w.tod for w in windows.windows])
-    with no_grad():
-        total = 0.0
-        for lo in range(0, values.shape[0], cfg.batch_size):
-            hi = min(lo + cfg.batch_size, values.shape[0])
-            fwd = grcsl_forward_batch(values[lo:hi], tod[lo:hi], None, result.params)
-            total += float(constraint_sum(fwd).data) * (hi - lo)
-    assert result.history[0]["S"] == pytest.approx(total / values.shape[0], rel=1e-12)
+    intra, _ = graph_stacks(windows.values, windows.tod, None, result.params, cfg.batch_size)
+    s_per_window = notears_h(intra).sum(axis=1)
+    assert result.history[0]["S"] == pytest.approx(s_per_window.mean(), rel=1e-12)
 
 
 def test_history_csv_round_trip(tmp_path):

@@ -205,11 +205,38 @@ class TestWindowsAndSplits:
         t = 30
         series = make_series(np.arange(t, dtype=float).reshape(t, 1) + 1.0)
         ws = make_windows(series, 12, 12, stride=2)
-        w1 = ws.windows[1]
-        assert w1.start_index == 2
-        np.testing.assert_array_equal(w1.values[:, 0, 0], np.arange(2, 14) + 1.0)
-        np.testing.assert_array_equal(w1.target[:, 0, 0], np.arange(14, 26) + 1.0)
-        assert w1.start_ts == series.timestamps[2]
+        assert ws.start_index[1] == 2
+        np.testing.assert_array_equal(ws.values[1, :, 0, 0], np.arange(2, 14) + 1.0)
+        np.testing.assert_array_equal(ws.target[1, :, 0, 0], np.arange(14, 26) + 1.0)
+        assert ws.start_ts[1] == series.timestamps[2]
+
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_window_arrays_match_per_window_slices(self, stride):
+        t, n, t_in, t_out = 100, 3, 5, 4
+        values = np.arange(1.0, t * n + 1.0).reshape(t, n)
+        values[::7, 1] = 0.0
+        _, _, test = split_chronological(make_series(values, mask=values != 0.0))
+        assert test.offset > 0
+        ws = make_windows(test, t_in, t_out, stride=stride)
+        tod = time_of_day(test.timestamps)
+        count = (test.length - t_in - t_out) // stride + 1
+        assert len(ws) == count
+        for name in ("values", "mask", "tod", "target", "target_mask"):
+            steps = t_out if name.startswith("target") else t_in
+            arr = getattr(ws, name)
+            assert arr.shape == (count, steps, n, 1), name
+            assert arr.flags.c_contiguous, name
+        assert ws.start_index.dtype == np.int64 and ws.start_ts.dtype == np.int64
+        for k in range(count):
+            lo = k * stride
+            mid, hi = lo + t_in, lo + t_in + t_out
+            np.testing.assert_array_equal(ws.values[k, ..., 0], test.values[lo:mid])
+            np.testing.assert_array_equal(ws.mask[k, ..., 0], test.mask[lo:mid])
+            np.testing.assert_array_equal(ws.tod[k, ..., 0], np.repeat(tod[lo:mid, None], n, axis=1))
+            np.testing.assert_array_equal(ws.target[k, ..., 0], test.values[mid:hi])
+            np.testing.assert_array_equal(ws.target_mask[k, ..., 0], test.mask[mid:hi])
+            assert ws.start_index[k] == test.offset + lo
+            assert ws.start_ts[k] == test.timestamps[lo]
 
     def test_too_short_series_rejected(self):
         series = make_series(np.ones((23, 1)) * np.arange(1, 24)[:, None])
@@ -239,7 +266,7 @@ class TestWindowsAndSplits:
         series = make_series((np.arange(t, dtype=float) + 1.0).reshape(t, 1))
         _, val, _ = split_chronological(series)
         ws = make_windows(val, 2, 2, stride=1)
-        assert ws.windows[0].start_index == val.offset
+        assert ws.start_index[0] == val.offset
 
 
 class TestManifest:

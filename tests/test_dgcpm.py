@@ -311,9 +311,9 @@ def test_baseline_masked_mae_hand_computed():
     baseline = node_mean_baseline(series)
     got = baseline_masked_mae(baseline, windows, stats)
     total, count = 0.0, 0.0
-    for win in windows.windows:
-        actual = stats.mean + stats.std * win.target[..., 0]
-        m = win.target_mask[..., 0]
+    for k in range(len(windows)):
+        actual = stats.mean + stats.std * windows.target[k, ..., 0]
+        m = windows.target_mask[k, ..., 0]
         total += float((np.abs(baseline[None, :] - actual) * m).sum())
         count += float(m.sum())
     assert got == pytest.approx(total / count)

@@ -20,13 +20,13 @@ from tvdbn.grcsl import (
     extract_features,
     SemParams,
     graph_head,
-    grcsl_forward,
+    graph_stacks,
     grcsl_forward_batch,
     gru_step,
     msdot,
     sem_reconstruct,
 )
-from tvdbn.numerics import Tensor
+from tvdbn.numerics import Tensor, no_grad
 
 
 def small_dims(**overrides):
@@ -297,10 +297,25 @@ def test_forward_same_seed_same_graphs(rng):
         assert n1 == n2
         np.testing.assert_array_equal(t1.data, t2.data)
     values, tod = window_inputs(rng)
-    seq1, _ = grcsl_forward(values[0], tod[0], None, p1)
-    seq2, _ = grcsl_forward(values[0], tod[0], None, p2)
-    np.testing.assert_array_equal(seq1.intra, seq2.intra)
-    np.testing.assert_array_equal(seq1.inter, seq2.inter)
+    intra1, inter1 = graph_stacks(values, tod, None, p1, batch_size=len(values))
+    intra2, inter2 = graph_stacks(values, tod, None, p2, batch_size=len(values))
+    np.testing.assert_array_equal(intra1, intra2)
+    np.testing.assert_array_equal(inter1, inter2)
+
+
+def test_graph_stacks_are_the_eval_forward_in_any_batching(rng):
+    params = GrcslParams.init(rng, small_dims())
+    values, tod = window_inputs(rng, b=5)
+    with no_grad():
+        fwd = grcsl_forward_batch(values, tod, None, params, train=False)
+    intra, inter = graph_stacks(values, tod, None, params, batch_size=5)
+    assert intra.shape == inter.shape == (5, 4, 3, 3)
+    np.testing.assert_array_equal(intra, np.stack([g.data for g in fwd.intra], axis=1))
+    np.testing.assert_array_equal(inter, np.stack([g.data for g in fwd.inter], axis=1))
+    for batch in (1, 2, 3, 8):
+        got_intra, got_inter = graph_stacks(values, tod, None, params, batch_size=batch)
+        np.testing.assert_allclose(got_intra, intra, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(got_inter, inter, rtol=1e-12, atol=1e-15)
 
 
 def test_forward_train_mode_draws_fresh_noise(rng):
