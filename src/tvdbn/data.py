@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
+from functools import cached_property
 
 import numpy as np
 
@@ -152,12 +153,14 @@ class WindowSet:
     def __len__(self) -> int:
         return self.values.shape[0]
 
-    @property
+    @cached_property
     def windows(self) -> list[Window]:
-        """Per-window views of the arrays.
+        """Per-window views of the arrays, built on first access.
 
         Only the benchmark harness in perfbench/ reads windows one at a
-        time; the package, its tests and demos use the arrays.
+        time; the package, its tests and demos use the arrays. The views
+        share the arrays' memory; `dataclasses.replace` gives a new set
+        with its own views.
         """
         return [
             Window(

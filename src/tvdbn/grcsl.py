@@ -37,6 +37,7 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 from .graphops import GconvParams, gconv_spectral
 from .numerics import Tensor, concat, glorot_uniform, no_grad, stack
+from .numerics.tensor import _from_op, _stable_sigmoid, _tracking
 
 __all__ = [
     "GrcslDims",
@@ -354,11 +355,54 @@ def correlation_features(
 
 
 def gru_step(c: Tensor, h_prev: Tensor, cell: GruCell) -> Tensor:
-    """One recurrent update; the update gate blends the previous state in."""
-    r = (c @ cell.w_cr + h_prev @ cell.w_hr + cell.b_r).sigmoid()
-    z = (c @ cell.w_cz + h_prev @ cell.w_hz + cell.b_z).sigmoid()
-    h_tilde = (c @ cell.w_ch + (r * h_prev) @ cell.w_hh + cell.b_h).tanh()
-    return z * h_prev + (1.0 - z) * h_tilde
+    """One recurrent update; the update gate blends the previous state in.
+
+    r = sigmoid(c w_cr + h w_hr + b_r), z = sigmoid(c w_cz + h w_hz + b_z),
+    h~ = tanh(c w_ch + (r * h) w_hh + b_h), and the output is
+    z * h + (1 - z) * h~ with h = h_prev. `c` is (..., P, d_in) and `h_prev`
+    is (..., P, H) with the same leading axes. One tape op: the forward works
+    on 2-D rows and keeps r, z, h~ and r * h for the backward.
+    """
+    if c.shape[:-1] != h_prev.shape[:-1]:
+        raise ShapeError(f"gru_step needs matching leading axes, got {c.shape} and {h_prev.shape}")
+    hid = h_prev.shape[-1]
+    c2 = c.data.reshape(-1, c.shape[-1])
+    h2 = h_prev.data.reshape(-1, hid)
+    w_c = np.concatenate([cell.w_cr.data, cell.w_cz.data, cell.w_ch.data], axis=1)
+    w_h = np.concatenate([cell.w_hr.data, cell.w_hz.data], axis=1)
+    a_cr, a_cz, a_ch = np.split(c2 @ w_c, 3, axis=1)
+    a_hr, a_hz = np.split(h2 @ w_h, 2, axis=1)
+    r = _stable_sigmoid(a_cr + a_hr + cell.b_r.data)
+    z = _stable_sigmoid(a_cz + a_hz + cell.b_z.data)
+    rh = r * h2
+    h_tilde = np.tanh(a_ch + rh @ cell.w_hh.data + cell.b_h.data)
+    out = (z * h2 + (1.0 - z) * h_tilde).reshape(h_prev.shape)
+    params = [t for _, t in cell.named_parameters()]
+    if not _tracking(c, h_prev, *params):
+        return Tensor(out)
+
+    def backward_fn(g: np.ndarray) -> None:
+        g = g.reshape(-1, hid)
+        d_h = g * (1.0 - z) * (1.0 - h_tilde * h_tilde)
+        d_z = g * (h2 - h_tilde) * z * (1.0 - z)
+        d_rh = d_h @ cell.w_hh.data.T
+        d_r = d_rh * h2 * r * (1.0 - r)
+        d_c = np.concatenate([d_r, d_z, d_h], axis=1)  # pre-activation grads, [r | z | h~]
+        d_rz = d_c[:, : 2 * hid]
+        gw_cr, gw_cz, gw_ch = np.split(c2.T @ d_c, 3, axis=1)
+        gw_hr, gw_hz = np.split(h2.T @ d_rz, 2, axis=1)
+        gb_r, gb_z, gb_h = np.split(d_c.sum(axis=0), 3)
+        grads = (gw_cr, gw_hr, gb_r, gw_cz, gw_hz, gb_z, gw_ch, rh.T @ d_h, gb_h)
+        for param, grad in zip(params, grads):
+            if param.requires_grad:
+                param._accum(grad)
+        if c.requires_grad:
+            c._accum((d_c @ w_c.T).reshape(c.shape))
+        if h_prev.requires_grad:
+            d_prev = g * z + d_rh * r + d_rz @ w_h.T
+            h_prev._accum(d_prev.reshape(h_prev.shape))
+
+    return _from_op(out, (c, h_prev, *params), backward_fn)
 
 
 def _gumbel(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
@@ -379,24 +423,46 @@ def graph_head(
     Training draws two independent standard Gumbel samples per edge and
     pushes (logit + g1 - g2) / tau through a sigmoid, a reparameterized
     near-binary sample; evaluation uses sigmoid(logit / tau) directly.
+    `mask_diag` zeroes the diagonal. One tape op: the forward works on 2-D
+    rows and keeps the two hidden ReLU outputs and the graph for the backward.
     """
     if head.tau <= 0:
         raise ConfigError(f"temperature must be positive, got {head.tau}")
-    y = (h @ head.w1 + head.b1).relu()
-    y = (y @ head.w2 + head.b2).relu()
-    logits = y @ head.w3 + head.b3  # (..., N*N, 1)
-    batch = logits.shape[:-2]
-    logits = logits.reshape(batch + (n, n))
+    if train and rng is None:
+        raise ConfigError("train-mode graph sampling needs a random generator")
+    params = [t for _, t in head.named_parameters()]
+    w1, b1, w2, b2, w3, b3 = (t.data for t in params)
+    h2 = h.data.reshape(-1, h.shape[-1])
+    y1 = np.maximum(h2 @ w1 + b1, 0.0)
+    y2 = np.maximum(y1 @ w2 + b2, 0.0)
+    logits = (y2 @ w3 + b3).reshape(h.shape[:-2] + (n, n))
     if train:
-        if rng is None:
-            raise ConfigError("train-mode graph sampling needs a random generator")
         noise = _gumbel(rng, logits.shape) - _gumbel(rng, logits.shape)
-        graph = ((logits + Tensor(noise)) * (1.0 / head.tau)).sigmoid()
+        graph = _stable_sigmoid((logits + noise) * (1.0 / head.tau))
     else:
-        graph = (logits * (1.0 / head.tau)).sigmoid()
+        graph = _stable_sigmoid(logits * (1.0 / head.tau))
     if mask_diag:
-        graph = graph * Tensor(1.0 - np.eye(n))
-    return graph
+        graph *= 1.0 - np.eye(n)
+    if not _tracking(h, *params):
+        return Tensor(graph)
+
+    def backward_fn(g: np.ndarray) -> None:
+        # A masked diagonal entry is 0 in `graph`, so its slope graph * (1 - graph) is 0 too.
+        d_logit = (g * graph * (1.0 - graph) * (1.0 / head.tau)).reshape(-1, 1)
+        d_y2 = (d_logit @ w3.T) * (y2 > 0.0)
+        d_y1 = (d_y2 @ w2.T) * (y1 > 0.0)
+        grads = (
+            h2.T @ d_y1, d_y1.sum(axis=0),
+            y1.T @ d_y2, d_y2.sum(axis=0),
+            y2.T @ d_logit, d_logit.sum(axis=0),
+        )
+        for param, grad in zip(params, grads):
+            if param.requires_grad:
+                param._accum(grad)
+        if h.requires_grad:
+            h._accum((d_y1 @ w1.T).reshape(h.shape))
+
+    return _from_op(graph, (h, *params), backward_fn)
 
 
 def sem_reconstruct(

@@ -373,11 +373,10 @@ def _from_op(
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    """Logistic function as 0.5 * (1 + tanh(x / 2)): branch-free, finite everywhere."""
+    out = np.tanh(0.5 * x)
+    out += 1.0
+    out *= 0.5
     return out
 
 

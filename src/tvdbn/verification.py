@@ -92,10 +92,9 @@ def _check_gru_step(rng: np.random.Generator) -> GradReport:
     return grad_check(op, [c, h, *arrays], name="gru_step")
 
 
-def _check_graph_head(rng: np.random.Generator) -> GradReport:
-    n, hid = 3, 4
-    h = rng.standard_normal((1, n * n, hid))
-    arrays = [
+def _graph_head_case(rng: np.random.Generator, n: int, hid: int) -> list[np.ndarray]:
+    return [
+        rng.standard_normal((1, n * n, hid)),
         rng.standard_normal((hid, hid)) * 0.5,
         rng.standard_normal(hid) * 0.2,
         rng.standard_normal((hid, hid)) * 0.5,
@@ -104,11 +103,29 @@ def _check_graph_head(rng: np.random.Generator) -> GradReport:
         rng.standard_normal(1) * 0.2,
     ]
 
+
+def _check_graph_head(rng: np.random.Generator) -> GradReport:
+    n, hid = 3, 4
+
     def op(h_t, w1, b1, w2, b2, w3, b3):
         head = GraphHead(w1=w1, b1=b1, w2=w2, b2=b2, w3=w3, b3=b3, tau=0.5)
         return graph_head(h_t, head, n, train=False, mask_diag=True)
 
-    return grad_check(op, [h, *arrays], name="graph_head_logits")
+    return grad_check(op, _graph_head_case(rng, n, hid), name="graph_head_logits")
+
+
+def _check_graph_head_train(rng: np.random.Generator) -> GradReport:
+    n, hid = 3, 4
+    noise_seed = int(rng.integers(2**32))
+
+    def op(h_t, w1, b1, w2, b2, w3, b3):
+        # A fresh generator per call fixes the Gumbel draws across the
+        # finite-difference evaluations.
+        head = GraphHead(w1=w1, b1=b1, w2=w2, b2=b2, w3=w3, b3=b3, tau=0.5)
+        noise = np.random.default_rng(noise_seed)
+        return graph_head(h_t, head, n, train=True, rng=noise, mask_diag=False)
+
+    return grad_check(op, _graph_head_case(rng, n, hid), name="graph_head_train")
 
 
 def _check_gconv_spectral(rng: np.random.Generator) -> GradReport:
@@ -259,6 +276,7 @@ _CHECKS: list[tuple[str, Callable[[np.random.Generator], GradReport]]] = [
     ("grcsl_loss_full", _check_grcsl_loss),
     ("dgcpm_forward", _check_dgcpm_forward),
     ("masked_mae_loss", _check_masked_mae),
+    ("graph_head_train", _check_graph_head_train),
 ]
 
 

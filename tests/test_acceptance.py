@@ -346,6 +346,7 @@ def test_03_gradient_suite_passes_on_every_trainable_operation():
         "msdot",
         "gru_step",
         "graph_head_logits",
+        "graph_head_train",
         "gconv_spectral",
         "gconv_spatial",
         "sem_reconstruct",

@@ -1,5 +1,7 @@
 """Speed/distance table IO, normalization, windowing, and splits."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -237,6 +239,18 @@ class TestWindowsAndSplits:
             np.testing.assert_array_equal(ws.target_mask[k, ..., 0], test.mask[mid:hi])
             assert ws.start_index[k] == test.offset + lo
             assert ws.start_ts[k] == test.timestamps[lo]
+
+    def test_window_views_are_built_once_per_set(self):
+        values = np.arange(1.0, 61.0).reshape(30, 2)
+        ws = make_windows(make_series(values), 4, 2, stride=3)
+        views = ws.windows
+        assert ws.windows is views and len(views) == len(ws)
+        for k, win in enumerate(views):
+            assert np.shares_memory(win.values, ws.values)
+            assert win.start_index == ws.start_index[k]
+        arrays = ("values", "mask", "tod", "target", "target_mask", "start_index", "start_ts")
+        head = dataclasses.replace(ws, **{name: getattr(ws, name)[:2] for name in arrays})
+        assert len(head.windows) == 2 and head.windows is not views
 
     def test_too_short_series_rejected(self):
         series = make_series(np.ones((23, 1)) * np.arange(1, 24)[:, None])

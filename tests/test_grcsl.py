@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tvdbn.constraint import auglag_objective, constraint_sum, grcsl_loss
 from tvdbn.errors import ConfigError, ShapeError
 from tvdbn.grcsl import (
     AttnParams,
@@ -19,6 +20,7 @@ from tvdbn.grcsl import (
     export_graph_edges,
     extract_features,
     SemParams,
+    _gumbel,
     graph_head,
     graph_stacks,
     grcsl_forward_batch,
@@ -141,6 +143,49 @@ def test_gru_saturated_update_gate_copies_previous_state(rng):
     np.testing.assert_allclose(out.data, h, atol=1e-8)
 
 
+def composed_gru_step(c, h_prev, cell):
+    """The GRU update built from elementary tape ops: the reference for the fused kernel."""
+    r = (c @ cell.w_cr + h_prev @ cell.w_hr + cell.b_r).sigmoid()
+    z = (c @ cell.w_cz + h_prev @ cell.w_hz + cell.b_z).sigmoid()
+    h_tilde = (c @ cell.w_ch + (r * h_prev) @ cell.w_hh + cell.b_h).tanh()
+    return z * h_prev + (1.0 - z) * h_tilde
+
+
+def run_with_grads(fn, arrays, seed_grad):
+    """Apply fn to fresh leaves over `arrays`, backpropagate seed_grad; return value and grads."""
+    leaves = [Tensor(a, requires_grad=True) for a in arrays]
+    out = fn(*leaves)
+    out.backward(seed_grad)
+    return out.data, [leaf.grad for leaf in leaves]
+
+
+def assert_same_value_and_grads(fused, reference, names):
+    np.testing.assert_allclose(fused[0], reference[0], rtol=0, atol=1e-12)
+    for name, got, want in zip(names, fused[1], reference[1]):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=name)
+
+
+@pytest.mark.parametrize("lead", [(7,), (3, 7)])
+def test_gru_step_kernel_matches_composed_reference(rng, lead):
+    d_in, hidden = 3, 5
+    arrays = [rng.normal(size=s) * 0.5 for s in [(d_in, hidden), (hidden, hidden), (hidden,)] * 3]
+    c = rng.normal(size=lead + (d_in,))
+    h = rng.normal(size=lead + (hidden,))
+    seed_grad = rng.normal(size=lead + (hidden,))
+    names = ["c", "h_prev", *(name for name, _ in GruCell(*arrays).named_parameters())]
+    runs = [
+        run_with_grads(lambda c_t, h_t, *cell: step(c_t, h_t, GruCell(*cell)), [c, h, *arrays], seed_grad)
+        for step in (gru_step, composed_gru_step)
+    ]
+    assert_same_value_and_grads(*runs, names)
+
+
+def test_gru_step_rejects_mismatched_pair_axes(rng):
+    cell = GruCell.init(rng, d_in=3, hidden=4)
+    with pytest.raises(ShapeError):
+        gru_step(Tensor(np.zeros((2, 5, 3))), Tensor(np.zeros((5, 4))), cell)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_gru_state_stays_in_unit_box(seed):
@@ -156,6 +201,84 @@ def test_gru_state_stays_in_unit_box(seed):
 # ------------------------------------------------------------------ #
 # edge sampling
 # ------------------------------------------------------------------ #
+
+
+def composed_graph_head(h, head, n, train=False, rng=None, mask_diag=False):
+    """The graph head built from elementary tape ops: the reference for the fused kernel."""
+    y = (h @ head.w1 + head.b1).relu()
+    y = (y @ head.w2 + head.b2).relu()
+    logits = y @ head.w3 + head.b3
+    logits = logits.reshape(logits.shape[:-2] + (n, n))
+    if train:
+        noise = _gumbel(rng, logits.shape) - _gumbel(rng, logits.shape)
+        graph = ((logits + Tensor(noise)) * (1.0 / head.tau)).sigmoid()
+    else:
+        graph = (logits * (1.0 / head.tau)).sigmoid()
+    if mask_diag:
+        graph = graph * Tensor(1.0 - np.eye(n))
+    return graph
+
+
+@pytest.mark.parametrize("lead", [(), (2,)])
+@pytest.mark.parametrize("train", [False, True])
+@pytest.mark.parametrize("mask_diag", [False, True])
+def test_graph_head_kernel_matches_composed_reference(rng, lead, train, mask_diag):
+    n, hidden, tau = 3, 4, 0.7
+    shapes = [(hidden, hidden), (hidden,), (hidden, hidden), (hidden,), (hidden, 1), (1,)]
+    arrays = [rng.normal(size=s) * 0.5 for s in shapes]
+    h = rng.normal(size=lead + (n * n, hidden))
+    seed_grad = rng.normal(size=lead + (n, n))
+
+    def apply(fn):
+        def op(h_t, w1, b1, w2, b2, w3, b3):
+            head = GraphHead(w1=w1, b1=b1, w2=w2, b2=b2, w3=w3, b3=b3, tau=tau)
+            noise = np.random.default_rng(5) if train else None
+            return fn(h_t, head, n, train=train, rng=noise, mask_diag=mask_diag)
+
+        return run_with_grads(op, [h, *arrays], seed_grad)
+
+    fused, reference = apply(graph_head), apply(composed_graph_head)
+    assert_same_value_and_grads(fused, reference, ["h", "w1", "b1", "w2", "b2", "w3", "b3"])
+    if mask_diag:
+        np.testing.assert_array_equal(np.diagonal(fused[0], axis1=-2, axis2=-1), 0.0)
+
+
+def test_kernels_record_nothing_without_grad(rng):
+    cell = GruCell.init(rng, d_in=2, hidden=3)
+    head = GraphHead.init(rng, hidden=3, tau=0.2)
+    c = Tensor(rng.normal(size=(2, 4, 2)), requires_grad=True)
+    h = Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True)
+    with no_grad():
+        outs = [
+            gru_step(c, h, cell),
+            graph_head(h, head, n=2),
+            graph_head(h, head, n=2, train=True, rng=np.random.default_rng(0), mask_diag=True),
+        ]
+    for out in outs:
+        assert out._parents == () and out._backward is None and not out.requires_grad
+
+
+def tape_size(root):
+    seen, todo = set(), [root]
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            todo.extend(node._parents)
+    return len(seen)
+
+
+def test_train_step_tape_stays_small(rng):
+    # One train-mode objective at n=4, T_in=6, B=3 with the benchmark's tiny
+    # widths: 684 nodes when the GRU and the head were composed of
+    # elementary ops, 379 with one op each.
+    dims = GrcslDims(heads=2, d_att=4, h_r=6, d_s=3, h_m=6, sem_width=6, gconv_layers=1)
+    params = GrcslParams.init(rng, dims)
+    values, tod = window_inputs(rng, b=3, t_in=6, n=4)
+    prior = np.ones((4, 4)) - np.eye(4)
+    fwd = grcsl_forward_batch(values, tod, prior, params, train=True, rng=rng)
+    loss = auglag_objective(grcsl_loss(fwd, None, lam=1e-3), constraint_sum(fwd), alpha=0.5, rho=1.0)
+    assert tape_size(loss) <= 400
 
 
 def test_graph_head_eval_mode_is_deterministic_sigmoid(rng):
