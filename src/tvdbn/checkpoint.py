@@ -25,7 +25,7 @@ __all__ = [
     "load_dgcpm",
 ]
 
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 
 
 def _save(path: str, kind: str, params) -> None:

@@ -64,7 +64,7 @@ from .dgcpm import (
     predict as dgcpm_predict,
 )
 from .errors import ConfigError, DataError, NumericalError, ShapeError, TvdbnError
-from .grcsl import CausalGraphSeq, GrcslDims, GrcslParams, export_graph_edges, graph_stacks
+from .grcsl import EDGE_CSV_HEADER, GrcslDims, GrcslParams, export_graph_edges, graph_stacks
 from .metrics import evaluate as evaluate_metrics, render_report, write_report_csv
 from .synth import (
     export_truth_edges,
@@ -77,17 +77,6 @@ from .synth import (
 from .verification import gradient_suite
 
 log = logging.getLogger("tvdbn")
-
-COMMANDS = (
-    "synth",
-    "train-structure",
-    "train-forecast",
-    "predict",
-    "evaluate",
-    "export-graphs",
-    "gradcheck",
-)
-
 
 @dataclass
 class RunConfig:
@@ -303,7 +292,7 @@ def _static_graphs_from_file(cfg: RunConfig, sensor_ids: list[str]) -> tuple[np.
     with open(cfg.static_graph_file, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None or header[:6] != ["window_start_ts", "step", "lag", "src_id", "dst_id", "weight"]:
+        if header is None or header[:6] != EDGE_CSV_HEADER:
             raise DataError(f"{cfg.static_graph_file}: expected graph edge CSV header")
         for line_no, row in enumerate(reader, start=2):
             if not row:
@@ -441,13 +430,11 @@ def cmd_export_graphs(cfg: RunConfig) -> int:
     windows = sets[cfg.export_split]
     params = ckpt.load_grcsl(_structure_ckpt_path(cfg)) if cfg.graph_source == "grcsl" else None
     intra, inter = _graph_stacks(cfg, windows, prior, params)
-    seqs = [
-        CausalGraphSeq(intra=a, inter=b, start_index=k, start_ts=ts)
-        for a, b, k, ts in zip(intra, inter, windows.start_index.tolist(), windows.start_ts.tolist())
-    ]
     path = os.path.join(cfg.out_dir, "graphs.csv")
-    edge_count = export_graph_edges(path, seqs, windows.sensor_ids, cfg.graph_threshold)
-    log.info("exported %d edges over %d windows to %s", edge_count, len(seqs), path)
+    edge_count = export_graph_edges(
+        path, intra, inter, windows.start_ts, windows.sensor_ids, cfg.graph_threshold
+    )
+    log.info("exported %d edges over %d windows to %s", edge_count, len(intra), path)
     return 0
 
 
@@ -603,21 +590,6 @@ def cmd_gradcheck(cfg: RunConfig) -> int:
 # --------------------------------------------------------------------- #
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="tvdbn",
-        description="Learn time-varying causal graphs from sensor series and forecast with them.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", default=None, help="flat key=value config file")
-        for field in dataclasses.fields(RunConfig):
-            flag = "--" + field.name.replace("_", "-")
-            p.add_argument(flag, dest=field.name, default=None, help=f"override {field.name}")
-    return parser
-
-
 _HANDLERS = {
     "synth": cmd_synth,
     "train-structure": cmd_train_structure,
@@ -627,6 +599,21 @@ _HANDLERS = {
     "export-graphs": cmd_export_graphs,
     "gradcheck": cmd_gradcheck,
 }
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="tvdbn",
+        description="Learn time-varying causal graphs from sensor series and forecast with them.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in _HANDLERS:
+        p = sub.add_parser(name)
+        p.add_argument("--config", default=None, help="flat key=value config file")
+        for field in dataclasses.fields(RunConfig):
+            flag = "--" + field.name.replace("_", "-")
+            p.add_argument(flag, dest=field.name, default=None, help=f"override {field.name}")
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -24,7 +24,7 @@ import numpy as np
 from .data import NormStats, SpeedSeries, WindowSet, invert_zscore
 from .errors import ConfigError, ShapeError
 from .graphops import GconvParams, dygconv, gconv_spectral
-from .numerics import Adam, Tensor, concat, glorot_uniform, no_grad, stack
+from .numerics import Adam, Params, Tensor, concat, glorot_uniform, no_grad, stack
 
 __all__ = [
     "DgcpmDims",
@@ -66,7 +66,7 @@ class DgcpmDims:
 
 
 @dataclass
-class DgcpmParams:
+class DgcpmParams(Params):
     """All trainable weights of the forecaster."""
 
     dims: DgcpmDims
@@ -92,16 +92,6 @@ class DgcpmParams:
             w_out=Tensor(glorot_uniform(rng, fan_in, dims.t_out), requires_grad=True),
             prior_gconv=prior,
         )
-
-    def named_parameters(self):
-        yield from self.dy_inter.named_parameters("dy_inter.")
-        yield from self.dy_intra.named_parameters("dy_intra.")
-        if self.prior_gconv is not None:
-            yield from self.prior_gconv.named_parameters("prior.")
-        yield "w_out", self.w_out
-
-    def parameters(self) -> list[Tensor]:
-        return [t for _, t in self.named_parameters()]
 
 
 def dgcpm_forward_batch(

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .numerics import Tensor, glorot_uniform
+from .numerics import Params, Tensor, glorot_uniform
 
 __all__ = [
     "GconvParams",
@@ -32,7 +32,7 @@ __all__ = [
 
 
 @dataclass
-class GconvParams:
+class GconvParams(Params):
     """Weights of one graph-convolution stack.
 
     theta[0] maps the input width to the hidden width; every later theta is
@@ -57,10 +57,6 @@ class GconvParams:
         for _ in range(layers):
             theta.append(Tensor(glorot_uniform(rng, width, width), requires_grad=True))
         return cls(theta=theta)
-
-    def named_parameters(self, prefix: str = ""):
-        for i, t in enumerate(self.theta):
-            yield f"{prefix}theta{i}", t
 
 
 def normalize_symmetric(a: np.ndarray) -> np.ndarray:

@@ -29,14 +29,13 @@ depend only on ticks 1..t (the recurrence never looks ahead).
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
-from typing import Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .graphops import GconvParams, gconv_spectral
-from .numerics import Tensor, concat, glorot_uniform, no_grad, stack
+from .numerics import Params, Tensor, concat, glorot_uniform, no_grad
 from .numerics.tensor import _from_op, _stable_sigmoid, _tracking
 
 __all__ = [
@@ -56,7 +55,11 @@ __all__ = [
     "grcsl_forward_batch",
     "graph_stacks",
     "export_graph_edges",
+    "EDGE_CSV_HEADER",
 ]
+
+# Columns of every graph edge CSV: estimated graphs, true graphs, static graph files.
+EDGE_CSV_HEADER = ["window_start_ts", "step", "lag", "src_id", "dst_id", "weight"]
 
 
 # --------------------------------------------------------------------- #
@@ -93,28 +96,23 @@ class GrcslDims:
 
 
 @dataclass
-class AttnParams:
-    """Per-head query/key projections, shared by both lags."""
+class AttnParams(Params):
+    """Query/key projections of every head, (heads, d_in, d_att) each, shared by both lags."""
 
-    w_q: list[Tensor]
-    w_k: list[Tensor]
+    w_q: Tensor
+    w_k: Tensor
 
     @classmethod
     def init(cls, rng: np.random.Generator, d_in: int, d_att: int, heads: int) -> "AttnParams":
+        shape = (heads, d_in, d_att)
         return cls(
-            w_q=[Tensor(glorot_uniform(rng, d_in, d_att), requires_grad=True) for _ in range(heads)],
-            w_k=[Tensor(glorot_uniform(rng, d_in, d_att), requires_grad=True) for _ in range(heads)],
+            w_q=Tensor(glorot_uniform(rng, d_in, d_att, shape), requires_grad=True),
+            w_k=Tensor(glorot_uniform(rng, d_in, d_att, shape), requires_grad=True),
         )
-
-    def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
-        for i, t in enumerate(self.w_q):
-            yield f"{prefix}w_q{i}", t
-        for i, t in enumerate(self.w_k):
-            yield f"{prefix}w_k{i}", t
 
 
 @dataclass
-class GruCell:
+class GruCell(Params):
     """One lag's recurrent cell over pairwise features."""
 
     w_cr: Tensor
@@ -144,13 +142,9 @@ class GruCell:
             w_ch=inp(), w_hh=rec(), b_h=bias(),
         )
 
-    def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
-        for name in ("w_cr", "w_hr", "b_r", "w_cz", "w_hz", "b_z", "w_ch", "w_hh", "b_h"):
-            yield f"{prefix}{name}", getattr(self, name)
-
 
 @dataclass
-class GraphHead:
+class GraphHead(Params):
     """Three stacked 1x1 convolutions mapping hidden state to an edge logit.
 
     Acting per node pair, a 1x1 convolution over the unflattened hidden map
@@ -181,13 +175,9 @@ class GraphHead:
             tau=tau,
         )
 
-    def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
-        for name in ("w1", "b1", "w2", "b2", "w3", "b3"):
-            yield f"{prefix}{name}", getattr(self, name)
-
 
 @dataclass
-class SemParams:
+class SemParams(Params):
     """Reconstruction head: one projection per lag's parent sum, then a two-layer MLP."""
 
     w_intra: Tensor
@@ -208,13 +198,9 @@ class SemParams:
             b2=Tensor(np.zeros(1), requires_grad=True),
         )
 
-    def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
-        for name in ("w_intra", "w_inter", "w1", "b1", "w2", "b2"):
-            yield f"{prefix}{name}", getattr(self, name)
-
 
 @dataclass
-class GrcslParams:
+class GrcslParams(Params):
     """All trainable weights of the structure learner."""
 
     dims: GrcslDims
@@ -240,19 +226,6 @@ class GrcslParams:
             sem=SemParams.init(rng, dims.sem_width, dims.h_m),
             feature_gconv=feature,
         )
-
-    def named_parameters(self) -> Iterator[tuple[str, Tensor]]:
-        if self.feature_gconv is not None:
-            yield from self.feature_gconv.named_parameters("feature.")
-        yield from self.attn.named_parameters("attn.")
-        yield from self.gru_intra.named_parameters("gru_intra.")
-        yield from self.gru_inter.named_parameters("gru_inter.")
-        yield from self.head_intra.named_parameters("head_intra.")
-        yield from self.head_inter.named_parameters("head_inter.")
-        yield from self.sem.named_parameters("sem.")
-
-    def parameters(self) -> list[Tensor]:
-        return [t for _, t in self.named_parameters()]
 
 
 # --------------------------------------------------------------------- #
@@ -326,14 +299,12 @@ def msdot(q: Tensor, k: Tensor, attn: AttnParams) -> Tensor:
     node i's query with node j's key, scaled by sqrt(d). No softmax: these
     are correlation strengths, not attention weights.
     """
-    d = attn.w_q[0].shape[1]
-    scale = 1.0 / float(np.sqrt(d))
-    per_head = []
-    for w_q, w_k in zip(attn.w_q, attn.w_k):
-        qp = q @ w_q
-        kp = k @ w_k
-        per_head.append((qp @ kp.swap_last()) * scale)
-    return stack(per_head, axis=-1)
+    scale = 1.0 / float(np.sqrt(attn.w_q.shape[-1]))
+    qp = q.reshape(q.shape[:-2] + (1,) + q.shape[-2:]) @ attn.w_q  # (..., heads, N, d_att)
+    kp = k.reshape(k.shape[:-2] + (1,) + k.shape[-2:]) @ attn.w_k
+    scores = (qp @ kp.swap_last()) * scale  # (..., heads, N, N)
+    nd = scores.ndim
+    return scores.transpose(tuple(range(nd - 3)) + (nd - 2, nd - 1, nd - 3))
 
 
 def correlation_features(
@@ -377,7 +348,7 @@ def gru_step(c: Tensor, h_prev: Tensor, cell: GruCell) -> Tensor:
     rh = r * h2
     h_tilde = np.tanh(a_ch + rh @ cell.w_hh.data + cell.b_h.data)
     out = (z * h2 + (1.0 - z) * h_tilde).reshape(h_prev.shape)
-    params = [t for _, t in cell.named_parameters()]
+    params = cell.parameters()
     if not _tracking(c, h_prev, *params):
         return Tensor(out)
 
@@ -430,7 +401,7 @@ def graph_head(
         raise ConfigError(f"temperature must be positive, got {head.tau}")
     if train and rng is None:
         raise ConfigError("train-mode graph sampling needs a random generator")
-    params = [t for _, t in head.named_parameters()]
+    params = head.parameters()
     w1, b1, w2, b2, w3, b3 = (t.data for t in params)
     h2 = h.data.reshape(-1, h.shape[-1])
     y1 = np.maximum(h2 @ w1 + b1, 0.0)
@@ -579,35 +550,33 @@ def graph_stacks(
 
 def export_graph_edges(
     path: str,
-    seqs: list[CausalGraphSeq],
+    intra: np.ndarray,
+    inter: np.ndarray,
+    start_ts: np.ndarray,
     sensor_ids: list[str],
     threshold: float = 0.5,
 ) -> int:
     """Write thresholded edges as CSV rows, one per surviving edge.
 
-    Columns: window_start_ts, step, lag, src_id, dst_id, weight. `step` is
-    the 1-based window position of the receiving tick (first emitted pair is
+    `intra` and `inter` are (W, S, N, N) stacks as `graph_stacks` returns
+    them and `start_ts` holds the W window start timestamps. Rows run by
+    window, then step, then lag, then receiving and sending node. Columns:
+    window_start_ts, step, lag, src_id, dst_id, weight. `step` is the
+    1-based window position of the receiving tick (first emitted pair is
     step 2). Entry (i, j) of a graph is the edge src=j -> dst=i. Returns the
     number of edge rows written.
     """
-    count = 0
+    graphs = np.stack([intra, inter], axis=2)  # (W, S, lag, N, N)
+    win, step, lag, dst, src = np.nonzero(graphs > threshold)
+    weights = graphs[win, step, lag, dst, src]
+    ts = np.asarray(start_ts)[win].tolist()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["window_start_ts", "step", "lag", "src_id", "dst_id", "weight"])
-        for seq in seqs:
-            for j in range(seq.steps):
-                for lag, graph in ((0, seq.intra[j]), (1, seq.inter[j])):
-                    dst, src = np.nonzero(graph > threshold)
-                    for i, k in zip(dst, src):
-                        writer.writerow(
-                            [
-                                seq.start_ts,
-                                j + 2,
-                                lag,
-                                sensor_ids[k],
-                                sensor_ids[i],
-                                f"{graph[i, k]:.10g}",
-                            ]
-                        )
-                        count += 1
-    return count
+        writer.writerow(EDGE_CSV_HEADER)
+        writer.writerows(
+            (t, j + 2, k, sensor_ids[s], sensor_ids[d], f"{w:.10g}")
+            for t, j, k, s, d, w in zip(
+                ts, step.tolist(), lag.tolist(), src.tolist(), dst.tolist(), weights.tolist()
+            )
+        )
+    return len(weights)

@@ -3,11 +3,12 @@
 from .gradcheck import GradReport, grad_check
 from .linalg import expm, trace_expm
 from .optim import Adam
-from .tensor import Tensor, concat, glorot_uniform, no_grad, stack
+from .tensor import Params, Tensor, concat, glorot_uniform, no_grad, stack
 
 __all__ = [
     "Adam",
     "GradReport",
+    "Params",
     "Tensor",
     "concat",
     "expm",

@@ -44,18 +44,22 @@ class GradReport:
 
 def grad_check(
     op: Callable[..., Tensor],
-    inputs: Sequence[np.ndarray],
+    inputs: Sequence[np.ndarray | Tensor],
     eps: float = DEFAULT_EPS,
     name: str | None = None,
 ) -> GradReport:
     """Compare reverse-mode gradients of ``sum(op(*inputs))`` to central differences.
 
     `op` maps Tensors to a Tensor of any shape; the check reduces it by
-    summation. Each input is perturbed elementwise by +/- eps.
+    summation. Each input is perturbed elementwise by +/- eps. An array
+    input is copied into a fresh Tensor. A Tensor input, such as a live
+    model parameter that `op` reads through its model, is checked in place:
+    its grad is reset, its data made contiguous so that every perturbation
+    reaches the model, and each entry is restored exactly afterwards.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    tensors = [Tensor(np.array(x, dtype=np.float64), requires_grad=True) for x in inputs]
+    tensors = [_checked_input(x) for x in inputs]
     out = op(*tensors)
     out.sum().backward()
 
@@ -84,6 +88,14 @@ def grad_check(
 
     worst = max(per_input) if per_input else 0.0
     return GradReport(op_name=name or getattr(op, "__name__", "op"), max_rel_error=worst, per_input=per_input)
+
+
+def _checked_input(x: np.ndarray | Tensor) -> Tensor:
+    if isinstance(x, Tensor):
+        x.grad = None
+        x.data = np.ascontiguousarray(x.data)
+        return x
+    return Tensor(np.array(x, dtype=np.float64), requires_grad=True)
 
 
 def _evaluate(op: Callable[..., Tensor], tensors: list[Tensor]) -> float:

@@ -13,11 +13,12 @@ activations of shape ``(B, N, H)``. Everything is double precision.
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterable, Sequence
+import dataclasses
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-__all__ = ["Tensor", "concat", "stack", "no_grad", "glorot_uniform"]
+__all__ = ["Tensor", "Params", "concat", "stack", "no_grad", "glorot_uniform"]
 
 _grad_enabled: bool = True
 
@@ -76,9 +77,6 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.data.size
-
-    def item(self) -> float:
-        return float(self.data)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -350,6 +348,30 @@ class Tensor:
         nd = self.data.ndim
         axes = tuple(range(nd - 2)) + (nd - 1, nd - 2)
         return self.transpose(axes)
+
+
+class Params:
+    """Mixin for dataclasses of trainable weights; names come from the fields.
+
+    Fields are walked in declaration order: a Tensor is a parameter named
+    after its field, a nested Params adds ``field.`` to the prefix, a list
+    numbers its tensors (``theta0``, ``theta1``, ...), and anything else
+    (dimensions, temperatures, an absent ``None`` branch) is skipped.
+    """
+
+    def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, Tensor):
+                yield prefix + f.name, value
+            elif isinstance(value, Params):
+                yield from value.named_parameters(f"{prefix}{f.name}.")
+            elif isinstance(value, list):
+                for i, t in enumerate(value):
+                    yield f"{prefix}{f.name}{i}", t
+
+    def parameters(self) -> list[Tensor]:
+        return [t for _, t in self.named_parameters()]
 
 
 def _lift(value) -> Tensor:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .data import SpeedSeries, TICK_SECONDS
 from .errors import ConfigError, DataError
-from .grcsl import CausalGraphSeq
+from .grcsl import EDGE_CSV_HEADER, CausalGraphSeq
 
 __all__ = [
     "GroundTruthTvdbn",
@@ -423,7 +423,7 @@ def export_truth_edges(
     """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["window_start_ts", "step", "lag", "src_id", "dst_id", "weight"])
+        writer.writerow(EDGE_CSV_HEADER)
         for r in range(truth.num_regimes):
             regime_ts = start_ts + TICK_SECONDS * int(truth.boundaries[r])
             for lag, graph in ((0, truth.intra[r]), (1, truth.inter[r])):

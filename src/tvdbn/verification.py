@@ -8,7 +8,6 @@ acceptance tests, so the two can never drift apart.
 
 from __future__ import annotations
 
-import re
 from typing import Callable
 
 import numpy as np
@@ -33,26 +32,6 @@ from .numerics import GradReport, Tensor, grad_check
 
 __all__ = ["gradient_suite"]
 
-_INDEXED = re.compile(r"^(theta|w_q|w_k)(\d+)$")
-
-
-def _assign(root, dotted: str, tensor: Tensor) -> None:
-    """Replace the parameter at a named_parameters()-style path with `tensor`."""
-    obj = root
-    parts = dotted.split(".")
-    # Walk containers; the generator prefixes map onto attribute names.
-    alias = {"feature": "feature_gconv", "prior": "prior_gconv"}
-    for part in parts[:-1]:
-        obj = getattr(obj, alias.get(part, part))
-    leaf = parts[-1]
-    m = _INDEXED.match(leaf)
-    if m:
-        field, idx = m.group(1), int(m.group(2))
-        getattr(obj, field)[idx] = tensor
-    else:
-        setattr(obj, leaf, tensor)
-
-
 def _symmetric_prior(rng: np.random.Generator, n: int) -> np.ndarray:
     a = rng.random((n, n))
     a = 0.5 * (a + a.T)
@@ -71,12 +50,12 @@ def _positive_graph(rng: np.random.Generator, shape, zero_diag: bool = False) ->
 def _check_msdot(rng: np.random.Generator) -> GradReport:
     q = rng.standard_normal((2, 4, 3))
     k = rng.standard_normal((2, 4, 3))
-    ws = [rng.standard_normal((3, 2)) for _ in range(4)]
+    w_q, w_k = rng.standard_normal((2, 2, 3, 2))  # (heads, d_in, d_att) each
 
-    def op(q_t, k_t, wq0, wq1, wk0, wk1):
-        return msdot(q_t, k_t, AttnParams(w_q=[wq0, wq1], w_k=[wk0, wk1]))
+    def op(q_t, k_t, wq, wk):
+        return msdot(q_t, k_t, AttnParams(w_q=wq, w_k=wk))
 
-    return grad_check(op, [q, k, *ws], name="msdot")
+    return grad_check(op, [q, k, w_q, w_k], name="msdot")
 
 
 def _check_gru_step(rng: np.random.Generator) -> GradReport:
@@ -209,35 +188,29 @@ def _check_grcsl_loss(rng: np.random.Generator) -> GradReport:
         heads=2, d_att=2, h_r=3, d_s=2, h_m=3, sem_width=3, gconv_layers=1, tau=0.3
     )
     params = GrcslParams.init(rng, dims)
-    names = [n for n, _ in params.named_parameters()]
-    arrays = [t.data.copy() for _, t in params.named_parameters()]
-    for arr in arrays:
+    for t in params.parameters():
         # Zero-initialized biases park ReLU pre-activations exactly on the
         # kink, where finite differences are meaningless; check at a generic
         # point instead.
-        if not arr.any():
-            arr += rng.uniform(-0.3, 0.3, size=arr.shape)
+        if not t.data.any():
+            t.data += rng.uniform(-0.3, 0.3, size=t.shape)
     n, t_in = 3, 3
     values = rng.standard_normal((1, t_in, n, 1))
     tod = rng.random((1, t_in, n, 1))
     prior = _symmetric_prior(rng, n)
 
-    def op(*tensors):
-        for name, tensor in zip(names, tensors):
-            _assign(params, name, tensor)
+    def op(*_):
         fwd = grcsl_forward_batch(values, tod, prior, params, train=False)
         f = grcsl_loss(fwd, None, lam=1e-3)
         s = constraint_sum(fwd)
         return auglag_objective(f, s, alpha=0.7, rho=1.3)
 
-    return grad_check(op, arrays, name="grcsl_loss_full")
+    return grad_check(op, params.parameters(), name="grcsl_loss_full")
 
 
 def _check_dgcpm_forward(rng: np.random.Generator) -> GradReport:
     dims = DgcpmDims(t_in=3, t_out=2, dy_width=2, prior_width=2, gconv_layers=1)
     params = DgcpmParams.init(rng, dims)
-    names = [n for n, _ in params.named_parameters()]
-    arrays = [t.data.copy() for _, t in params.named_parameters()]
     n = 3
     values = rng.standard_normal((2, dims.t_in, n, 1))
     tod = rng.random((2, dims.t_in, n, 1))
@@ -245,12 +218,10 @@ def _check_dgcpm_forward(rng: np.random.Generator) -> GradReport:
     inter = _positive_graph(rng, (2, dims.t_in - 1, n, n))
     prior = _symmetric_prior(rng, n)
 
-    def op(*tensors):
-        for name, tensor in zip(names, tensors):
-            _assign(params, name, tensor)
+    def op(*_):
         return dgcpm_forward_batch(values, tod, intra, inter, prior, params)
 
-    return grad_check(op, arrays, name="dgcpm_forward")
+    return grad_check(op, params.parameters(), name="dgcpm_forward")
 
 
 def _check_masked_mae(rng: np.random.Generator) -> GradReport:

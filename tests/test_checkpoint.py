@@ -48,3 +48,35 @@ def test_shape_mismatch_names_the_key(tmp_path, rng):
     save_dgcpm(path, params)
     with pytest.raises(DataError, match="shape mismatch for key 'w_out'"):
         load_dgcpm(path)
+
+
+def test_a_version_1_file_is_rejected_by_its_version(tmp_path, rng):
+    path = str(tmp_path / "grcsl.npz")
+    save_grcsl(path, grcsl_params(rng))
+    with np.load(path) as blob:
+        entries = dict(blob)
+    entries["version"] = np.array(1)
+    np.savez(path, **entries)
+    with pytest.raises(DataError, match="unsupported format version"):
+        load_grcsl(path)
+
+
+def test_parameter_keys_of_default_models():
+    grcsl = GrcslParams.init(np.random.default_rng(0), GrcslDims())
+    gru = ["w_cr", "w_hr", "b_r", "w_cz", "w_hz", "b_z", "w_ch", "w_hh", "b_h"]
+    head = ["w1", "b1", "w2", "b2", "w3", "b3"]
+    assert [name for name, _ in grcsl.named_parameters()] == [
+        "attn.w_q", "attn.w_k",
+        *(f"gru_intra.{n}" for n in gru), *(f"gru_inter.{n}" for n in gru),
+        *(f"head_intra.{n}" for n in head), *(f"head_inter.{n}" for n in head),
+        "sem.w_intra", "sem.w_inter", "sem.w1", "sem.b1", "sem.w2", "sem.b2",
+        "feature_gconv.theta0", "feature_gconv.theta1", "feature_gconv.theta2",
+    ]
+    assert grcsl.attn.w_q.shape == (4, 10, 16)
+    dgcpm = DgcpmParams.init(np.random.default_rng(0), DgcpmDims())
+    assert [name for name, _ in dgcpm.named_parameters()] == [
+        "dy_inter.theta0", "dy_inter.theta1", "dy_inter.theta2",
+        "dy_intra.theta0", "dy_intra.theta1", "dy_intra.theta2",
+        "w_out",
+        "prior_gconv.theta0", "prior_gconv.theta1", "prior_gconv.theta2",
+    ]

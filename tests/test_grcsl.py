@@ -28,7 +28,7 @@ from tvdbn.grcsl import (
     msdot,
     sem_reconstruct,
 )
-from tvdbn.numerics import Tensor, no_grad
+from tvdbn.numerics import Tensor, glorot_uniform, no_grad
 
 
 def small_dims(**overrides):
@@ -54,7 +54,7 @@ def zero_logit_head(hidden, tau=0.2):
 
 def test_msdot_identity_projection_is_gram_matrix():
     # w_q = w_k = I, d_att = 1: score(i, j) = x_i * x_j / sqrt(1).
-    attn = AttnParams(w_q=[Tensor(np.eye(1))], w_k=[Tensor(np.eye(1))])
+    attn = AttnParams(w_q=Tensor(np.eye(1)[None]), w_k=Tensor(np.eye(1)[None]))
     x = Tensor(np.array([[1.0], [2.0]]))
     scores = msdot(x, x, attn)
     assert scores.shape == (2, 2, 1)
@@ -63,21 +63,33 @@ def test_msdot_identity_projection_is_gram_matrix():
 
 def test_msdot_scales_by_sqrt_of_projection_width():
     # Ones-projections of width 4 give q.k = 4 * x_i * x_j, then / sqrt(4).
-    attn = AttnParams(w_q=[Tensor(np.ones((1, 4)))], w_k=[Tensor(np.ones((1, 4)))])
+    attn = AttnParams(w_q=Tensor(np.ones((1, 1, 4))), w_k=Tensor(np.ones((1, 1, 4))))
     x = Tensor(np.array([[1.0], [2.0]]))
     scores = msdot(x, x, attn)
     np.testing.assert_allclose(scores.data[..., 0], [[2.0, 4.0], [4.0, 8.0]])
 
 
 def test_msdot_stacks_heads_on_last_axis():
-    attn = AttnParams(
-        w_q=[Tensor(np.eye(1)), Tensor(2.0 * np.eye(1))],
-        w_k=[Tensor(np.eye(1)), Tensor(np.eye(1))],
-    )
+    attn = AttnParams(w_q=Tensor(np.array([[[1.0]], [[2.0]]])), w_k=Tensor(np.ones((2, 1, 1))))
     x = Tensor(np.array([[1.0], [3.0]]))
     scores = msdot(x, x, attn)
     assert scores.shape == (2, 2, 2)
     np.testing.assert_allclose(scores.data[..., 1], 2.0 * scores.data[..., 0])
+
+
+def test_stacked_heads_keep_the_per_head_init_and_scores(rng):
+    attn = AttnParams.init(np.random.default_rng(0), d_in=3, d_att=4, heads=2)
+    ref = np.random.default_rng(0)
+    per_head = [glorot_uniform(ref, 3, 4) for _ in range(4)]  # every w_q head, then every w_k head
+    np.testing.assert_array_equal(attn.w_q.data, np.stack(per_head[:2]))
+    np.testing.assert_array_equal(attn.w_k.data, np.stack(per_head[2:]))
+    q = rng.normal(size=(5, 6, 3))
+    k = rng.normal(size=(5, 6, 3))
+    scores = msdot(Tensor(q), Tensor(k), attn).data
+    assert scores.shape == (5, 6, 6, 2)
+    for m in range(2):
+        want = (q @ per_head[m]) @ np.swapaxes(k @ per_head[2 + m], -1, -2) / 2.0
+        np.testing.assert_allclose(scores[..., m], want, rtol=0, atol=1e-12)
 
 
 def test_msdot_is_asymmetric_between_query_and_key():
@@ -93,7 +105,7 @@ def test_msdot_is_asymmetric_between_query_and_key():
 def test_correlation_features_flatten_row_major():
     # d_att = 1, identity projections, x = [1, 2, 3]: lag-0 row i*N+j must
     # equal x_i * x_j, and lag-1 must pair against the previous tick.
-    attn = AttnParams(w_q=[Tensor(np.eye(1))], w_k=[Tensor(np.eye(1))])
+    attn = AttnParams(w_q=Tensor(np.eye(1)[None]), w_k=Tensor(np.eye(1)[None]))
     x_cur = Tensor(np.array([[1.0], [2.0], [3.0]]))
     x_prev = Tensor(np.array([[10.0], [20.0], [30.0]]))
     c0, c1 = correlation_features(x_cur, x_prev, attn)
@@ -172,7 +184,7 @@ def test_gru_step_kernel_matches_composed_reference(rng, lead):
     c = rng.normal(size=lead + (d_in,))
     h = rng.normal(size=lead + (hidden,))
     seed_grad = rng.normal(size=lead + (hidden,))
-    names = ["c", "h_prev", *(name for name, _ in GruCell(*arrays).named_parameters())]
+    names = ["c", "h_prev", *(name for name, _ in GruCell(*map(Tensor, arrays)).named_parameters())]
     runs = [
         run_with_grads(lambda c_t, h_t, *cell: step(c_t, h_t, GruCell(*cell)), [c, h, *arrays], seed_grad)
         for step in (gru_step, composed_gru_step)
@@ -513,27 +525,53 @@ def test_graph_seq_validates_ranges_and_diagonal():
     assert seq.steps == 2 and seq.num_nodes == 3
 
 
-def test_export_graph_edges_writes_thresholded_rows(tmp_path):
-    intra = np.zeros((2, 2, 2))
-    inter = np.zeros((2, 2, 2))
-    intra[0, 0, 1] = 0.9  # step 2, lag 0, edge b -> a
-    inter[1, 1, 0] = 0.7  # step 3, lag 1, edge a -> b
-    inter[1, 0, 1] = 0.4  # below threshold, must not appear
-    seq = CausalGraphSeq(intra=intra, inter=inter, start_ts=1000)
-    path = tmp_path / "edges.csv"
-    count = export_graph_edges(str(path), [seq], ["a", "b"], threshold=0.5)
-    assert count == 2
+def read_rows(path):
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+        return list(csv.reader(fh))
+
+
+def test_export_graph_edges_writes_thresholded_rows(tmp_path):
+    intra = np.zeros((1, 2, 2, 2))
+    inter = np.zeros((1, 2, 2, 2))
+    intra[0, 0, 0, 1] = 0.9  # step 2, lag 0, edge b -> a
+    inter[0, 1, 1, 0] = 0.7  # step 3, lag 1, edge a -> b
+    inter[0, 1, 0, 1] = 0.4  # below threshold, must not appear
+    path = tmp_path / "edges.csv"
+    count = export_graph_edges(str(path), intra, inter, np.array([1000]), ["a", "b"], threshold=0.5)
+    assert count == 2
+    rows = read_rows(path)
     assert rows[0] == ["window_start_ts", "step", "lag", "src_id", "dst_id", "weight"]
     assert rows[1] == ["1000", "2", "0", "b", "a", "0.9"]
     assert rows[2] == ["1000", "3", "1", "a", "b", "0.7"]
 
 
-def test_export_graph_edges_empty_sequence_writes_header_only(tmp_path):
-    seq = CausalGraphSeq(intra=np.zeros((1, 2, 2)), inter=np.zeros((1, 2, 2)))
+def test_export_graph_edges_orders_rows_by_window_then_step_then_lag(tmp_path):
+    intra = np.zeros((2, 2, 2, 2))
+    inter = np.zeros((2, 2, 2, 2))
+    # Filled in an order unrelated to the expected row order.
+    inter[1, 0, 0, 0] = 0.61  # window 2, step 2, lag 1, a -> a
+    intra[1, 0, 1, 0] = 0.62  # window 2, step 2, lag 0, a -> b
+    inter[0, 1, 1, 1] = 0.63  # window 1, step 3, lag 1, b -> b
+    inter[0, 0, 1, 0] = 0.64  # window 1, step 2, lag 1, a -> b
+    intra[0, 1, 0, 1] = 0.65  # window 1, step 3, lag 0, b -> a
+    intra[0, 0, 0, 1] = 0.66  # window 1, step 2, lag 0, b -> a
     path = tmp_path / "edges.csv"
-    assert export_graph_edges(str(path), [seq], ["a", "b"]) == 0
+    start_ts = np.array([100, 400])
+    assert export_graph_edges(str(path), intra, inter, start_ts, ["a", "b"]) == 6
+    assert read_rows(path)[1:] == [
+        ["100", "2", "0", "b", "a", "0.66"],
+        ["100", "2", "1", "a", "b", "0.64"],
+        ["100", "3", "0", "b", "a", "0.65"],
+        ["100", "3", "1", "b", "b", "0.63"],
+        ["400", "2", "0", "a", "b", "0.62"],
+        ["400", "2", "1", "a", "a", "0.61"],
+    ]
+
+
+def test_export_graph_edges_empty_sequence_writes_header_only(tmp_path):
+    empty = np.zeros((1, 1, 2, 2))
+    path = tmp_path / "edges.csv"
+    assert export_graph_edges(str(path), empty, empty, np.array([0]), ["a", "b"]) == 0
     assert path.read_text().strip().count("\n") == 0
 
 

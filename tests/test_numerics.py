@@ -5,13 +5,16 @@ conftest.finite_difference); expm values are checked against scipy and a
 truncated power series — three independent computations per claim.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from conftest import analytic_gradients, finite_difference
 from tvdbn.errors import ShapeError
-from tvdbn.numerics import Adam, Tensor, concat, expm, no_grad, stack, trace_expm
+from tvdbn.numerics import Adam, Params, Tensor, concat, expm, grad_check, no_grad, stack, trace_expm
+from tvdbn.numerics.tensor import _from_op
 
 
 def assert_grads_close(op, arrays, atol=1e-8, rtol=1e-5):
@@ -140,6 +143,75 @@ class TestEngineSemantics:
         (x * c).sum().backward()
         assert c.grad is None
         assert x.grad is not None
+
+
+@dataclass
+class Inner(Params):
+    w: Tensor
+    scale: float
+
+
+@dataclass
+class Outer(Params):
+    theta: list[Tensor]
+    inner: Inner
+    absent: Inner | None
+    b: Tensor
+    tau: float
+
+
+def param(*shape):
+    return Tensor(np.zeros(shape), requires_grad=True)
+
+
+class TestParamsWalk:
+    def test_names_follow_field_order_and_skip_non_tensors(self):
+        model = Outer(
+            theta=[param(2, 3), param(3, 3)], inner=Inner(w=param(3), scale=0.5),
+            absent=None, b=param(1), tau=0.2,
+        )
+        named = list(model.named_parameters("m."))
+        assert [n for n, _ in named] == ["m.theta0", "m.theta1", "m.inner.w", "m.b"]
+        expected = [*model.theta, model.inner.w, model.b]
+        assert all(got is want for got, want in zip(model.parameters(), expected))
+        assert len(model.parameters()) == len(expected)
+
+
+def wrong_product(x: np.ndarray, w: Tensor) -> Tensor:
+    """x * w whose backward deliberately doubles the gradient of w."""
+
+    def backward_fn(g: np.ndarray) -> None:
+        w._accum(2.0 * g * x)
+
+    return _from_op(x * w.data, (w,), backward_fn)
+
+
+class TestGradCheckOnLiveTensors:
+    def test_parameter_is_checked_in_place_and_restored_bit_identical(self, rng):
+        model = Inner(w=Tensor(rng.standard_normal((3, 4)), requires_grad=True), scale=1.0)
+        model.w.grad = np.full((3, 4), 7.0)  # a stale gradient must not leak into the check
+        before = model.w.data.copy()
+        x = Tensor(rng.standard_normal((2, 3)))
+        report = grad_check(lambda *_: (x @ model.w).tanh(), model.parameters())
+        assert report.ok(), report
+        assert model.w.data.tobytes() == before.tobytes()
+
+    def test_wrong_backward_through_a_parameter_fails(self, rng):
+        model = Inner(w=Tensor(rng.standard_normal(4), requires_grad=True), scale=1.0)
+        x = rng.standard_normal(4)
+        report = grad_check(lambda *_: wrong_product(x, model.w), model.parameters())
+        assert not report.ok()
+        assert report.max_rel_error == pytest.approx(0.5, rel=1e-6)
+
+    def test_non_contiguous_parameter_is_still_perturbed(self, rng):
+        model = Inner(w=Tensor(np.zeros((3, 4)), requires_grad=True), scale=1.0)
+        model.w.data = rng.standard_normal((4, 3)).T
+        assert not model.w.data.flags.c_contiguous
+        before = model.w.data.copy()
+        x = Tensor(rng.standard_normal((2, 3)))
+        report = grad_check(lambda *_: (x @ model.w).tanh(), model.parameters())
+        assert report.ok(), report
+        np.testing.assert_array_equal(model.w.data, before)
 
 
 class TestExpm:
