@@ -1,16 +1,24 @@
-"""Versioned checkpoints: every parameter tensor stored under a named key.
+"""Versioned .npz files: model checkpoints and the graph store.
 
 Checkpoints are .npz archives with a format-version entry, a JSON metadata
 blob describing the model dimensions, and one array per named parameter.
 Loading rebuilds parameters from the stored dimensions and then copies
 arrays by name, failing loudly (naming the key and file) when a stored
 shape disagrees with the rebuilt one.
+
+A graph file holds the eval-mode graph stacks of one split under a content
+key: a SHA-256 over everything that decides them (see `graph_key`), so a
+file whose key matches can stand in for regenerating the graphs.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
+import os
+import tempfile
+import zipfile
 
 import numpy as np
 
@@ -23,6 +31,9 @@ __all__ = [
     "load_grcsl",
     "save_dgcpm",
     "load_dgcpm",
+    "graph_key",
+    "save_graphs",
+    "load_graphs",
 ]
 
 _FORMAT_VERSION = 2
@@ -101,3 +112,66 @@ def load_dgcpm(path: str) -> DgcpmParams:
     params = DgcpmParams.init(np.random.default_rng(0), dims)
     _restore(path, params.named_parameters(), stored)
     return params
+
+
+def graph_key(
+    params: GrcslParams,
+    values: np.ndarray,
+    tod: np.ndarray,
+    prior: np.ndarray | None,
+    batch_size: int,
+) -> str:
+    """SHA-256 over every input of `graph_stacks(values, tod, prior, params, batch_size)`.
+
+    The batch size counts because batching moves the last bits of the graphs.
+    """
+    digest = hashlib.sha256()
+
+    def add(label: str, arr: np.ndarray) -> None:
+        arr = np.ascontiguousarray(arr, dtype=np.float64)
+        digest.update(f"{label}:{arr.shape};".encode())
+        digest.update(arr.tobytes())
+
+    digest.update(json.dumps(dataclasses.asdict(params.dims), sort_keys=True).encode())
+    for name, tensor in params.named_parameters():
+        add("param/" + name, tensor.data)
+    add("values", values)
+    add("tod", tod)
+    if prior is None:
+        digest.update(b"prior:none;")
+    else:
+        add("prior", prior)
+    digest.update(f"batch:{batch_size};".encode())
+    return digest.hexdigest()
+
+
+def save_graphs(path: str, key: str, intra: np.ndarray, inter: np.ndarray) -> None:
+    """Write a graph file through a temporary file, so no reader sees half of one."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            np.savez(
+                fh,
+                version=np.array(_FORMAT_VERSION),
+                kind=np.array("graphs"),
+                key=np.array(key),
+                intra=intra,
+                inter=inter,
+            )
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def load_graphs(path: str) -> tuple[str, np.ndarray, np.ndarray]:
+    """The key and the lag-0 and lag-1 stacks of a graph file; DataError if it cannot be read."""
+    try:
+        with np.load(path, allow_pickle=False) as blob:
+            if int(blob["version"]) != _FORMAT_VERSION or str(blob["kind"]) != "graphs":
+                raise DataError(f"graph file {path}: unsupported format version or kind")
+            return str(blob["key"]), blob["intra"], blob["inter"]
+    except FileNotFoundError:
+        raise DataError(f"graph file {path} does not exist") from None
+    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
+        raise DataError(f"graph file {path} is not readable: {exc}") from None

@@ -313,18 +313,39 @@ def _static_graphs_from_file(cfg: RunConfig, sensor_ids: list[str]) -> tuple[np.
     return intra, inter
 
 
+def _graph_path(cfg: RunConfig, split: str) -> str:
+    return os.path.join(cfg.out_dir, f"graphs-{split}.npz")
+
+
 def _graph_stacks(
     cfg: RunConfig,
+    split: str,
     windows: WindowSet,
     prior: PriorGraph | None,
     params: GrcslParams | None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-window graph stacks (W, T_in - 1, N, N) for the forecaster."""
+    """Per-window graph stacks (W, T_in - 1, N, N) of one split for the forecaster.
+
+    Learned graphs come from the split's graph file when its key matches
+    them; otherwise they are generated and the file is (re)written.
+    """
     if cfg.graph_source == "grcsl":
         if params is None:
             raise ConfigError("graph_source=grcsl needs a structure checkpoint")
         prior_w = prior.weights if prior is not None else None
-        return graph_stacks(windows.values, windows.tod, prior_w, params, cfg.structure_batch)
+        path = _graph_path(cfg, split)
+        key = ckpt.graph_key(params, windows.values, windows.tod, prior_w, cfg.structure_batch)
+        w, t_in, n, _ = windows.values.shape
+        try:
+            stored_key, intra, inter = ckpt.load_graphs(path)
+            if stored_key == key and intra.shape == inter.shape == (w, t_in - 1, n, n):
+                return intra, inter
+            log.info("%s holds other graphs; regenerating the %s split", path, split)
+        except DataError as exc:
+            log.info("%s; generating the %s split", exc, split)
+        intra, inter = graph_stacks(windows.values, windows.tod, prior_w, params, cfg.structure_batch)
+        ckpt.save_graphs(path, key, intra, inter)
+        return intra, inter
     if cfg.graph_source == "distance":
         if prior is None:
             raise ConfigError("graph_source=distance needs a distance file")
@@ -403,13 +424,13 @@ def cmd_train_structure(cfg: RunConfig) -> int:
     series = _load_series(cfg)
     prior = _load_prior(cfg, series.sensor_ids)
     stats, sets, raw = _split_windows(cfg, series)
-    result = train_grcsl(
-        sets["train"],
-        prior.weights if prior is not None else None,
-        cfg.grcsl_dims(),
-        cfg.grcsl_train_config(),
-    )
+    train = sets["train"]
+    prior_w = prior.weights if prior is not None else None
+    result = train_grcsl(train, prior_w, cfg.grcsl_dims(), cfg.grcsl_train_config())
     ckpt.save_grcsl(_structure_ckpt_path(cfg), result.params)
+    # The eval epoch already generated the training split's graphs.
+    key = ckpt.graph_key(result.params, train.values, train.tod, prior_w, cfg.structure_batch)
+    ckpt.save_graphs(_graph_path(cfg, "train"), key, result.intra, result.inter)
     save_history(os.path.join(cfg.out_dir, "history.csv"), result.history)
     _write_manifest(cfg, stats, raw)
     if result.converged:
@@ -429,7 +450,7 @@ def cmd_export_graphs(cfg: RunConfig) -> int:
         raise ConfigError(f"export_split must be one of train/val/test, got {cfg.export_split!r}")
     windows = sets[cfg.export_split]
     params = ckpt.load_grcsl(_structure_ckpt_path(cfg)) if cfg.graph_source == "grcsl" else None
-    intra, inter = _graph_stacks(cfg, windows, prior, params)
+    intra, inter = _graph_stacks(cfg, cfg.export_split, windows, prior, params)
     path = os.path.join(cfg.out_dir, "graphs.csv")
     edge_count = export_graph_edges(
         path, intra, inter, windows.start_ts, windows.sensor_ids, cfg.graph_threshold
@@ -447,7 +468,7 @@ def cmd_train_forecast(cfg: RunConfig) -> int:
     params = ckpt.load_grcsl(_structure_ckpt_path(cfg)) if cfg.graph_source == "grcsl" else None
     splits = {}
     for name in ("train", "val"):
-        intra, inter = _graph_stacks(cfg, sets[name], prior, params)
+        intra, inter = _graph_stacks(cfg, name, sets[name], prior, params)
         splits[name] = SplitArrays.from_windows(sets[name], intra, inter)
     result = curriculum_train(
         splits["train"],
@@ -481,7 +502,7 @@ def _predict_test(cfg: RunConfig):
     g_params = ckpt.load_grcsl(_structure_ckpt_path(cfg)) if cfg.graph_source == "grcsl" else None
     f_params = ckpt.load_dgcpm(_forecast_ckpt_path(cfg))
     windows = sets["test"]
-    intra, inter = _graph_stacks(cfg, windows, prior, g_params)
+    intra, inter = _graph_stacks(cfg, "test", windows, prior, g_params)
     split = SplitArrays.from_windows(windows, intra, inter)
     preds = dgcpm_predict(
         split,

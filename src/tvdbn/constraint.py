@@ -27,8 +27,8 @@ import numpy as np
 
 from .data import WindowSet
 from .errors import ConfigError, NumericalError, ShapeError
-from .grcsl import GrcslDims, GrcslForward, GrcslParams, grcsl_forward_batch
-from .numerics import Adam, Tensor, expm, no_grad, trace_expm
+from .grcsl import GrcslDims, GrcslForward, GrcslParams, graph_stacks, grcsl_forward_batch
+from .numerics import Adam, Tensor, expm, trace_expm
 
 __all__ = [
     "notears_h",
@@ -44,6 +44,9 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
+
+# Edge weight above which an eval-mode graph entry counts as an edge in the history.
+EDGE_LEVEL = 0.5
 
 
 def notears_h(b):
@@ -108,7 +111,16 @@ class GrcslTrainConfig:
 
 @dataclass
 class GrcslTrainResult:
+    """The returned parameters and their eval-mode graph stacks.
+
+    `intra` and `inter` are (W, T_in - 1, N, N), equal bit for bit to
+    `graph_stacks(values, tod, prior, params, cfg.batch_size)` over the
+    training windows: the eval epoch that scored `params` generated them.
+    """
+
     params: GrcslParams
+    intra: np.ndarray
+    inter: np.ndarray
     history: list[dict] = field(default_factory=list)
     converged: bool = False
     warning: str | None = None
@@ -180,19 +192,30 @@ def _eval_epoch(
     params: GrcslParams,
     lam: float,
     batch_size: int,
-) -> tuple[float, float]:
-    """Deterministic (eval-mode) f and S averaged over all windows."""
-    w = values.shape[0]
+) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """Deterministic (eval-mode) f and S averaged over all windows, and the graph stacks they scored.
+
+    The stacks are `graph_stacks(values, tod, prior, params, batch_size)`,
+    bit for bit: they come from that generator, which hands each batch's
+    forward pass here to be scored.
+    """
     f_total = 0.0
     s_total = 0.0
-    with no_grad():
-        for lo in range(0, w, batch_size):
-            hi = min(lo + batch_size, w)
-            fwd = grcsl_forward_batch(values[lo:hi], tod[lo:hi], prior, params, train=False)
-            b = hi - lo
-            f_total += float(grcsl_loss(fwd, mask[lo:hi], lam).data) * b
-            s_total += float(constraint_sum(fwd).data) * b
-    return f_total / w, s_total / w
+
+    def score(rows: slice, fwd: GrcslForward) -> None:
+        nonlocal f_total, s_total
+        b = rows.stop - rows.start
+        f_total += float(grcsl_loss(fwd, mask[rows], lam).data) * b
+        s_total += float(constraint_sum(fwd).data) * b
+
+    intra, inter = graph_stacks(values, tod, prior, params, batch_size, on_batch=score)
+    w = values.shape[0]
+    return f_total / w, s_total / w, intra, inter
+
+
+def _edges_per_graph(stack: np.ndarray) -> float:
+    """Mean number of entries above EDGE_LEVEL per (N, N) graph of a (W, S, N, N) stack."""
+    return float(np.count_nonzero(stack > EDGE_LEVEL) / (stack.shape[0] * stack.shape[1]))
 
 
 def train_grcsl(
@@ -205,9 +228,11 @@ def train_grcsl(
 
     Returns the parameters at termination (constraint satisfied) or, if the
     outer loop exhausts max_outer_iters first, the parameters with the
-    smallest eval-mode S seen, with a warning recorded. History rows hold,
-    per outer iteration, the eval-mode f and S after inner minimization and
-    the multipliers after the update driven by that S.
+    smallest eval-mode S seen, with a warning recorded; either way with the
+    eval-mode graph stacks that scored them. History rows hold, per outer
+    iteration, the eval-mode f and S after inner minimization, the
+    multipliers after the update driven by that S, and the mean number of
+    lag-0 and lag-1 edges per eval-mode graph (`edges_lag0`, `edges_lag1`).
     """
     cfg.validate()
     if len(windows) == 0:
@@ -223,7 +248,6 @@ def train_grcsl(
     state = AugLagState(alpha=cfg.alpha0, rho=cfg.rho0)
     history: list[dict] = []
     best_s = float("inf")
-    best_params = copy.deepcopy(params)
     converged = False
 
     for outer in range(1, cfg.max_outer_iters + 1):
@@ -247,40 +271,50 @@ def train_grcsl(
                 loss.backward()
                 opt.step()
 
-        f_eval, s_eval = _eval_epoch(values, tod, mask, prior, params, cfg.lam, cfg.batch_size)
+        f_eval, s_eval, intra, inter = _eval_epoch(
+            values, tod, mask, prior, params, cfg.lam, cfg.batch_size
+        )
         if not np.isfinite(f_eval) or not np.isfinite(s_eval):
             raise NumericalError(f"non-finite evaluation at outer iter {outer}")
         state = auglag_update(state, s_eval, eta=cfg.eta, gamma=cfg.gamma)
-        history.append(
-            {
-                "outer_iter": outer,
-                "f": f_eval,
-                "S": s_eval,
-                "alpha": state.alpha,
-                "rho": state.rho,
-            }
-        )
+        row = {
+            "outer_iter": outer,
+            "f": f_eval,
+            "S": s_eval,
+            "alpha": state.alpha,
+            "rho": state.rho,
+            "edges_lag0": _edges_per_graph(intra),
+            "edges_lag1": _edges_per_graph(inter),
+        }
+        history.append(row)
         log.info(
-            "outer %d: f=%.6g S=%.3e alpha=%.6g rho=%.3e", outer, f_eval, s_eval, state.alpha, state.rho
+            "outer %d: f=%.6g S=%.3e alpha=%.6g rho=%.3e edges lag0=%.2f lag1=%.2f",
+            outer, f_eval, s_eval, state.alpha, state.rho, row["edges_lag0"], row["edges_lag1"],
         )
         if s_eval < best_s:
+            # Converging always sets a new best: S < xi <= every earlier S.
             best_s = s_eval
             best_params = copy.deepcopy(params)
+            best_intra, best_inter = intra, inter
         if s_eval < cfg.xi:
             converged = True
             break
 
-    if converged:
-        return GrcslTrainResult(
-            params=params, history=history, converged=True, final_s=history[-1]["S"]
+    warning = None
+    if not converged:
+        warning = (
+            f"constraint not satisfied after {cfg.max_outer_iters} outer iterations "
+            f"(best S={best_s:.3e}, tolerance {cfg.xi:.1e}); returning best parameters"
         )
-    warning = (
-        f"constraint not satisfied after {cfg.max_outer_iters} outer iterations "
-        f"(best S={best_s:.3e}, tolerance {cfg.xi:.1e}); returning best parameters"
-    )
-    log.warning(warning)
+        log.warning(warning)
     return GrcslTrainResult(
-        params=best_params, history=history, converged=False, warning=warning, final_s=best_s
+        params=best_params,
+        intra=best_intra,
+        inter=best_inter,
+        history=history,
+        converged=converged,
+        warning=warning,
+        final_s=best_s,
     )
 
 

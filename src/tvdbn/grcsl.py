@@ -29,6 +29,7 @@ depend only on ticks 1..t (the recurrence never looks ahead).
 from __future__ import annotations
 
 import csv
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -523,20 +524,24 @@ def graph_stacks(
     prior: np.ndarray | None,
     params: GrcslParams,
     batch_size: int,
+    on_batch: Callable[[slice, GrcslForward], None] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eval-mode graph stacks of every window, generated `batch_size` windows at a time.
 
     `values` and `tod` are (W, T_in, N, 1). Returns the lag-0 and lag-1
     stacks, each (W, T_in - 1, N, N); slice [k, j] is window k's graph of
-    step j + 2.
+    step j + 2. `on_batch`, if given, sees each batch's rows and forward
+    pass in window order, still without gradient tracking.
     """
     w, t_in, n, _ = values.shape
     intra = np.empty((w, t_in - 1, n, n))
     inter = np.empty((w, t_in - 1, n, n))
     with no_grad():
         for lo in range(0, w, batch_size):
-            rows = slice(lo, lo + batch_size)
+            rows = slice(lo, min(lo + batch_size, w))
             fwd = grcsl_forward_batch(values[rows], tod[rows], prior, params, train=False)
+            if on_batch is not None:
+                on_batch(rows, fwd)
             for j in range(t_in - 1):
                 intra[rows, j] = fwd.intra[j].data
                 inter[rows, j] = fwd.inter[j].data

@@ -258,10 +258,9 @@ def structure(bench):
     result = train_structure(bench)
     elapsed = time.perf_counter() - start
     win = bench.win_train
-    intra, inter = graph_stacks(win.values, win.tod, bench.prior, result.params, 64)
     seqs = [
         CausalGraphSeq(intra=a, inter=b, start_index=k, start_ts=ts)
-        for a, b, k, ts in zip(intra, inter, win.start_index.tolist(), win.start_ts.tolist())
+        for a, b, k, ts in zip(result.intra, result.inter, win.start_index.tolist(), win.start_ts.tolist())
     ]
     return StructureRun(result=result, seqs=seqs, elapsed=elapsed)
 
@@ -269,12 +268,10 @@ def structure(bench):
 @pytest.fixture(scope="module")
 def forecast(forecast_bench):
     b = forecast_bench
-    params = train_structure(b).params
-
-    def split(w):
-        return SplitArrays.from_windows(w, *graph_stacks(w.values, w.tod, b.prior, params, 64))
-
-    train, val = split(b.win_train), split(b.win_val)
+    run = train_structure(b)
+    train = SplitArrays.from_windows(b.win_train, run.intra, run.inter)
+    w = b.win_val
+    val = SplitArrays.from_windows(w, *graph_stacks(w.values, w.tod, b.prior, run.params, 64))
     cfg = DgcpmTrainConfig(max_epochs=25, batch_size=32, curriculum_step=1, patience=10, seed=BENCH_SEED)
     result = curriculum_train(train, val, b.prior, DgcpmDims(t_in=T_IN, t_out=T_OUT), b.stats, cfg)
     base_mae = baseline_masked_mae(node_mean_baseline(b.train_series), b.win_val, b.stats)

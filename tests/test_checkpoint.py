@@ -1,9 +1,22 @@
-"""Checkpoint round trips and the errors a wrong or damaged file raises."""
+"""Checkpoint and graph-file round trips, and the errors a wrong or damaged file raises."""
+
+import copy
+import dataclasses
+import os
 
 import numpy as np
 import pytest
 
-from tvdbn.checkpoint import load_dgcpm, load_grcsl, save_dgcpm, save_grcsl
+from tvdbn import checkpoint
+from tvdbn.checkpoint import (
+    graph_key,
+    load_dgcpm,
+    load_graphs,
+    load_grcsl,
+    save_dgcpm,
+    save_graphs,
+    save_grcsl,
+)
 from tvdbn.dgcpm import DgcpmDims, DgcpmParams
 from tvdbn.errors import DataError
 from tvdbn.grcsl import GrcslDims, GrcslParams
@@ -80,3 +93,71 @@ def test_parameter_keys_of_default_models():
         "w_out",
         "prior_gconv.theta0", "prior_gconv.theta1", "prior_gconv.theta2",
     ]
+
+
+# ------------------------------------------------------------------ #
+# the graph store
+# ------------------------------------------------------------------ #
+
+
+def test_graph_file_round_trip_leaves_no_temporary_file(tmp_path, rng):
+    intra, inter = rng.random((3, 2, 4, 4)), rng.random((3, 2, 4, 4))
+    path = tmp_path / "graphs-train.npz"
+    save_graphs(str(path), "k1", intra, inter)
+    key, got_intra, got_inter = load_graphs(str(path))
+    assert key == "k1"
+    np.testing.assert_array_equal(got_intra, intra)
+    np.testing.assert_array_equal(got_inter, inter)
+    assert os.listdir(tmp_path) == ["graphs-train.npz"]
+
+
+def test_interrupted_graph_write_keeps_the_old_file(tmp_path, rng, monkeypatch):
+    path = tmp_path / "graphs-train.npz"
+    save_graphs(str(path), "old", rng.random((1, 1, 2, 2)), rng.random((1, 1, 2, 2)))
+    before = path.read_bytes()
+
+    def interrupted(fh, **arrays):
+        fh.write(b"PK half an archive")
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(checkpoint.np, "savez", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        save_graphs(str(path), "new", rng.random((1, 1, 2, 2)), rng.random((1, 1, 2, 2)))
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["graphs-train.npz"]
+
+
+def test_unreadable_graph_files_raise_data_error(tmp_path, rng):
+    path = tmp_path / "graphs-train.npz"
+    with pytest.raises(DataError, match="does not exist"):
+        load_graphs(str(path))
+    save_graphs(str(path), "k", rng.random((4, 2, 3, 3)), rng.random((4, 2, 3, 3)))
+    with open(path, "r+b") as fh:
+        fh.truncate(os.path.getsize(path) // 2)
+    with pytest.raises(DataError, match="not readable"):
+        load_graphs(str(path))
+    save_grcsl(str(path), grcsl_params(rng))  # a model checkpoint is not a graph file
+    with pytest.raises(DataError):
+        load_graphs(str(path))
+
+
+def test_graph_key_covers_every_input_of_the_generator(rng):
+    params = grcsl_params(rng)
+    values, tod, prior = rng.random((3, 4, 2, 1)), rng.random((3, 4, 2, 1)), rng.random((2, 2))
+    base = graph_key(params, values, tod, prior, 8)
+    assert graph_key(copy.deepcopy(params), values.copy(), tod.copy(), prior.copy(), 8) == base
+    retuned = copy.deepcopy(params)
+    retuned.dims = dataclasses.replace(params.dims, tau=0.25)
+    nudged = copy.deepcopy(params)
+    nudged.head_inter.w3.data.flat[0] += 1e-12
+    moved = values.copy()
+    moved[-1, -1, -1, 0] += 1e-12
+    variants = [
+        graph_key(retuned, values, tod, prior, 8),
+        graph_key(nudged, values, tod, prior, 8),
+        graph_key(params, moved, tod, prior, 8),
+        graph_key(params, values, tod + 1e-12, prior, 8),
+        graph_key(params, values, tod, None, 8),
+        graph_key(params, values, tod, prior, 7),
+    ]
+    assert len({base, *variants}) == len(variants) + 1

@@ -1,13 +1,19 @@
 """Command-line interface tests: config resolution, exit codes, the pipeline."""
 
 import csv
+import logging
 import os
+import shutil
 
 import numpy as np
 import pytest
 
+from tvdbn import cli
+from tvdbn.checkpoint import load_graphs, save_graphs
 from tvdbn.cli import RunConfig, build_parser, main, parse_config_file, resolve_config
+from tvdbn.data import load_speed_table, make_windows, split_chronological
 from tvdbn.errors import ConfigError
+from tvdbn.grcsl import graph_stacks
 
 TINY = """
 # desk-scale run
@@ -172,23 +178,50 @@ def test_gradcheck_exits_zero_and_prints_reports(capsys):
 # ------------------------------------------------------------------ #
 
 
-@pytest.fixture(scope="module")
-def pipeline(tmp_path_factory):
-    """Run synth -> train-structure -> export-graphs -> train-forecast ->
-    predict -> evaluate once and share the artifact directory."""
-    out = tmp_path_factory.mktemp("pipeline")
+STAGES = ("train-structure", "export-graphs", "train-forecast", "predict", "evaluate")
+ARTIFACTS = (
+    "history.csv", "graphs.csv", "forecast_history.csv", "forecasts.csv", "report.csv", "manifest.txt",
+)
+
+
+def generated_by(argv: list[str]) -> int:
+    """Run one command that must succeed; the windows it passed to `tvdbn.cli.graph_stacks`."""
+    calls = []
+
+    def counted(values, *args, **kwargs):
+        calls.append(len(values))
+        return graph_stacks(values, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "graph_stacks", counted)
+        assert main(argv) == 0, argv[0]
+    return sum(calls)
+
+
+def run_pipeline(out, generated: dict, between_stages=lambda: None):
+    """synth, then every stage of STAGES on the TINY config in `out`; fills `generated` per stage."""
     cfg = out / "run.cfg"
     cfg.write_text(TINY.format(out=out))
     base = ["--config", str(cfg)]
-
     assert main(["synth", *base]) == 0
     data_flags = ["--speed-csv", str(out / "speed.csv"), "--dist-csv", str(out / "dist.csv")]
-    assert main(["train-structure", *base, *data_flags]) == 0
-    assert main(["export-graphs", *base, *data_flags]) == 0
-    assert main(["train-forecast", *base, *data_flags]) == 0
-    assert main(["predict", *base, *data_flags]) == 0
-    assert main(["evaluate", *base, *data_flags]) == 0
+    for stage in STAGES:
+        generated[stage] = generated_by([stage, *base, *data_flags])
+        between_stages()
     return out
+
+
+@pytest.fixture(scope="module")
+def generated():
+    """Windows generated by `tvdbn.cli.graph_stacks` in each stage of the `pipeline` fixture."""
+    return {}
+
+
+@pytest.fixture(scope="module")
+def pipeline(tmp_path_factory, generated):
+    """Run synth -> train-structure -> export-graphs -> train-forecast ->
+    predict -> evaluate once and share the artifact directory."""
+    return run_pipeline(tmp_path_factory.mktemp("pipeline"), generated)
 
 
 def test_pipeline_writes_every_artifact(pipeline):
@@ -265,6 +298,84 @@ def test_pipeline_manifest_records_split_and_normalization(pipeline):
     assert int(entries["val_end"]) == 192
     assert float(entries["std"]) > 0.0
     assert int(entries["seed"]) == 11
+
+
+def split_window_counts(out, stride=3):
+    """Windows per split of the TINY series at `stride`."""
+    parts = split_chronological(load_speed_table(str(out / "speed.csv")))
+    return {
+        name: len(make_windows(part, t_in=6, t_out=3, stride=stride))
+        for name, part in zip(("train", "val", "test"), parts)
+    }
+
+
+def test_pipeline_generates_only_val_and_test_once(pipeline, generated):
+    counts = split_window_counts(pipeline)
+    assert generated == {
+        "train-structure": 0,
+        "export-graphs": 0,
+        "train-forecast": counts["val"],
+        "predict": counts["test"],
+        "evaluate": 0,
+    }
+    for split, w in counts.items():
+        _, intra, inter = load_graphs(str(pipeline / f"graphs-{split}.npz"))
+        assert intra.shape == inter.shape == (w, 5, 4, 4)
+
+
+@pytest.mark.parametrize("case", ["retrained", "structure-batch", "stride", "truncated", "shape"])
+def test_graph_store_regenerates_what_it_cannot_serve(pipeline, tmp_path, caplog, case):
+    out = tmp_path / "run"
+    shutil.copytree(pipeline, out)
+    flags = [
+        "--config", str(out / "run.cfg"), "--out-dir", str(out),
+        "--speed-csv", str(out / "speed.csv"), "--dist-csv", str(out / "dist.csv"),
+    ]
+    stored = out / "graphs-train.npz"
+    expected = split_window_counts(out)["train"]
+    if case == "retrained":
+        other = tmp_path / "other"
+        assert main(["train-structure", *flags, "--out-dir", str(other), "--seed", "12"]) == 0
+        flags += ["--structure-checkpoint", str(other / "grcsl.npz")]
+    elif case == "structure-batch":
+        flags += ["--structure-batch", "5"]
+    elif case == "stride":
+        flags += ["--stride", "2"]
+        expected = split_window_counts(out, stride=2)["train"]
+    elif case == "truncated":
+        with open(stored, "r+b") as fh:
+            fh.truncate(os.path.getsize(stored) // 2)
+    else:  # the right key over one window too few
+        key, intra, inter = load_graphs(str(stored))
+        save_graphs(str(stored), key, intra[:-1], inter[:-1])
+    caplog.set_level(logging.INFO, logger="tvdbn")
+    assert generated_by(["export-graphs", *flags]) == expected
+    assert any("graphs-train.npz" in r.getMessage() for r in caplog.records if r.levelno == logging.INFO)
+    assert generated_by(["export-graphs", *flags]) == 0  # the file was rewritten
+    if case in ("truncated", "shape"):
+        assert (out / "graphs.csv").read_bytes() == (pipeline / "graphs.csv").read_bytes()
+
+
+def test_pipeline_bytes_do_not_depend_on_the_graph_store(pipeline, tmp_path):
+    out = tmp_path / "fresh"
+    out.mkdir()
+
+    def clear_store():
+        for path in out.glob("graphs-*.npz"):
+            path.unlink()
+
+    generated = {}
+    run_pipeline(out, generated, between_stages=clear_store)
+    counts = split_window_counts(out)
+    assert generated == {
+        "train-structure": 0,
+        "export-graphs": counts["train"],
+        "train-forecast": counts["train"] + counts["val"],
+        "predict": counts["test"],
+        "evaluate": counts["test"],
+    }
+    for name in ARTIFACTS:
+        assert (out / name).read_bytes() == (pipeline / name).read_bytes(), name
 
 
 def test_evaluate_reads_back_exported_forecasts(pipeline, tmp_path, capsys):

@@ -348,6 +348,31 @@ def test_eval_mode_constraint_drives_termination(rng):
     assert result.history[0]["S"] == pytest.approx(s_per_window.mean(), rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        # converges at outer iteration 1 with lag-0 edges
+        GrcslTrainConfig(inner_epochs=3, max_outer_iters=3, xi=1e30, lr=0.1, batch_size=8, seed=1),
+        # never converges; the best S is outer iteration 2's, with lag-1 edges
+        GrcslTrainConfig(inner_epochs=2, max_outer_iters=3, xi=1e-300, lr=0.1, batch_size=8, seed=0),
+    ],
+    ids=["converged", "best-parameters"],
+)
+def test_returned_stacks_are_the_returned_parameters_graphs(cfg):
+    windows = tiny_windows()
+    result = train_grcsl(windows, None, tiny_dims(), cfg)
+    assert result.converged == (cfg.xi > 1.0)
+    if not result.converged:
+        assert result.history[-1]["S"] > result.final_s  # the best is not the last iteration
+    intra, inter = graph_stacks(windows.values, windows.tod, None, result.params, cfg.batch_size)
+    np.testing.assert_array_equal(result.intra, intra)
+    np.testing.assert_array_equal(result.inter, inter)
+    best = min(result.history, key=lambda row: row["S"])
+    graphs = intra.shape[0] * intra.shape[1]
+    assert best["edges_lag0"] == np.count_nonzero(intra > 0.5) / graphs
+    assert best["edges_lag1"] == np.count_nonzero(inter > 0.5) / graphs
+
+
 def test_history_csv_round_trip(tmp_path):
     rows = [
         {"outer_iter": 1, "f": 1.5, "S": 2e-4, "alpha": 0.0, "rho": 1e-3},
