@@ -1,10 +1,14 @@
 """Versioned .npz files: model checkpoints and the graph store.
 
-Checkpoints are .npz archives with a format-version entry, a JSON metadata
-blob describing the model dimensions, and one array per named parameter.
-Loading rebuilds parameters from the stored dimensions and then copies
-arrays by name, failing loudly (naming the key and file) when a stored
-shape disagrees with the rebuilt one.
+Every file is an .npz archive with a format-version entry and a kind
+(``structure``, ``forecast`` or ``graphs``), written atomically to exactly
+the path given (no suffix is added) and read back through one reader that
+turns any unreadable file into a DataError naming it.
+
+A checkpoint adds a JSON metadata blob describing the model dimensions and
+one array per named parameter. Loading rebuilds parameters from the stored
+dimensions and then copies arrays by name, failing loudly (naming the key
+and file) when a stored shape disagrees with the rebuilt one.
 
 A graph file holds the eval-mode graph stacks of one split under a content
 key: a SHA-256 over everything that decides them (see `graph_key`), so a
@@ -39,40 +43,51 @@ __all__ = [
 _FORMAT_VERSION = 2
 
 
+def _write(path: str, kind: str, **arrays: np.ndarray) -> None:
+    """Write a `kind` archive to exactly `path` through a temporary file, so no reader sees half of one."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            np.savez(fh, version=np.array(_FORMAT_VERSION), kind=np.array(kind), **arrays)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _read(path: str, kind: str, *names: str) -> dict[str, np.ndarray]:
+    """Every entry of a `kind` archive that holds `names`; DataError naming the file otherwise."""
+    noun = "graph file" if kind == "graphs" else "checkpoint"
+    try:
+        with np.load(path, allow_pickle=False) as blob:
+            if "version" not in blob or int(blob["version"]) != _FORMAT_VERSION:
+                raise DataError(f"{noun} {path}: unsupported format version")
+            stored_kind = str(blob["kind"])
+            if stored_kind != kind:
+                raise DataError(f"{noun} {path} holds a {stored_kind!r} model, expected {kind!r}")
+            absent = sorted(set(names) - set(blob.files))
+            if absent:
+                raise DataError(f"{noun} {path} lacks {', '.join(absent)}")
+            return {name: blob[name] for name in blob.files}
+    except FileNotFoundError:
+        raise DataError(f"{noun} {path} does not exist") from None
+    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
+        raise DataError(f"{noun} {path} is not readable: {exc}") from None
+
+
 def _save(path: str, kind: str, params) -> None:
     arrays = {f"param/{name}": tensor.data for name, tensor in params.named_parameters()}
     meta = {"dims": dataclasses.asdict(params.dims)}
-    np.savez(
-        path,
-        version=np.array(_FORMAT_VERSION),
-        kind=np.array(kind),
-        meta=np.array(json.dumps(meta, sort_keys=True)),
-        **arrays,
-    )
+    _write(path, kind, meta=np.array(json.dumps(meta, sort_keys=True)), **arrays)
 
 
-def _load(path: str, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
-    try:
-        blob = np.load(path, allow_pickle=False)
-    except FileNotFoundError:
-        raise DataError(f"checkpoint {path} does not exist") from None
-    except (OSError, ValueError) as exc:
-        raise DataError(f"checkpoint {path} is not readable: {exc}") from None
-    with blob:
-        if "version" not in blob or int(blob["version"]) != _FORMAT_VERSION:
-            raise DataError(f"checkpoint {path}: unsupported format version")
-        stored_kind = str(blob["kind"])
-        if stored_kind != kind:
-            raise DataError(f"checkpoint {path} holds a {stored_kind!r} model, expected {kind!r}")
-        meta = json.loads(str(blob["meta"]))
-        params = {
-            key[len("param/") :]: blob[key] for key in blob.files if key.startswith("param/")
-        }
-    return meta, params
-
-
-def _restore(path: str, named_params, stored: dict[str, np.ndarray]) -> None:
-    named = dict(named_params)
+def _load(path: str, kind: str, dims_cls, params_cls):
+    """Rebuild a model from its stored dims, then copy every stored parameter by name."""
+    entries = _read(path, kind, "meta")
+    dims = dims_cls(**json.loads(str(entries["meta"]))["dims"])
+    params = params_cls.init(np.random.default_rng(0), dims)
+    named = dict(params.named_parameters())
+    stored = {key[len("param/") :]: value for key, value in entries.items() if key.startswith("param/")}
     missing = sorted(set(named) - set(stored))
     extra = sorted(set(stored) - set(named))
     if missing or extra:
@@ -88,6 +103,7 @@ def _restore(path: str, named_params, stored: dict[str, np.ndarray]) -> None:
                 f"stored {value.shape}, expected {tensor.data.shape}"
             )
         tensor.data = np.asarray(value, dtype=np.float64)
+    return params
 
 
 def save_grcsl(path: str, params: GrcslParams) -> None:
@@ -95,11 +111,7 @@ def save_grcsl(path: str, params: GrcslParams) -> None:
 
 
 def load_grcsl(path: str) -> GrcslParams:
-    meta, stored = _load(path, "structure")
-    dims = GrcslDims(**meta["dims"])
-    params = GrcslParams.init(np.random.default_rng(0), dims)
-    _restore(path, params.named_parameters(), stored)
-    return params
+    return _load(path, "structure", GrcslDims, GrcslParams)
 
 
 def save_dgcpm(path: str, params: DgcpmParams) -> None:
@@ -107,11 +119,7 @@ def save_dgcpm(path: str, params: DgcpmParams) -> None:
 
 
 def load_dgcpm(path: str) -> DgcpmParams:
-    meta, stored = _load(path, "forecast")
-    dims = DgcpmDims(**meta["dims"])
-    params = DgcpmParams.init(np.random.default_rng(0), dims)
-    _restore(path, params.named_parameters(), stored)
-    return params
+    return _load(path, "forecast", DgcpmDims, DgcpmParams)
 
 
 def graph_key(
@@ -146,32 +154,10 @@ def graph_key(
 
 
 def save_graphs(path: str, key: str, intra: np.ndarray, inter: np.ndarray) -> None:
-    """Write a graph file through a temporary file, so no reader sees half of one."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            np.savez(
-                fh,
-                version=np.array(_FORMAT_VERSION),
-                kind=np.array("graphs"),
-                key=np.array(key),
-                intra=intra,
-                inter=inter,
-            )
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    _write(path, "graphs", key=np.array(key), intra=intra, inter=inter)
 
 
 def load_graphs(path: str) -> tuple[str, np.ndarray, np.ndarray]:
     """The key and the lag-0 and lag-1 stacks of a graph file; DataError if it cannot be read."""
-    try:
-        with np.load(path, allow_pickle=False) as blob:
-            if int(blob["version"]) != _FORMAT_VERSION or str(blob["kind"]) != "graphs":
-                raise DataError(f"graph file {path}: unsupported format version or kind")
-            return str(blob["key"]), blob["intra"], blob["inter"]
-    except FileNotFoundError:
-        raise DataError(f"graph file {path} does not exist") from None
-    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
-        raise DataError(f"graph file {path} is not readable: {exc}") from None
+    entries = _read(path, "graphs", "key", "intra", "inter")
+    return str(entries["key"]), entries["intra"], entries["inter"]

@@ -355,8 +355,9 @@ def _graph_stacks(
         intra0, inter0 = _static_graphs_from_file(cfg, windows.sensor_ids)
     else:
         raise ConfigError(f"unknown graph_source {cfg.graph_source!r}")
+    # One constant pair serves every window and step: read-only views, no copies.
     shape = (len(windows), cfg.t_in - 1) + intra0.shape
-    return np.broadcast_to(intra0, shape).copy(), np.broadcast_to(inter0, shape).copy()
+    return np.broadcast_to(intra0, shape), np.broadcast_to(inter0, shape)
 
 
 def _write_manifest(cfg: RunConfig, stats: NormStats, raw: dict[str, SpeedSeries]) -> None:
@@ -551,6 +552,8 @@ def _load_forecast_csv(path: str):
                 valid = bool(int(row[5]))
             except ValueError:
                 raise DataError(f"{path} line {line_no}: malformed cell") from None
+            if h < 1:
+                raise DataError(f"{path} line {line_no}: horizon_step must be >= 1, got {h}")
             sid = row[2]
             if sid not in seen_sensors:
                 seen_sensors.add(sid)

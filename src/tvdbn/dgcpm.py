@@ -3,7 +3,8 @@
 Each window step propagates the previous tick's features (reading and time
 of day) through the step's lag-1 then lag-0 graph (self-loops added), and
 in parallel smooths the current reading over the fixed prior graph. The
-per-step embeddings are stacked and a single shared readout matrix maps
+per-step embeddings lie along the window's step axis, which every graph
+convolution runs over in one pass, and a single shared readout matrix maps
 every node's stacked history to its full forecast horizon.
 
 Training is curricular: the masked-MAE loss sees one horizon step at first
@@ -24,7 +25,7 @@ import numpy as np
 from .data import NormStats, SpeedSeries, WindowSet, invert_zscore
 from .errors import ConfigError, ShapeError
 from .graphops import GconvParams, dygconv, gconv_spectral
-from .numerics import Adam, Params, Tensor, concat, glorot_uniform, no_grad, stack
+from .numerics import Adam, Params, Tensor, concat, glorot_uniform, no_grad
 
 __all__ = [
     "DgcpmDims",
@@ -122,16 +123,14 @@ def dgcpm_forward_batch(
     if dims.use_prior and (prior is None or params.prior_gconv is None):
         raise ConfigError("prior branch enabled but no prior graph given")
 
-    embeddings = []
-    for j in range(steps):
-        x_prev = concat([Tensor(values[:, j]), Tensor(tod[:, j])], axis=-1)  # (B, N, 2)
-        h = dygconv(x_prev, Tensor(intra[:, j]), Tensor(inter[:, j]), params.dy_inter, params.dy_intra)
-        if dims.use_prior:
-            smoothed = gconv_spectral(Tensor(values[:, j + 1]), prior, params.prior_gconv)
-            h = concat([h, smoothed], axis=-1)
-        embeddings.append(h)  # (B, N, H_f)
-    stacked = stack(embeddings, axis=1)  # (B, S, N, H_f)
-    per_node = stacked.transpose((0, 2, 1, 3)).reshape(b, n, steps * dims.fused_width)
+    # Steps do not depend on one another, so every step is one slice of the
+    # step axis: the features of ticks 0..T_in-2 flow through the step graphs,
+    # the readings of ticks 1..T_in-1 are smoothed over the prior.
+    x_prev = np.concatenate([values[:, :-1], tod[:, :-1]], axis=-1)  # (B, S, N, 2)
+    h = dygconv(x_prev, intra, inter, params.dy_inter, params.dy_intra)
+    if dims.use_prior:
+        h = concat([h, gconv_spectral(values[:, 1:], prior, params.prior_gconv)], axis=-1)
+    per_node = h.transpose((0, 2, 1, 3)).reshape(b, n, steps * dims.fused_width)
     out = per_node @ params.w_out  # (B, N, T_out)
     return out.transpose((0, 2, 1)).reshape(b, dims.t_out, n, 1)
 

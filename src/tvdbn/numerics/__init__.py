@@ -3,7 +3,7 @@
 from .gradcheck import GradReport, grad_check
 from .linalg import expm, trace_expm
 from .optim import Adam
-from .tensor import Params, Tensor, concat, glorot_uniform, no_grad, stack
+from .tensor import Params, Tensor, concat, glorot_uniform, no_grad
 
 __all__ = [
     "Adam",
@@ -15,6 +15,5 @@ __all__ = [
     "glorot_uniform",
     "grad_check",
     "no_grad",
-    "stack",
     "trace_expm",
 ]

@@ -18,7 +18,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-__all__ = ["Tensor", "Params", "concat", "stack", "no_grad", "glorot_uniform"]
+__all__ = ["Tensor", "Params", "concat", "no_grad", "glorot_uniform"]
 
 _grad_enabled: bool = True
 
@@ -185,32 +185,6 @@ class Tensor:
 
         return _from_op(out_data, (self, other), backward_fn)
 
-    def __rtruediv__(self, other) -> "Tensor":
-        return _lift(other).__truediv__(self)
-
-    def __neg__(self) -> "Tensor":
-        out_data = -self.data
-        if not _tracking(self):
-            return Tensor(out_data)
-
-        def backward_fn(g: np.ndarray) -> None:
-            self._accum(-g)
-
-        return _from_op(out_data, (self,), backward_fn)
-
-    def __pow__(self, exponent) -> "Tensor":
-        if not isinstance(exponent, (int, float)):
-            raise TypeError("only scalar exponents are supported")
-        p = float(exponent)
-        out_data = self.data**p
-        if not _tracking(self):
-            return Tensor(out_data)
-
-        def backward_fn(g: np.ndarray) -> None:
-            self._accum(g * p * self.data ** (p - 1.0))
-
-        return _from_op(out_data, (self,), backward_fn)
-
     def __matmul__(self, other) -> "Tensor":
         other = _lift(other)
         a_vec = self.data.ndim == 1
@@ -277,16 +251,6 @@ class Tensor:
 
         return _from_op(out_data, (self,), backward_fn)
 
-    def exp(self) -> "Tensor":
-        out_data = np.exp(self.data)
-        if not _tracking(self):
-            return Tensor(out_data)
-
-        def backward_fn(g: np.ndarray) -> None:
-            self._accum(g * out_data)
-
-        return _from_op(out_data, (self,), backward_fn)
-
     def abs(self) -> "Tensor":
         out_data = np.abs(self.data)
         if not _tracking(self):
@@ -313,10 +277,6 @@ class Tensor:
             self._accum(np.broadcast_to(gg, shape))
 
         return _from_op(out_data, (self,), backward_fn)
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        total = self.data.size if axis is None else _axis_size(self.data.shape, axis)
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / total)
 
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
@@ -402,14 +362,6 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _axis_size(shape: tuple[int, ...], axis) -> int:
-    axes = axis if isinstance(axis, tuple) else (axis,)
-    n = 1
-    for a in axes:
-        n *= shape[a % len(shape)]
-    return n
-
-
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     """Concatenate tensors along `axis`, differentiable in every input."""
     tensors = [_lift(t) for t in tensors]
@@ -426,18 +378,6 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
                 t._accum(piece)
 
     return _from_op(out_data, tuple(tensors), backward_fn)
-
-
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Stack tensors along a new axis (concat of unsqueezed views)."""
-    tensors = [_lift(t) for t in tensors]
-    axis = axis % (tensors[0].ndim + 1)
-    expanded = []
-    for t in tensors:
-        shape = list(t.shape)
-        shape.insert(axis, 1)
-        expanded.append(t.reshape(tuple(shape)))
-    return concat(expanded, axis=axis)
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape=None) -> np.ndarray:

@@ -112,19 +112,27 @@ def test_graph_file_round_trip_leaves_no_temporary_file(tmp_path, rng):
 
 
 def test_interrupted_graph_write_keeps_the_old_file(tmp_path, rng, monkeypatch):
-    path = tmp_path / "graphs-train.npz"
-    save_graphs(str(path), "old", rng.random((1, 1, 2, 2)), rng.random((1, 1, 2, 2)))
-    before = path.read_bytes()
+    # Both archive kinds go through the one writer: a graph file and a model checkpoint.
+    writers = {
+        "graphs": lambda path: save_graphs(path, "k", rng.random((1, 1, 2, 2)), rng.random((1, 1, 2, 2))),
+        "model": lambda path: save_grcsl(path, grcsl_params(rng)),
+    }
 
     def interrupted(fh, **arrays):
         fh.write(b"PK half an archive")
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(checkpoint.np, "savez", interrupted)
-    with pytest.raises(KeyboardInterrupt):
-        save_graphs(str(path), "new", rng.random((1, 1, 2, 2)), rng.random((1, 1, 2, 2)))
-    assert path.read_bytes() == before
-    assert os.listdir(tmp_path) == ["graphs-train.npz"]
+    for name, write in writers.items():
+        path = tmp_path / name / "stored.npz"
+        path.parent.mkdir()
+        write(str(path))
+        before = path.read_bytes()
+        with monkeypatch.context() as mp:
+            mp.setattr(checkpoint.np, "savez", interrupted)
+            with pytest.raises(KeyboardInterrupt):
+                write(str(path))
+        assert path.read_bytes() == before, name
+        assert os.listdir(path.parent) == ["stored.npz"], name
 
 
 def test_unreadable_graph_files_raise_data_error(tmp_path, rng):

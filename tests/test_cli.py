@@ -413,6 +413,19 @@ def test_evaluate_perfect_forecast_scores_zero(tmp_path):
         assert float(r[1]) == 0.0 and float(r[2]) == 0.0 and float(r[3]) == 0.0
 
 
+@pytest.mark.parametrize("step", [0, -1])
+def test_evaluate_rejects_a_horizon_step_below_one(tmp_path, caplog, step):
+    path = tmp_path / "forecasts.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["window_start_ts", "horizon_step", "sensor_id", "predicted", "actual", "valid"])
+        writer.writerow([100, 1, "a", 1.0, 1.0, 1])
+        writer.writerow([100, step, "a", 99.0, 1.0, 1])
+    assert main(["evaluate", "--forecast-csv", str(path), "--out-dir", str(tmp_path / "o"),
+                 "--horizons", "1"]) == 2
+    assert any("line 3" in r.getMessage() for r in caplog.records if r.levelno == logging.ERROR)
+
+
 def test_evaluate_rejects_horizons_beyond_the_forecast(tmp_path):
     path = tmp_path / "forecasts.csv"
     with open(path, "w", newline="") as fh:
@@ -436,8 +449,55 @@ def test_ablation_graph_sources_run_without_a_checkpoint(pipeline, tmp_path):
         "--forecast-epochs", "2", "--forecast-batch", "16", "--horizons", "1",
         "--seed", "11",
     ]
-    assert main(["train-forecast", *flags, "--graph-source", "distance"]) == 0
-    assert (out / "dgcpm.npz").exists()
-    assert main(["train-forecast", *flags, "--graph-source", "static-dbn-file",
-                 "--static-graph-file", str(pipeline / "truth_edges.csv")]) == 0
+    static = ["--graph-source", "static-dbn-file", "--static-graph-file", str(pipeline / "truth_edges.csv")]
+    for source in (["--graph-source", "distance"], static):
+        assert main(["train-forecast", *flags, *source]) == 0
+        assert (out / "dgcpm.npz").exists()
+        (out / "forecasts.csv").unlink(missing_ok=True)
+        assert main(["predict", *flags, *source]) == 0
+        assert (out / "forecasts.csv").exists()
     assert main(["train-forecast", *flags, "--graph-source", "bogus"]) == 1
+
+
+@pytest.mark.parametrize("source", ["distance", "static-dbn-file"])
+def test_constant_graph_sources_are_read_only_views_of_one_pair(pipeline, source):
+    cfg = RunConfig(
+        speed_csv=str(pipeline / "speed.csv"), dist_csv=str(pipeline / "dist.csv"),
+        static_graph_file=str(pipeline / "truth_edges.csv"),
+        t_in=6, t_out=3, stride=3, graph_source=source,
+    )
+    series = load_speed_table(cfg.speed_csv)
+    _, sets, _ = cli._split_windows(cfg, series)
+    windows = sets["train"]
+    intra, inter = cli._graph_stacks(cfg, "train", windows, cli._load_prior(cfg, series.sensor_ids), None)
+    for stack in (intra, inter):
+        assert stack.shape == (len(windows), 5, 4, 4)
+        assert stack.strides[:2] == (0, 0)
+        assert not stack.flags.writeable
+    assert not np.diagonal(intra, axis1=-2, axis2=-1).any()
+
+
+def test_truncated_checkpoint_is_a_data_error(pipeline, tmp_path):
+    flags = [
+        "--config", str(pipeline / "run.cfg"), "--out-dir", str(tmp_path),
+        "--speed-csv", str(pipeline / "speed.csv"), "--dist-csv", str(pipeline / "dist.csv"),
+    ]
+    for name in ("grcsl.npz", "dgcpm.npz"):
+        whole = (pipeline / name).read_bytes()
+        (tmp_path / name).write_bytes(whole[: len(whole) // 2])
+    assert main(["train-forecast", *flags, "--structure-checkpoint", str(tmp_path / "grcsl.npz")]) == 2
+    assert main(["predict", *flags, "--structure-checkpoint", str(pipeline / "grcsl.npz"),
+                 "--forecast-checkpoint", str(tmp_path / "dgcpm.npz")]) == 2
+
+
+def test_checkpoint_paths_without_a_suffix_are_used_verbatim(pipeline, tmp_path):
+    out = tmp_path / "out"
+    flags = [
+        "--config", str(pipeline / "run.cfg"), "--out-dir", str(out),
+        "--speed-csv", str(pipeline / "speed.csv"), "--dist-csv", str(pipeline / "dist.csv"),
+        "--structure-checkpoint", str(out / "structure"), "--forecast-checkpoint", str(out / "forecast"),
+    ]
+    for stage in ("train-structure", "train-forecast", "predict"):
+        assert main([stage, *flags]) == 0, stage
+    assert (out / "structure").is_file() and (out / "forecast").is_file()
+    assert not list(out.glob("structure.*")) and not list(out.glob("forecast.*"))

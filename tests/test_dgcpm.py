@@ -76,7 +76,7 @@ def test_forward_matches_a_stepwise_composition(rng):
     stacked = np.stack(per_step, axis=1)  # (B, S, N, H_f)
     per_node = stacked.transpose(0, 2, 1, 3).reshape(b, n, -1)
     expected = (per_node @ params.w_out.data).transpose(0, 2, 1)[..., None]
-    np.testing.assert_allclose(out.data, expected, atol=1e-12)
+    np.testing.assert_array_equal(out.data, expected)
 
 
 def test_forward_without_prior_branch(rng):
