@@ -274,6 +274,13 @@ def _split_windows(
     return stats, sets, raw
 
 
+def _make_out_dirs(cfg: RunConfig, *files: str) -> None:
+    """Create `out_dir` and the directory of every file a stage will write."""
+    for path in (cfg.out_dir, *map(os.path.dirname, files)):
+        if path:
+            os.makedirs(path, exist_ok=True)
+
+
 def _structure_ckpt_path(cfg: RunConfig) -> str:
     return cfg.structure_checkpoint or os.path.join(cfg.out_dir, "grcsl.npz")
 
@@ -385,7 +392,7 @@ def _write_manifest(cfg: RunConfig, stats: NormStats, raw: dict[str, SpeedSeries
 
 def cmd_synth(cfg: RunConfig) -> int:
     _require(cfg, "out_dir")
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    _make_out_dirs(cfg)
     truth = sample_tvdbn(
         n=cfg.synth_n,
         t=cfg.synth_t,
@@ -421,7 +428,7 @@ def cmd_synth(cfg: RunConfig) -> int:
 
 def cmd_train_structure(cfg: RunConfig) -> int:
     _require(cfg, "speed_csv", "out_dir")
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    _make_out_dirs(cfg, _structure_ckpt_path(cfg))
     series = _load_series(cfg)
     prior = _load_prior(cfg, series.sensor_ids)
     stats, sets, raw = _split_windows(cfg, series)
@@ -443,7 +450,7 @@ def cmd_train_structure(cfg: RunConfig) -> int:
 
 def cmd_export_graphs(cfg: RunConfig) -> int:
     _require(cfg, "speed_csv", "out_dir")
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    _make_out_dirs(cfg)
     series = _load_series(cfg)
     prior = _load_prior(cfg, series.sensor_ids)
     _, sets, _ = _split_windows(cfg, series)
@@ -462,7 +469,7 @@ def cmd_export_graphs(cfg: RunConfig) -> int:
 
 def cmd_train_forecast(cfg: RunConfig) -> int:
     _require(cfg, "speed_csv", "out_dir")
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    _make_out_dirs(cfg, _forecast_ckpt_path(cfg))
     series = _load_series(cfg)
     prior = _load_prior(cfg, series.sensor_ids)
     stats, sets, raw = _split_windows(cfg, series)
@@ -520,7 +527,7 @@ def _predict_test(cfg: RunConfig):
 
 def cmd_predict(cfg: RunConfig) -> int:
     _require(cfg, "speed_csv", "out_dir")
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    _make_out_dirs(cfg)
     windows, preds, actuals, valid = _predict_test(cfg)
     path = os.path.join(cfg.out_dir, "forecasts.csv")
     export_forecasts(path, windows.start_ts.tolist(), preds, actuals, valid, windows.sensor_ids)
@@ -578,7 +585,7 @@ def _load_forecast_csv(path: str):
 
 def cmd_evaluate(cfg: RunConfig) -> int:
     _require(cfg, "out_dir")
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    _make_out_dirs(cfg)
     if cfg.forecast_csv:
         preds, actuals, valid = _load_forecast_csv(cfg.forecast_csv)
     else:

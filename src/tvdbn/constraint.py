@@ -21,6 +21,7 @@ from __future__ import annotations
 import copy
 import csv
 import logging
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +29,7 @@ import numpy as np
 from .data import WindowSet
 from .errors import ConfigError, NumericalError, ShapeError
 from .grcsl import GrcslDims, GrcslForward, GrcslParams, graph_stacks, grcsl_forward_batch
-from .numerics import Adam, Tensor, expm, trace_expm
+from .numerics import Adam, Tensor, expm, peak_rss_mb, trace_expm
 
 __all__ = [
     "notears_h",
@@ -231,8 +232,10 @@ def train_grcsl(
     smallest eval-mode S seen, with a warning recorded; either way with the
     eval-mode graph stacks that scored them. History rows hold, per outer
     iteration, the eval-mode f and S after inner minimization, the
-    multipliers after the update driven by that S, and the mean number of
-    lag-0 and lag-1 edges per eval-mode graph (`edges_lag0`, `edges_lag1`).
+    multipliers after the update driven by that S, the mean number of
+    lag-0 and lag-1 edges per eval-mode graph (`edges_lag0`, `edges_lag1`),
+    the iteration's wall time (`seconds`) and the process's peak RSS so far
+    (`peak_rss_mb`).
     """
     cfg.validate()
     if len(windows) == 0:
@@ -251,6 +254,7 @@ def train_grcsl(
     converged = False
 
     for outer in range(1, cfg.max_outer_iters + 1):
+        start = time.perf_counter()
         for _ in range(cfg.inner_epochs):
             order = rng.permutation(w)
             for lo in range(0, w, cfg.batch_size):
@@ -270,6 +274,7 @@ def train_grcsl(
                 opt.zero_grad()
                 loss.backward()
                 opt.step()
+                del fwd, f, s, loss  # free this step's graph before the next step builds its own
 
         f_eval, s_eval, intra, inter = _eval_epoch(
             values, tod, mask, prior, params, cfg.lam, cfg.batch_size
@@ -285,11 +290,15 @@ def train_grcsl(
             "rho": state.rho,
             "edges_lag0": _edges_per_graph(intra),
             "edges_lag1": _edges_per_graph(inter),
+            "seconds": time.perf_counter() - start,
+            "peak_rss_mb": peak_rss_mb(),
         }
         history.append(row)
         log.info(
-            "outer %d: f=%.6g S=%.3e alpha=%.6g rho=%.3e edges lag0=%.2f lag1=%.2f",
+            "outer %d: f=%.6g S=%.3e alpha=%.6g rho=%.3e edges lag0=%.2f lag1=%.2f "
+            "%.2f s, peak RSS %.0f MB",
             outer, f_eval, s_eval, state.alpha, state.rho, row["edges_lag0"], row["edges_lag1"],
+            row["seconds"], row["peak_rss_mb"],
         )
         if s_eval < best_s:
             # Converging always sets a new best: S < xi <= every earlier S.

@@ -18,6 +18,7 @@ from __future__ import annotations
 import copy
 import csv
 import logging
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +26,7 @@ import numpy as np
 from .data import NormStats, SpeedSeries, WindowSet, invert_zscore
 from .errors import ConfigError, ShapeError
 from .graphops import GconvParams, dygconv, gconv_spectral
-from .numerics import Adam, Params, Tensor, concat, glorot_uniform, no_grad
+from .numerics import Adam, Params, Tensor, concat, glorot_uniform, no_grad, peak_rss_mb
 
 __all__ = [
     "DgcpmDims",
@@ -253,9 +254,10 @@ def curriculum_train(
 
     The loss horizon starts at 1 and grows by one every `curriculum_step`
     epochs until it reaches t_out; validation MAE (full horizon, original
-    units) is recorded every epoch; once the schedule is complete, early
-    stopping with the configured patience returns the best-on-validation
-    parameters.
+    units) is recorded every epoch, with the epoch's wall time (`seconds`)
+    and the process's peak RSS so far (`peak_rss_mb`); once the schedule is
+    complete, early stopping with the configured patience returns the
+    best-on-validation parameters.
     """
     cfg.validate()
     dims.validate()
@@ -273,6 +275,7 @@ def curriculum_train(
     best_params = copy.deepcopy(params)
     stale = 0
     for epoch in range(cfg.max_epochs):
+        start = time.perf_counter()
         horizon = min(dims.t_out, 1 + epoch // cfg.curriculum_step)
         order = rng.permutation(w)
         loss_total = 0.0
@@ -289,16 +292,21 @@ def curriculum_train(
             opt.step()
             loss_total += float(loss.data)
             batches += 1
+            del pred, loss  # free this step's graph before the next step builds its own
         val_mae = _val_mae(val, prior, params, stats, cfg.batch_size)
-        history.append(
-            {
-                "epoch": epoch + 1,
-                "horizon_limit": horizon,
-                "train_loss": loss_total / max(batches, 1),
-                "val_mae": val_mae,
-            }
+        row = {
+            "epoch": epoch + 1,
+            "horizon_limit": horizon,
+            "train_loss": loss_total / max(batches, 1),
+            "val_mae": val_mae,
+            "seconds": time.perf_counter() - start,
+            "peak_rss_mb": peak_rss_mb(),
+        }
+        history.append(row)
+        log.info(
+            "epoch %d: horizon=%d train_loss=%.6g val_mae=%.6g %.2f s, peak RSS %.0f MB",
+            epoch + 1, horizon, row["train_loss"], val_mae, row["seconds"], row["peak_rss_mb"],
         )
-        log.info("epoch %d: horizon=%d train_loss=%.6g val_mae=%.6g", epoch + 1, horizon, history[-1]["train_loss"], val_mae)
         if val_mae < best_mae:
             best_mae = val_mae
             best_params = copy.deepcopy(params)

@@ -2,6 +2,7 @@
 
 from .gradcheck import GradReport, grad_check
 from .linalg import expm, trace_expm
+from .memory import peak_rss_mb
 from .optim import Adam
 from .tensor import Params, Tensor, concat, glorot_uniform, no_grad
 
@@ -15,5 +16,6 @@ __all__ = [
     "glorot_uniform",
     "grad_check",
     "no_grad",
+    "peak_rss_mb",
     "trace_expm",
 ]

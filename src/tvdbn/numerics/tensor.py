@@ -2,8 +2,9 @@
 
 A :class:`Tensor` wraps an ndarray and, when gradients are enabled, records
 the operation that produced it. Calling :meth:`Tensor.backward` on a result
-walks the recorded graph once in reverse topological order and accumulates
-gradients into every reachable tensor with ``requires_grad=True``.
+walks the recorded graph once in reverse topological order, accumulates
+gradients into every reachable leaf with ``requires_grad=True`` and frees
+the graph behind it.
 
 All operations broadcast like numpy and reduce gradients back to the input
 shapes, so parameters can be biases of shape ``(H,)`` applied to batched
@@ -51,7 +52,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 class Tensor:
     """A float64 ndarray with an optional gradient tape entry."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         if isinstance(data, Tensor):
@@ -91,10 +92,18 @@ class Tensor:
         self.grad = g if self.grad is None else self.grad + g
 
     def backward(self, grad: np.ndarray | None = None) -> None:
-        """Accumulate d(self)/d(leaf) into every requires_grad leaf.
+        """Accumulate d(self)/d(leaf) into every requires_grad leaf, releasing the graph.
 
         `grad` seeds the output gradient and defaults to ones, so calling
         ``loss.backward()`` on a scalar loss does the usual thing.
+
+        The walk frees the graph as it goes: once a node's backward rule has
+        run, the node drops the rule (and with it the activations the rule
+        saved), its parent links and its gradient, so a step's tape is gone
+        when this returns. Leaves keep their gradients, and every tensor
+        keeps its `data`. A released graph cannot be walked again: calling
+        backward a second time, or on a new graph that reaches one of its
+        non-leaf tensors, raises RuntimeError before any gradient changes.
         """
         if grad is None:
             grad = np.ones_like(self.data)
@@ -108,15 +117,21 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._backward is _released:
+                _released()
             seen.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
                 if id(parent) not in seen:
                     stack.append((parent, False))
         self._accum(np.asarray(grad, dtype=np.float64))
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        while topo:
+            node = topo.pop()
+            if node._backward is None:
+                continue  # a leaf keeps its gradient
+            if node.grad is not None:
                 node._backward(node.grad)
+            node._backward, node._parents, node.grad = _released, (), None
 
     # ------------------------------------------------------------------ #
     # operations
@@ -340,6 +355,13 @@ def _lift(value) -> Tensor:
 
 def _tracking(*tensors: Tensor) -> bool:
     return _grad_enabled and any(t.requires_grad for t in tensors)
+
+
+def _released(g: np.ndarray | None = None) -> None:
+    """Backward rule of a tensor whose graph an earlier backward() freed."""
+    raise RuntimeError(
+        "backward() through a graph that an earlier backward() released; run the forward pass again"
+    )
 
 
 def _from_op(

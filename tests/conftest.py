@@ -41,3 +41,27 @@ def analytic_gradients(op, arrays):
     out = op(*tensors)
     out.sum().backward()
     return [t.grad for t in tensors]
+
+
+def without_measurements(history):
+    """History rows minus the wall time and peak RSS, which no seed fixes."""
+    for row in history:
+        assert row["seconds"] > 0 and row["peak_rss_mb"] > 0
+    return [{k: v for k, v in row.items() if k not in ("seconds", "peak_rss_mb")} for row in history]
+
+
+def reference_backward(root):
+    """The engine's reverse walk, node order included, without releasing the graph."""
+    topo, seen, stack = [], set(), [(root, False)]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            topo.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((parent, False) for parent in node._parents if id(parent) not in seen)
+    root._accum(np.ones_like(root.data))
+    for node in reversed(topo):
+        if node._backward is not None and node.grad is not None:
+            node._backward(node.grad)

@@ -501,3 +501,18 @@ def test_checkpoint_paths_without_a_suffix_are_used_verbatim(pipeline, tmp_path)
         assert main([stage, *flags]) == 0, stage
     assert (out / "structure").is_file() and (out / "forecast").is_file()
     assert not list(out.glob("structure.*")) and not list(out.glob("forecast.*"))
+
+
+def test_checkpoints_in_a_missing_nested_directory_are_written_there(pipeline, tmp_path):
+    out, models = tmp_path / "out", tmp_path / "models" / "nested"
+    flags = [
+        "--config", str(pipeline / "run.cfg"), "--out-dir", str(out),
+        "--speed-csv", str(pipeline / "speed.csv"), "--dist-csv", str(pipeline / "dist.csv"),
+        "--structure-checkpoint", str(models / "grcsl"),
+        "--forecast-checkpoint", str(models / "forecast" / "dgcpm"),
+    ]
+    for stage in ("train-structure", "train-forecast", "predict"):
+        assert main([stage, *flags]) == 0, stage
+    assert (models / "grcsl").is_file() and (models / "forecast" / "dgcpm").is_file()
+    assert sorted(p.name for p in models.rglob("*") if p.is_file()) == ["dgcpm", "grcsl"]
+    assert (out / "forecasts.csv").is_file()

@@ -1,13 +1,18 @@
 """Acyclicity-constraint tests: DFS oracle, closed forms, multiplier bookkeeping."""
 
 import csv
+import logging
 import math
+import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from conftest import reference_backward, without_measurements
+from tvdbn import constraint
 from tvdbn.constraint import (
     AugLagState,
     GrcslTrainConfig,
@@ -21,8 +26,9 @@ from tvdbn.constraint import (
 )
 from tvdbn.data import make_windows, zscore_fit_apply
 from tvdbn.errors import ConfigError, ShapeError
-from tvdbn.grcsl import GrcslDims, GrcslForward, GrcslParams, graph_stacks
+from tvdbn.grcsl import GrcslDims, GrcslForward, GrcslParams, graph_stacks, grcsl_forward_batch
 from tvdbn.numerics import Tensor
+from tvdbn.numerics.tensor import _released
 from tvdbn.synth import sample_tvdbn, simulate_linear_sem, to_speed_series
 
 
@@ -323,7 +329,7 @@ def test_training_is_reproducible_for_a_fixed_seed():
     cfg = GrcslTrainConfig(inner_epochs=1, max_outer_iters=2, xi=1e-300, batch_size=8)
     r1 = train_grcsl(windows, None, tiny_dims(), cfg)
     r2 = train_grcsl(windows, None, tiny_dims(), cfg)
-    assert r1.history == r2.history
+    assert without_measurements(r1.history) == without_measurements(r2.history)
     for (_, a), (_, b) in zip(r1.params.named_parameters(), r2.params.named_parameters()):
         np.testing.assert_array_equal(a.data, b.data)
 
@@ -385,3 +391,86 @@ def test_history_csv_round_trip(tmp_path):
     assert got[0] == ["outer_iter", "f", "S", "alpha", "rho"]
     assert got[1] == ["1", "1.5", "0.0002", "0", "0.001"]
     assert [float(x) for x in got[2][1:]] == [1.25, 5e-5, 2e-7, 1e-2]
+
+
+# ------------------------------------------------------------------ #
+# memory: one step's graph at a time
+# ------------------------------------------------------------------ #
+
+
+def first_windows(windows, k):
+    arrays = ("values", "mask", "tod", "target", "target_mask", "start_index", "start_ts")
+    return replace(windows, **{name: getattr(windows, name)[:k] for name in arrays})
+
+
+def test_objective_backward_releases_the_step_and_keeps_leaf_grads_bit_identical():
+    windows = tiny_windows()
+
+    def objective():
+        params = GrcslParams.init(np.random.default_rng(3), tiny_dims())
+        fwd = grcsl_forward_batch(
+            windows.values[:4], windows.tod[:4], None, params, train=True, rng=np.random.default_rng(4)
+        )
+        f = grcsl_loss(fwd, windows.mask[:4], 1e-3)
+        return params, fwd, auglag_objective(f, constraint_sum(fwd), alpha=0.5, rho=0.1)
+
+    ref_params, _, ref_loss = objective()
+    reference_backward(ref_loss)
+    params, fwd, loss = objective()
+    loss.backward()
+    for (name, got), (_, want) in zip(params.named_parameters(), ref_params.named_parameters()):
+        assert np.array_equal(got.grad, want.grad), name
+    for t in fwd.intra + fwd.inter + fwd.reconstructions + [loss]:
+        assert t.grad is None and t._parents == () and t._backward is _released
+
+
+def test_training_keeps_one_step_graph_at_a_time(monkeypatch):
+    """Step k's forward pass and loss are freed before step k + 1's forward pass starts."""
+    live = []  # weak references to the graph of every step so far
+    forward, objective = constraint.grcsl_forward_batch, constraint.auglag_objective
+
+    def checked_forward(*args, **kwargs):
+        assert all(ref() is None for ref in live), "an earlier step's graph is still alive"
+        fwd = forward(*args, **kwargs)
+        live.extend(weakref.ref(obj) for obj in (fwd, fwd.intra[-1], fwd.reconstructions[-1]))
+        return fwd
+
+    def recorded_objective(*args, **kwargs):
+        loss = objective(*args, **kwargs)
+        live.append(weakref.ref(loss))
+        return loss
+
+    monkeypatch.setattr(constraint, "grcsl_forward_batch", checked_forward)
+    monkeypatch.setattr(constraint, "auglag_objective", recorded_objective)
+    cfg = GrcslTrainConfig(inner_epochs=2, max_outer_iters=2, xi=1e-300, batch_size=6)
+    train_grcsl(tiny_windows(), None, tiny_dims(), cfg)
+    assert len(live) == 4 * 2 * 2 * 4  # 4 steps per epoch, 2 epochs, 2 outer iterations
+    assert all(ref() is None for ref in live)
+
+
+def test_three_training_steps_peak_about_as_high_as_one():
+    windows = tiny_windows()
+    cfg = GrcslTrainConfig(inner_epochs=1, max_outer_iters=1, xi=1e-300, batch_size=6)
+
+    def traced_peak(steps):
+        tracemalloc.start()
+        try:
+            train_grcsl(first_windows(windows, steps * cfg.batch_size), None, tiny_dims(), cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    traced_peak(1)  # first-call allocations stay out of the comparison
+    one, three = traced_peak(1), traced_peak(3)
+    assert three <= 1.3 * one, f"three steps peak at {three / one:.2f}x one step"
+
+
+def test_history_and_log_carry_time_and_peak_rss(caplog):
+    cfg = GrcslTrainConfig(inner_epochs=1, max_outer_iters=2, xi=1e-300, batch_size=8)
+    with caplog.at_level(logging.INFO, logger="tvdbn.constraint"):
+        result = train_grcsl(tiny_windows(), None, tiny_dims(), cfg)
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("outer")]
+    assert len(lines) == len(result.history) == 2
+    for row, line in zip(result.history, lines):
+        assert row["seconds"] > 0 and row["peak_rss_mb"] > 0
+        assert line.endswith(f"{row['seconds']:.2f} s, peak RSS {row['peak_rss_mb']:.0f} MB")

@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import analytic_gradients, finite_difference
+from conftest import analytic_gradients, finite_difference, reference_backward
 from tvdbn.errors import ShapeError
 from tvdbn.numerics import Adam, Params, Tensor, concat, expm, grad_check, no_grad, trace_expm
-from tvdbn.numerics.tensor import _from_op
+from tvdbn.numerics.tensor import _from_op, _released
 
 
 def assert_grads_close(op, arrays, atol=1e-8, rtol=1e-5):
@@ -143,6 +143,48 @@ class TestEngineSemantics:
         (x * c).sum().backward()
         assert c.grad is None
         assert x.grad is not None
+
+
+class TestGraphRelease:
+    """backward() frees the graph it walks, and a freed graph cannot be walked again."""
+
+    @staticmethod
+    def build(arrays):
+        x, w = (Tensor(a, requires_grad=True) for a in arrays)
+        h = (x @ w).tanh()
+        inner = [h, h * h, h.sigmoid(), w * w]  # h feeds two consumers
+        out = concat(inner[1:3], axis=-1).sum() + trace_expm(inner[3])
+        return [x, w], inner + [out], out
+
+    def test_frees_non_leaves_and_keeps_leaf_grads_bit_identical(self, rng):
+        arrays = [rng.standard_normal((3, 4)), rng.uniform(-0.5, 0.5, (4, 4))]
+        ref_leaves, ref_inner, ref_out = self.build(arrays)
+        reference_backward(ref_out)
+        leaves, inner, out = self.build(arrays)
+        out.backward()
+        for leaf, ref in zip(leaves, ref_leaves):
+            assert np.array_equal(leaf.grad, ref.grad)
+        for t, ref in zip(inner, ref_inner):
+            assert t.grad is None and t._parents == () and t._backward is _released
+            assert np.array_equal(t.data, ref.data)
+
+    def test_second_backward_raises_and_leaves_grads_alone(self, rng):
+        x = Tensor(rng.standard_normal(3), requires_grad=True)
+        loss = (x * x).sum()
+        loss.backward()
+        grad = x.grad.copy()
+        with pytest.raises(RuntimeError, match="released"):
+            loss.backward()
+        np.testing.assert_array_equal(x.grad, grad)
+
+    def test_new_graph_through_a_released_tensor_raises(self, rng):
+        x = Tensor(rng.standard_normal(3), requires_grad=True)
+        h = x * 2.0
+        h.sum().backward()
+        grad = x.grad.copy()
+        with pytest.raises(RuntimeError, match="released"):
+            (h * 3.0).sum().backward()  # x would silently get no gradient through h
+        np.testing.assert_array_equal(x.grad, grad)
 
 
 @dataclass
