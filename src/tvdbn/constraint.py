@@ -132,34 +132,22 @@ def grcsl_loss(fwd: GrcslForward, masks: np.ndarray | None, lam: float) -> Tenso
     """Fit term: mean over steps of reconstruction error plus L1 sparsity.
 
     Per step: 0.5 * squared error of the reading reconstruction (missing
-    readings excluded through `masks`, shaped (B, T, N, 1)) plus
-    lam * (L1 of both graphs). Averaged over the batch.
+    readings excluded through `masks`, batch-major (B, T, N, 1) like the
+    windows) plus lam * (L1 of both graphs). Averaged over the batch.
     """
-    steps = len(fwd.reconstructions)
+    steps, batch = fwd.reconstructions.shape[:2]
     if steps == 0:
         raise ShapeError("no steps to score")
-    batch = fwd.reconstructions[0].shape[0]
-    total = None
-    for j in range(steps):
-        x_hat = fwd.reconstructions[j]
-        x = fwd.readings[j + 1]
-        diff = x_hat - x
-        if masks is not None:
-            diff = diff * Tensor(masks[:, j + 1].astype(np.float64))
-        term = (diff * diff).sum() * 0.5
-        term = term + lam * (fwd.intra[j].abs().sum() + fwd.inter[j].abs().sum())
-        total = term if total is None else total + term
-    return total * (1.0 / (steps * batch))
+    diff = fwd.reconstructions - fwd.readings[1:]
+    if masks is not None:
+        diff = diff * Tensor(masks[:, 1:].swapaxes(0, 1).astype(np.float64))
+    sparsity = fwd.intra.abs().sum() + fwd.inter.abs().sum()
+    return ((diff * diff).sum() * 0.5 + lam * sparsity) * (1.0 / (steps * batch))
 
 
 def constraint_sum(fwd: GrcslForward) -> Tensor:
     """S: per-window sum over steps of h(lag-0 graph), averaged over the batch."""
-    batch = fwd.intra[0].shape[0]
-    total = None
-    for g in fwd.intra:
-        h = notears_h(g)  # (B,)
-        total = h if total is None else total + h
-    return total.sum() * (1.0 / batch)
+    return notears_h(fwd.intra).sum() * (1.0 / fwd.intra.shape[1])
 
 
 def auglag_objective(f: Tensor, s: Tensor, alpha: float, rho: float) -> Tensor:

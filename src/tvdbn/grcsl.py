@@ -49,7 +49,6 @@ __all__ = [
     "CausalGraphSeq",
     "extract_features",
     "msdot",
-    "correlation_features",
     "gru_step",
     "graph_head",
     "sem_reconstruct",
@@ -308,24 +307,6 @@ def msdot(q: Tensor, k: Tensor, attn: AttnParams) -> Tensor:
     return scores.transpose(tuple(range(nd - 3)) + (nd - 2, nd - 1, nd - 3))
 
 
-def correlation_features(
-    x_cur: Tensor, x_prev: Tensor, attn: AttnParams
-) -> tuple[Tensor, Tensor]:
-    """Flattened pairwise features for both lags at one step.
-
-    Row r = i * N + j of the output describes the ordered pair (i, j),
-    matching a row-major flattening of the N x N score maps. Lag 0 pairs the
-    tick with itself, lag 1 pairs it with its predecessor.
-    """
-    c0 = msdot(x_cur, x_cur, attn)
-    c1 = msdot(x_cur, x_prev, attn)
-    batch = c0.shape[:-3]
-    n = c0.shape[-2]
-    heads = c0.shape[-1]
-    flat = batch + (n * n, heads)
-    return c0.reshape(flat), c1.reshape(flat)
-
-
 def gru_step(c: Tensor, h_prev: Tensor, cell: GruCell) -> Tensor:
     """One recurrent update; the update gate blends the previous state in.
 
@@ -467,17 +448,18 @@ def sem_reconstruct(
 
 @dataclass
 class GrcslForward:
-    """Differentiable outputs of one batched forward pass.
+    """Differentiable outputs of one batched forward pass, step-major.
 
-    `readings` holds one (B, N, 1) tensor per window tick; the other lists
-    are indexed by step j (window step j + 2). Graph tensors are (B, N, N);
-    reconstructions are (B, N, 1) and target readings[j + 1].
+    `readings` is (T_in, B, N, 1), one slice per window tick. The graph
+    stacks `intra` and `inter` are (S, B, N, N) and `reconstructions` is
+    (S, B, N, 1), with S = T_in - 1: slice j belongs to window step j + 2,
+    and its reconstruction targets readings[j + 1].
     """
 
-    readings: list[Tensor]
-    intra: list[Tensor]
-    inter: list[Tensor]
-    reconstructions: list[Tensor]
+    readings: Tensor
+    intra: Tensor
+    inter: Tensor
+    reconstructions: Tensor
 
 
 def grcsl_forward_batch(
@@ -490,8 +472,10 @@ def grcsl_forward_batch(
 ) -> GrcslForward:
     """Run the structure learner over a batch of windows.
 
-    `values` and `tod` are (B, T_in, N, 1). Both GRUs start from zero hidden
-    state at the window head; the same tick features feed both lags.
+    `values` and `tod` are (B, T_in, N, 1). Features, correlation scores and
+    reconstructions cover every step in one call each; only the two GRUs and
+    their graph heads walk the steps, both GRUs starting from zero hidden
+    state at the window head. The same tick features feed both lags.
     """
     if values.ndim != 4 or values.shape != tod.shape:
         raise ShapeError(f"expected (B, T, N, 1) inputs, got {values.shape} and {tod.shape}")
@@ -499,23 +483,23 @@ def grcsl_forward_batch(
     if t_in < 2:
         raise ShapeError("windows need at least two ticks to form a step")
     dims = params.dims
-    readings = [Tensor(values[:, t]) for t in range(t_in)]
-    xs = [extract_features(readings[t], Tensor(tod[:, t]), prior, params) for t in range(t_in)]
-    h_intra = Tensor(np.zeros((b, n * n, dims.h_r)))
-    h_inter = Tensor(np.zeros((b, n * n, dims.h_r)))
-    out = GrcslForward(readings=readings, intra=[], inter=[], reconstructions=[])
-    for t in range(1, t_in):
-        c0, c1 = correlation_features(xs[t], xs[t - 1], params.attn)
-        h_intra = gru_step(c0, h_intra, params.gru_intra)
-        h_inter = gru_step(c1, h_inter, params.gru_inter)
-        g_intra = graph_head(h_intra, params.head_intra, n, train, rng, mask_diag=True)
-        g_inter = graph_head(h_inter, params.head_inter, n, train, rng, mask_diag=False)
-        out.intra.append(g_intra)
-        out.inter.append(g_inter)
-        out.reconstructions.append(
-            sem_reconstruct(readings[t - 1], readings[t], g_intra, g_inter, params.sem)
-        )
-    return out
+    readings = Tensor(values.swapaxes(0, 1))
+    x = extract_features(readings, Tensor(tod.swapaxes(0, 1)), prior, params)
+    cur, prev = x[1:], x[:-1]
+    pairs = (t_in - 1, b, n * n, dims.heads)  # row i * N + j is the ordered pair (i, j)
+    c0 = msdot(cur, cur, params.attn).reshape(pairs)  # lag 0: tick t with itself
+    c1 = msdot(cur, prev, params.attn).reshape(pairs)  # lag 1: tick t with tick t - 1
+    h_intra = Tensor(np.zeros((1, b, n * n, dims.h_r)))
+    h_inter = Tensor(np.zeros((1, b, n * n, dims.h_r)))
+    intra, inter = [], []
+    for j in range(t_in - 1):
+        h_intra = gru_step(c0[j : j + 1], h_intra, params.gru_intra)
+        h_inter = gru_step(c1[j : j + 1], h_inter, params.gru_inter)
+        intra.append(graph_head(h_intra, params.head_intra, n, train, rng, mask_diag=True))
+        inter.append(graph_head(h_inter, params.head_inter, n, train, rng, mask_diag=False))
+    intra, inter = concat(intra, axis=0), concat(inter, axis=0)
+    x_hat = sem_reconstruct(readings[:-1], readings[1:], intra, inter, params.sem)
+    return GrcslForward(readings=readings, intra=intra, inter=inter, reconstructions=x_hat)
 
 
 def graph_stacks(
@@ -542,9 +526,8 @@ def graph_stacks(
             fwd = grcsl_forward_batch(values[rows], tod[rows], prior, params, train=False)
             if on_batch is not None:
                 on_batch(rows, fwd)
-            for j in range(t_in - 1):
-                intra[rows, j] = fwd.intra[j].data
-                inter[rows, j] = fwd.inter[j].data
+            intra[rows] = fwd.intra.data.swapaxes(0, 1)
+            inter[rows] = fwd.inter.data.swapaxes(0, 1)
     return intra, inter
 
 

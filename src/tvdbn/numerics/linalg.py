@@ -1,11 +1,11 @@
 """Matrix exponential via scaling-and-squaring of a truncated power series.
 
-The forecaster's acyclicity penalty only ever needs ``trace(expm(M))`` and
-its gradient ``expm(M)^T``, and the matrices it sees are small (N <= a few
-hundred) with moderate norms, so a Taylor series with adaptive termination
-plus repeated squaring is both simple and accurate. Scaling is skipped when
-the 1-norm is small; nilpotent inputs then terminate exactly because the
-series hits a zero term.
+The structure learner's acyclicity penalty (``constraint.notears_h``)
+only ever needs ``trace(expm(M))`` and its gradient ``expm(M)^T``, and the
+matrices it sees are small (N <= a few hundred) with moderate norms, so a
+Taylor series with adaptive termination plus repeated squaring is both
+simple and accurate. Scaling is skipped when the 1-norm is small; nilpotent
+inputs then terminate exactly because the series hits a zero term.
 """
 
 from __future__ import annotations

@@ -324,6 +324,23 @@ class Tensor:
         axes = tuple(range(nd - 2)) + (nd - 1, nd - 2)
         return self.transpose(axes)
 
+    def __getitem__(self, index) -> "Tensor":
+        """Basic indexing only (ints, slices and tuples of them); the result views the data.
+
+        The backward writes the slice's gradient into zeros of this tensor's
+        shape. Iteration falls back on indexing, so it walks the axis-0 slices.
+        """
+        out_data = self.data[index]
+        if not _tracking(self):
+            return Tensor(out_data)
+
+        def backward_fn(g: np.ndarray) -> None:
+            full = np.zeros_like(self.data)
+            full[index] = g
+            self._accum(full)
+
+        return _from_op(out_data, (self,), backward_fn)
+
 
 class Params:
     """Mixin for dataclasses of trainable weights; names come from the fields.

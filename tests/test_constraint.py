@@ -118,41 +118,32 @@ def test_h_gradient_matches_the_closed_form(rng):
 # ------------------------------------------------------------------ #
 
 
-def fake_forward(recons, features, intras, inters):
-    return GrcslForward(
-        readings=[Tensor(f) for f in features],
-        intra=[Tensor(g) for g in intras],
-        inter=[Tensor(g) for g in inters],
-        reconstructions=[Tensor(r) for r in recons],
-    )
+def fake_forward(readings, recons, intra, inter=None):
+    """A forward pass of given step-major stacks; `inter` defaults to empty graphs."""
+    inter = np.zeros_like(intra) if inter is None else inter
+    return GrcslForward(*(Tensor(a) for a in (readings, intra, inter, recons)))
 
 
 def test_loss_averages_over_steps_and_batch():
     # One batch entry, two steps, scalar features. Step errors 1 and 2:
     # 0.5*(1^2) + 0.5*(2^2) = 2.5, divided by steps*batch = 2.
-    features = [np.zeros((1, 1, 1)), np.zeros((1, 1, 1)), np.zeros((1, 1, 1))]
-    recons = [np.full((1, 1, 1), 1.0), np.full((1, 1, 1), 2.0)]
-    g = np.zeros((1, 1, 1))
-    fwd = fake_forward(recons, features, [g, g], [g, g])
+    recons = np.array([1.0, 2.0]).reshape(2, 1, 1, 1)
+    fwd = fake_forward(np.zeros((3, 1, 1, 1)), recons, np.zeros((2, 1, 1, 1)))
     loss = grcsl_loss(fwd, None, lam=0.0)
     assert float(loss.data) == pytest.approx(1.25)
 
 
 def test_loss_adds_l1_of_both_graphs():
-    features = [np.zeros((1, 1, 1)), np.zeros((1, 1, 1))]
-    recons = [np.zeros((1, 1, 1))]
-    intra = np.full((1, 1, 1), 0.25)
-    inter = np.full((1, 1, 1), 0.5)
-    fwd = fake_forward(recons, features, [intra], [inter])
+    intra = np.full((1, 1, 1, 1), 0.25)
+    inter = np.full((1, 1, 1, 1), 0.5)
+    fwd = fake_forward(np.zeros((2, 1, 1, 1)), np.zeros((1, 1, 1, 1)), intra, inter)
     # lam * (0.25 + 0.5) / (1 step * 1 batch)
     assert float(grcsl_loss(fwd, None, lam=2.0).data) == pytest.approx(1.5)
 
 
 def test_loss_mask_excludes_missing_rows():
-    features = [np.zeros((1, 2, 1)), np.array([[[1.0], [5.0]]])]
-    recons = [np.zeros((1, 2, 1))]
-    g = np.zeros((1, 2, 2))
-    fwd = fake_forward(recons, features, [g], [g])
+    readings = np.array([[[0.0], [0.0]], [[1.0], [5.0]]]).reshape(2, 1, 2, 1)
+    fwd = fake_forward(readings, np.zeros((1, 1, 2, 1)), np.zeros((1, 1, 2, 2)))
     full = grcsl_loss(fwd, None, lam=0.0)
     assert float(full.data) == pytest.approx(0.5 * (1.0 + 25.0))
     mask = np.ones((1, 2, 2, 1))
@@ -161,19 +152,33 @@ def test_loss_mask_excludes_missing_rows():
     assert float(masked.data) == pytest.approx(0.5)
 
 
+def test_loss_mask_hides_each_windows_own_cell():
+    # Two windows, two steps, two nodes, and a different error in every cell.
+    # The mask is batch-major like the windows; the stacks are step-major.
+    # Window 0 hides node 0 at tick 3, window 1 hides node 1 at tick 2: read
+    # with window and step swapped, the mask would hide errors 3 and 6 instead.
+    errors = np.arange(1.0, 9.0).reshape(2, 2, 2, 1)  # (S, B, N, 1)
+    fwd = fake_forward(np.zeros((3, 2, 2, 1)), errors, np.zeros((2, 2, 2, 2)))
+    mask = np.ones((2, 3, 2, 1))
+    mask[0, 2, 0, 0] = 0.0
+    mask[1, 1, 1, 0] = 0.0
+    hidden = errors[1, 0, 0, 0] ** 2 + errors[0, 1, 1, 0] ** 2  # 25 + 16
+    want = 0.5 * (np.sum(errors**2) - hidden) / (2 * 2)
+    assert float(grcsl_loss(fwd, mask, lam=0.0).data) == pytest.approx(want, rel=1e-15)
+
+
 def test_loss_rejects_empty_forward():
+    empty = np.zeros((0, 1, 1, 1))
     with pytest.raises(ShapeError):
-        grcsl_loss(GrcslForward([], [], [], []), None, 0.0)
+        grcsl_loss(fake_forward(np.zeros((1, 1, 1, 1)), empty, empty), None, 0.0)
 
 
 def test_constraint_sum_adds_steps_and_averages_batch():
     two_cycle = np.array([[0.0, 1.0], [1.0, 0.0]])
     acyclic = np.zeros((2, 2))
     # batch of 2: entry 0 has a 2-cycle at both steps, entry 1 is empty.
-    intra = [np.stack([two_cycle, acyclic]), np.stack([two_cycle, acyclic])]
-    fwd = GrcslForward(
-        readings=[], intra=[Tensor(g) for g in intra], inter=[], reconstructions=[]
-    )
+    intra = np.stack([np.stack([two_cycle, acyclic])] * 2)  # (S, B, N, N)
+    fwd = fake_forward(np.zeros((3, 2, 2, 1)), np.zeros((2, 2, 2, 1)), intra)
     s = constraint_sum(fwd)
     expected = 2.0 * (2.0 * math.cosh(1.0) - 2.0) / 2.0
     assert float(s.data) == pytest.approx(expected, abs=1e-10)
@@ -420,7 +425,7 @@ def test_objective_backward_releases_the_step_and_keeps_leaf_grads_bit_identical
     loss.backward()
     for (name, got), (_, want) in zip(params.named_parameters(), ref_params.named_parameters()):
         assert np.array_equal(got.grad, want.grad), name
-    for t in fwd.intra + fwd.inter + fwd.reconstructions + [loss]:
+    for t in (fwd.intra, fwd.inter, fwd.reconstructions, loss):
         assert t.grad is None and t._parents == () and t._backward is _released
 
 
@@ -432,7 +437,7 @@ def test_training_keeps_one_step_graph_at_a_time(monkeypatch):
     def checked_forward(*args, **kwargs):
         assert all(ref() is None for ref in live), "an earlier step's graph is still alive"
         fwd = forward(*args, **kwargs)
-        live.extend(weakref.ref(obj) for obj in (fwd, fwd.intra[-1], fwd.reconstructions[-1]))
+        live.extend(weakref.ref(obj) for obj in (fwd, fwd.intra, fwd.reconstructions))
         return fwd
 
     def recorded_objective(*args, **kwargs):

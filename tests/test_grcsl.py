@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tvdbn.constraint import auglag_objective, constraint_sum, grcsl_loss
+from tvdbn import grcsl
+from tvdbn.constraint import auglag_objective, constraint_sum, grcsl_loss, notears_h
 from tvdbn.errors import ConfigError, ShapeError
 from tvdbn.grcsl import (
     AttnParams,
@@ -16,7 +17,6 @@ from tvdbn.grcsl import (
     GrcslDims,
     GrcslParams,
     GruCell,
-    correlation_features,
     export_graph_edges,
     extract_features,
     SemParams,
@@ -100,22 +100,6 @@ def test_msdot_is_asymmetric_between_query_and_key():
     ab = msdot(q, k, attn).data
     ba = msdot(k, q, attn).data
     assert not np.allclose(ab, ba)
-
-
-def test_correlation_features_flatten_row_major():
-    # d_att = 1, identity projections, x = [1, 2, 3]: lag-0 row i*N+j must
-    # equal x_i * x_j, and lag-1 must pair against the previous tick.
-    attn = AttnParams(w_q=Tensor(np.eye(1)[None]), w_k=Tensor(np.eye(1)[None]))
-    x_cur = Tensor(np.array([[1.0], [2.0], [3.0]]))
-    x_prev = Tensor(np.array([[10.0], [20.0], [30.0]]))
-    c0, c1 = correlation_features(x_cur, x_prev, attn)
-    assert c0.shape == (9, 1) and c1.shape == (9, 1)
-    cur = np.array([1.0, 2.0, 3.0])
-    prev = np.array([10.0, 20.0, 30.0])
-    for i in range(3):
-        for j in range(3):
-            assert c0.data[i * 3 + j, 0] == pytest.approx(cur[i] * cur[j])
-            assert c1.data[i * 3 + j, 0] == pytest.approx(cur[i] * prev[j])
 
 
 # ------------------------------------------------------------------ #
@@ -282,15 +266,16 @@ def tape_size(root):
 
 def test_train_step_tape_stays_small(rng):
     # One train-mode objective at n=4, T_in=6, B=3 with the benchmark's tiny
-    # widths: 684 nodes when the GRU and the head were composed of
-    # elementary ops, 379 with one op each.
+    # widths takes 131 nodes: each step adds only its two feature slices, two
+    # GRU steps and two graph heads. Features, scores, reconstruction, loss
+    # and constraint computed per step instead would add about 40 per step.
     dims = GrcslDims(heads=2, d_att=4, h_r=6, d_s=3, h_m=6, sem_width=6, gconv_layers=1)
     params = GrcslParams.init(rng, dims)
     values, tod = window_inputs(rng, b=3, t_in=6, n=4)
     prior = np.ones((4, 4)) - np.eye(4)
     fwd = grcsl_forward_batch(values, tod, prior, params, train=True, rng=rng)
     loss = auglag_objective(grcsl_loss(fwd, None, lam=1e-3), constraint_sum(fwd), alpha=0.5, rho=1.0)
-    assert tape_size(loss) <= 400
+    assert tape_size(loss) <= 150
 
 
 def test_graph_head_eval_mode_is_deterministic_sigmoid(rng):
@@ -389,15 +374,122 @@ def test_forward_emits_one_graph_pair_per_step(rng):
     params = GrcslParams.init(rng, small_dims())
     values, tod = window_inputs(rng)
     fwd = grcsl_forward_batch(values, tod, None, params)
-    assert len(fwd.intra) == len(fwd.inter) == len(fwd.reconstructions) == 4
+    assert fwd.readings.shape == (5, 2, 3, 1)
+    assert fwd.intra.shape == fwd.inter.shape == (4, 2, 3, 3)
+    assert fwd.reconstructions.shape == (4, 2, 3, 1)  # one reconstructed reading per node
     for g in fwd.intra:
         assert g.shape == (2, 3, 3)
         assert np.all((g.data >= 0.0) & (g.data < 1.0))
         np.testing.assert_array_equal(np.diagonal(g.data, axis1=-2, axis2=-1), 0.0)
     for g in fwd.inter:
         assert np.all((g.data > 0.0) & (g.data < 1.0))
-    for r in fwd.reconstructions:
-        assert r.shape == (2, 3, 1)  # one reconstructed reading per node
+
+
+def test_forward_pairs_rows_row_major_and_lag_one_with_the_previous_tick(rng, monkeypatch):
+    # One head, d_att = 1 and projections that pick the reading: row i * N + j
+    # of step t's lag-0 features must be x_t[i] * x_t[j], and lag 1 must pair
+    # tick t's query with tick t - 1's key, x_t[i] * x_{t-1}[j], in every window.
+    params = GrcslParams.init(rng, small_dims(heads=1, d_att=1))
+    pick = np.array([[[1.0], [0.0]]])  # (heads, d_feat, d_att): the reading, not the time of day
+    params.attn = AttnParams(w_q=Tensor(pick), w_k=Tensor(pick))
+    seen = {id(params.gru_intra): [], id(params.gru_inter): []}
+    step = grcsl.gru_step
+
+    def recording_step(c, h, cell):
+        seen[id(cell)].append(c.data.copy())
+        return step(c, h, cell)
+
+    monkeypatch.setattr(grcsl, "gru_step", recording_step)
+    b, t_in, n = 2, 4, 3
+    values, tod = window_inputs(rng, b=b, t_in=t_in, n=n)
+    grcsl_forward_batch(values, tod, None, params)
+    x = values[..., 0]  # (B, T_in, N)
+    for lag, cell in ((0, params.gru_intra), (1, params.gru_inter)):
+        feats = seen[id(cell)]
+        assert len(feats) == t_in - 1
+        for j, c in enumerate(feats):
+            t = j + 1  # 0-based tick of window step j + 2
+            c = c.reshape(b, n * n)
+            for i in range(n):
+                for k in range(n):
+                    want = x[:, t, i] * x[:, t - lag, k]
+                    np.testing.assert_allclose(c[:, i * n + k], want, rtol=1e-12, atol=0)
+
+
+# The per-step forward, loss and constraint that the whole-window ones replaced,
+# kept as the reference they must reproduce: per-tick features, correlation
+# scores per step, and lists of per-step graphs and reconstructions.
+
+
+def loop_forward(values, tod, prior, params, train=False, rng=None):
+    b, t_in, n, _ = values.shape
+    heads, hidden = params.dims.heads, params.dims.h_r
+    readings = [Tensor(values[:, t]) for t in range(t_in)]
+    xs = [extract_features(readings[t], Tensor(tod[:, t]), prior, params) for t in range(t_in)]
+    h_intra = Tensor(np.zeros((b, n * n, hidden)))
+    h_inter = Tensor(np.zeros((b, n * n, hidden)))
+    intra, inter, recons = [], [], []
+    for t in range(1, t_in):
+        c0 = msdot(xs[t], xs[t], params.attn).reshape(b, n * n, heads)
+        c1 = msdot(xs[t], xs[t - 1], params.attn).reshape(b, n * n, heads)
+        h_intra = gru_step(c0, h_intra, params.gru_intra)
+        h_inter = gru_step(c1, h_inter, params.gru_inter)
+        intra.append(graph_head(h_intra, params.head_intra, n, train, rng, mask_diag=True))
+        inter.append(graph_head(h_inter, params.head_inter, n, train, rng, mask_diag=False))
+        recons.append(sem_reconstruct(readings[t - 1], readings[t], intra[-1], inter[-1], params.sem))
+    return readings, intra, inter, recons
+
+
+def loop_loss(readings, intra, inter, recons, masks, lam):
+    total = None
+    for j, x_hat in enumerate(recons):
+        diff = (x_hat - readings[j + 1]) * Tensor(masks[:, j + 1].astype(np.float64))
+        term = (diff * diff).sum() * 0.5 + lam * (intra[j].abs().sum() + inter[j].abs().sum())
+        total = term if total is None else total + term
+    return total * (1.0 / (len(recons) * recons[0].shape[0]))
+
+
+def loop_constraint(intra):
+    total = None
+    for g in intra:
+        h = notears_h(g)
+        total = h if total is None else total + h
+    return total.sum() * (1.0 / intra[0].shape[0])
+
+
+@pytest.mark.parametrize("train", [False, True])
+def test_whole_window_forward_matches_the_per_step_reference(rng, train):
+    dims = small_dims(use_prior=True)
+    values, tod = window_inputs(rng, b=3, t_in=5, n=4)
+    prior = rng.uniform(0.0, 1.0, (4, 4)) * (1.0 - np.eye(4))
+    masks = (rng.random(values.shape) > 0.2).astype(np.float64)
+
+    def run(per_step):
+        params = GrcslParams.init(np.random.default_rng(5), dims)
+        gen = np.random.default_rng(6)
+        if per_step:
+            readings, intra, inter, recons = loop_forward(values, tod, prior, params, train, gen)
+            f = loop_loss(readings, intra, inter, recons, masks, 1e-3)
+            s = loop_constraint(intra)
+            graphs = np.stack([g.data for g in intra]), np.stack([g.data for g in inter])
+        else:
+            fwd = grcsl_forward_batch(values, tod, prior, params, train, gen)
+            f, s = grcsl_loss(fwd, masks, 1e-3), constraint_sum(fwd)
+            graphs = fwd.intra.data, fwd.inter.data
+        auglag_objective(f, s, alpha=0.5, rho=1.0).backward()
+        return params, graphs, float(f.data), float(s.data)
+
+    params, graphs, f, s = run(per_step=False)
+    ref_params, ref_graphs, ref_f, ref_s = run(per_step=True)
+    np.testing.assert_array_equal(graphs[0], ref_graphs[0])
+    np.testing.assert_array_equal(graphs[1], ref_graphs[1])
+    assert s > 0.0
+    assert f == pytest.approx(ref_f, rel=1e-12, abs=1e-12)
+    assert s == pytest.approx(ref_s, rel=1e-12, abs=1e-12)
+    for (name, got), (_, want) in zip(params.named_parameters(), ref_params.named_parameters()):
+        scale = np.abs(want.grad).max()
+        assert scale > 0.0, name
+        np.testing.assert_allclose(got.grad, want.grad, rtol=1e-12, atol=1e-12 * scale, err_msg=name)
 
 
 def test_forward_rejects_bad_rank_and_short_windows(rng):

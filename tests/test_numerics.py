@@ -114,6 +114,44 @@ class TestMatmulAndShape:
         assert_grads_close(lambda x, y: concat([x, y], axis=-2).sigmoid(), [c, d])
 
 
+class TestIndexing:
+    """Basic indexing: ints and slices, gradients written back into zeros of the input's shape."""
+
+    def test_int_index_and_slice_pass_grad_check(self, rng):
+        a = rng.standard_normal((4, 3, 2))
+        assert grad_check(lambda x: x[2].tanh(), [a]).ok()
+        assert grad_check(lambda x: x[1:3, :, 1].sigmoid(), [a]).ok()
+
+    def test_slice_backward_fills_zeros_elsewhere(self, rng):
+        x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+        x[1:3].sum().backward()
+        np.testing.assert_array_equal(x.grad, [[0.0] * 3, [1.0] * 3, [1.0] * 3, [0.0] * 3])
+
+    def test_iterating_yields_the_axis_0_slices(self, rng):
+        data = rng.standard_normal((3, 2, 2))
+        parts = list(Tensor(data))
+        assert len(parts) == 3
+        for part, want in zip(parts, data):
+            assert isinstance(part, Tensor)
+            np.testing.assert_array_equal(part.data, want)
+
+    def test_overlapping_slices_add_both_gradients(self, rng):
+        # The x[1:] / x[:-1] pattern of the structure learner's lag-1 pairs.
+        a = rng.standard_normal((5, 3))
+        w = rng.standard_normal((4, 3))
+        assert_grads_close(lambda x: (x[1:] * w * x[:-1]).tanh(), [a])
+        x = Tensor(a, requires_grad=True)
+        (x[1:] + 2.0 * x[:-1]).sum().backward()
+        np.testing.assert_array_equal(x.grad[:, 0], [2.0, 3.0, 3.0, 3.0, 1.0])
+
+    def test_no_grad_slice_is_a_view_off_the_tape(self, rng):
+        x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+        with no_grad():
+            part = x[1:]
+        assert part._parents == () and not part.requires_grad
+        assert np.shares_memory(part.data, x.data)
+
+
 class TestEngineSemantics:
     def test_reused_node_accumulates(self):
         x = Tensor(np.array([3.0]), requires_grad=True)
