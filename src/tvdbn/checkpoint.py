@@ -1,7 +1,8 @@
 """Versioned .npz files: model checkpoints and the graph store.
 
 Every file is an .npz archive with a format-version entry and a kind
-(``structure``, ``forecast`` or ``graphs``), written atomically to exactly
+(``structure``, ``forecast``, ``graphs``, or ``truth`` for the synthetic
+ground truth that `synth.save_truth` writes), written atomically to exactly
 the path given (no suffix is added) and read back through one reader that
 turns any unreadable file into a DataError naming it.
 
@@ -57,7 +58,7 @@ def _write(path: str, kind: str, **arrays: np.ndarray) -> None:
 
 def _read(path: str, kind: str, *names: str) -> dict[str, np.ndarray]:
     """Every entry of a `kind` archive that holds `names`; DataError naming the file otherwise."""
-    noun = "graph file" if kind == "graphs" else "checkpoint"
+    noun = {"graphs": "graph file", "truth": "truth file"}.get(kind, "checkpoint")
     try:
         with np.load(path, allow_pickle=False) as blob:
             if "version" not in blob or int(blob["version"]) != _FORMAT_VERSION:

@@ -219,6 +219,8 @@ class SplitArrays:
 
 def _forward_batches(split: SplitArrays, prior, params: DgcpmParams, batch_size: int):
     """Eval-mode forecasts (B, T_out, N, 1) of a split's consecutive batches, each with its slice."""
+    if batch_size < 1:
+        raise ConfigError(f"batch size must be >= 1, got {batch_size}")
     for lo in range(0, split.values.shape[0], batch_size):
         rows = slice(lo, lo + batch_size)
         with no_grad():

@@ -307,93 +307,134 @@ def msdot(q: Tensor, k: Tensor, attn: AttnParams) -> Tensor:
     return scores.transpose(tuple(range(nd - 3)) + (nd - 2, nd - 1, nd - 3))
 
 
-def gru_step(c: Tensor, h_prev: Tensor, cell: GruCell) -> Tensor:
-    """One recurrent update; the update gate blends the previous state in.
+def gru_step(c: Tensor, h0: Tensor, cell: GruCell) -> Tensor:
+    """One lag's recurrence over a window: the stack of states after every step.
 
     r = sigmoid(c w_cr + h w_hr + b_r), z = sigmoid(c w_cz + h w_hz + b_z),
-    h~ = tanh(c w_ch + (r * h) w_hh + b_h), and the output is
-    z * h + (1 - z) * h~ with h = h_prev. `c` is (..., P, d_in) and `h_prev`
-    is (..., P, H) with the same leading axes. One tape op: the forward works
-    on 2-D rows and keeps r, z, h~ and r * h for the backward.
+    h~ = tanh(c w_ch + (r * h) w_hh + b_h), and the next state is
+    z * h + (1 - z) * h~, starting from h = h0. `c` is (S, ..., P, d_in) and
+    `h0` is (..., P, H) with the same middle axes; the result is (S, ..., P, H).
+    One tape op: each step works on 2-D rows, and the op keeps only its
+    inputs, the states and one gate stack [r | z | h~] for the backward.
     """
-    if c.shape[:-1] != h_prev.shape[:-1]:
-        raise ShapeError(f"gru_step needs matching leading axes, got {c.shape} and {h_prev.shape}")
-    hid = h_prev.shape[-1]
-    c2 = c.data.reshape(-1, c.shape[-1])
-    h2 = h_prev.data.reshape(-1, hid)
+    if c.shape[1:-1] != h0.shape[:-1]:
+        raise ShapeError(f"gru_step needs (S, ..., P, d) and (..., P, H), got {c.shape} and {h0.shape}")
+    steps, hid = c.shape[0], h0.shape[-1]
+    params = cell.parameters()
+    track = _tracking(c, h0, *params)
+    c2 = c.data.reshape(steps, -1, c.shape[-1])
+    rows = c2.shape[1]
     w_c = np.concatenate([cell.w_cr.data, cell.w_cz.data, cell.w_ch.data], axis=1)
     w_h = np.concatenate([cell.w_hr.data, cell.w_hz.data], axis=1)
-    a_cr, a_cz, a_ch = np.split(c2 @ w_c, 3, axis=1)
-    a_hr, a_hz = np.split(h2 @ w_h, 2, axis=1)
-    r = _stable_sigmoid(a_cr + a_hr + cell.b_r.data)
-    z = _stable_sigmoid(a_cz + a_hz + cell.b_z.data)
-    rh = r * h2
-    h_tilde = np.tanh(a_ch + rh @ cell.w_hh.data + cell.b_h.data)
-    out = (z * h2 + (1.0 - z) * h_tilde).reshape(h_prev.shape)
-    params = cell.parameters()
-    if not _tracking(c, h_prev, *params):
+    states = np.empty((steps, rows, hid))
+    gates = np.empty((steps if track else 1, 3, rows, hid))  # r, z and h~, each one contiguous block
+    h = h0.data.reshape(rows, hid)
+    for j in range(steps):
+        gate = gates[j if track else 0]
+        r, z, h_tilde = gate
+        a_cr, a_cz, a_ch = np.split(c2[j] @ w_c, 3, axis=1)
+        a_hr, a_hz = np.split(h @ w_h, 2, axis=1)
+        np.add(a_cr, a_hr, out=r)
+        r += cell.b_r.data
+        np.add(a_cz, a_hz, out=z)
+        z += cell.b_z.data
+        _stable_sigmoid(gate[:2], out=gate[:2])
+        np.add(a_ch, (r * h) @ cell.w_hh.data, out=h_tilde)
+        h_tilde += cell.b_h.data
+        np.tanh(h_tilde, out=h_tilde)
+        h = np.multiply(z, h, out=states[j])
+        h += (1.0 - z) * h_tilde
+    out = states.reshape((steps,) + h0.shape)
+    if not track:
         return Tensor(out)
 
-    def backward_fn(g: np.ndarray) -> None:
-        g = g.reshape(-1, hid)
-        d_h = g * (1.0 - z) * (1.0 - h_tilde * h_tilde)
-        d_z = g * (h2 - h_tilde) * z * (1.0 - z)
-        d_rh = d_h @ cell.w_hh.data.T
-        d_r = d_rh * h2 * r * (1.0 - r)
-        d_c = np.concatenate([d_r, d_z, d_h], axis=1)  # pre-activation grads, [r | z | h~]
-        d_rz = d_c[:, : 2 * hid]
-        gw_cr, gw_cz, gw_ch = np.split(c2.T @ d_c, 3, axis=1)
-        gw_hr, gw_hz = np.split(h2.T @ d_rz, 2, axis=1)
-        gb_r, gb_z, gb_h = np.split(d_c.sum(axis=0), 3)
-        grads = (gw_cr, gw_hr, gb_r, gw_cz, gw_hz, gb_z, gw_ch, rh.T @ d_h, gb_h)
-        for param, grad in zip(params, grads):
+    def backward_fn(grad: np.ndarray) -> None:
+        grad = grad.reshape(states.shape)
+        w_hh = cell.w_hh.data
+        d_pre = np.empty((3, rows, hid))  # one step's pre-activation grads of r, z and h~
+        d_c = np.empty_like(c.data) if c.requires_grad else None  # in c's memory order
+        g_wc, g_wh, g_whh, g_b = 0.0, 0.0, 0.0, 0.0
+        carry = None
+        for j in reversed(range(steps)):
+            g = grad[j] if carry is None else grad[j] + carry
+            h_prev = states[j - 1] if j else h0.data.reshape(rows, hid)
+            r, z, h_tilde = gates[j]
+            d_r, d_z, d_h = d_pre
+            np.multiply(g, 1.0 - z, out=d_h)
+            d_h *= 1.0 - h_tilde * h_tilde
+            np.multiply(g, h_prev - h_tilde, out=d_z)
+            d_z *= z
+            d_z *= 1.0 - z
+            d_rh = d_h @ w_hh.T
+            np.multiply(d_rh, h_prev, out=d_r)
+            d_r *= r
+            d_r *= 1.0 - r
+            d_rzh = np.concatenate(d_pre, axis=1)  # rows of [r | z | h~]
+            d_rz = d_rzh[:, : 2 * hid]
+            g_wc = g_wc + c2[j].T @ d_rzh
+            g_wh = g_wh + h_prev.T @ d_rz
+            g_whh = g_whh + (r * h_prev).T @ d_h
+            g_b = g_b + d_rzh.sum(axis=0)
+            if d_c is not None:
+                d_c[j] = (d_rzh @ w_c.T).reshape(d_c.shape[1:])
+            if j or h0.requires_grad:
+                carry = g * z + d_rh * r + d_rz @ w_h.T
+        gw_cr, gw_cz, gw_ch = np.split(g_wc, 3, axis=1)
+        gw_hr, gw_hz = np.split(g_wh, 2, axis=1)
+        gb_r, gb_z, gb_h = np.split(g_b, 3)
+        grads = (gw_cr, gw_hr, gb_r, gw_cz, gw_hz, gb_z, gw_ch, g_whh, gb_h)
+        for param, grad_p in zip(params, grads):
             if param.requires_grad:
-                param._accum(grad)
-        if c.requires_grad:
-            c._accum((d_c @ w_c.T).reshape(c.shape))
-        if h_prev.requires_grad:
-            d_prev = g * z + d_rh * r + d_rz @ w_h.T
-            h_prev._accum(d_prev.reshape(h_prev.shape))
+                param._accum(grad_p)
+        if d_c is not None:
+            c._accum(d_c)
+        if h0.requires_grad:
+            h0._accum(carry.reshape(h0.shape))
 
-    return _from_op(out, (c, h_prev, *params), backward_fn)
+    return _from_op(out, (c, h0, *params), backward_fn)
 
 
-def _gumbel(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    u = np.clip(rng.random(shape), 1e-12, 1.0 - 1e-12)
-    return -np.log(-np.log(u))
+def _gumbel(u: np.ndarray) -> np.ndarray:
+    """Standard Gumbel samples from uniform draws."""
+    return -np.log(-np.log(np.clip(u, 1e-12, 1.0 - 1e-12)))
 
 
 def graph_head(
     h: Tensor,
     head: GraphHead,
     n: int,
-    train: bool = False,
-    rng: np.random.Generator | None = None,
+    noise: np.ndarray | None = None,
     mask_diag: bool = False,
 ) -> Tensor:
-    """Map pairwise hidden state (..., N*N, H) to a graph (..., N, N).
+    """Map a stack of pairwise hidden states (S, ..., N*N, H) to graphs (S, ..., N, N).
 
-    Training draws two independent standard Gumbel samples per edge and
-    pushes (logit + g1 - g2) / tau through a sigmoid, a reparameterized
-    near-binary sample; evaluation uses sigmoid(logit / tau) directly.
-    `mask_diag` zeroes the diagonal. One tape op: the forward works on 2-D
-    rows and keeps the two hidden ReLU outputs and the graph for the backward.
+    Without `noise` (evaluation) an edge is sigmoid(logit / tau). In training
+    `noise` holds one difference of two standard Gumbel samples per edge, of
+    the result's shape, and the edge is sigmoid((logit + noise) / tau), a
+    reparameterized near-binary sample. `mask_diag` zeroes the diagonal. One
+    tape op that works step by step on 2-D rows; it keeps only its input and
+    the graphs, and the backward recomputes each step's two ReLU layers.
     """
     if head.tau <= 0:
         raise ConfigError(f"temperature must be positive, got {head.tau}")
-    if train and rng is None:
-        raise ConfigError("train-mode graph sampling needs a random generator")
+    if h.ndim < 3 or h.shape[-2] != n * n:
+        raise ShapeError(f"graph_head needs (S, ..., {n * n}, H) hidden states, got {h.shape}")
     params = head.parameters()
     w1, b1, w2, b2, w3, b3 = (t.data for t in params)
-    h2 = h.data.reshape(-1, h.shape[-1])
-    y1 = np.maximum(h2 @ w1 + b1, 0.0)
-    y2 = np.maximum(y1 @ w2 + b2, 0.0)
-    logits = (y2 @ w3 + b3).reshape(h.shape[:-2] + (n, n))
-    if train:
-        noise = _gumbel(rng, logits.shape) - _gumbel(rng, logits.shape)
-        graph = _stable_sigmoid((logits + noise) * (1.0 / head.tau))
-    else:
-        graph = _stable_sigmoid(logits * (1.0 / head.tau))
+    steps = h.shape[0]
+    h2 = h.data.reshape(steps, -1, h.shape[-1])
+
+    def hidden(j: int) -> tuple[np.ndarray, np.ndarray]:
+        y1 = np.maximum(h2[j] @ w1 + b1, 0.0)
+        return y1, np.maximum(y1 @ w2 + b2, 0.0)
+
+    logits = np.empty(h2.shape[:2] + (1,))
+    for j in range(steps):
+        np.add(hidden(j)[1] @ w3, b3, out=logits[j])
+    logits = logits.reshape(h.shape[:-2] + (n, n))
+    if noise is not None:
+        logits += noise
+    graph = _stable_sigmoid(logits * (1.0 / head.tau))
     if mask_diag:
         graph *= 1.0 - np.eye(n)
     if not _tracking(h, *params):
@@ -401,19 +442,27 @@ def graph_head(
 
     def backward_fn(g: np.ndarray) -> None:
         # A masked diagonal entry is 0 in `graph`, so its slope graph * (1 - graph) is 0 too.
-        d_logit = (g * graph * (1.0 - graph) * (1.0 / head.tau)).reshape(-1, 1)
-        d_y2 = (d_logit @ w3.T) * (y2 > 0.0)
-        d_y1 = (d_y2 @ w2.T) * (y1 > 0.0)
-        grads = (
-            h2.T @ d_y1, d_y1.sum(axis=0),
-            y1.T @ d_y2, d_y2.sum(axis=0),
-            y2.T @ d_logit, d_logit.sum(axis=0),
-        )
-        for param, grad in zip(params, grads):
+        d_logits = (g * graph * (1.0 - graph) * (1.0 / head.tau)).reshape(steps, -1, 1)
+        d_h = np.empty(h2.shape) if h.requires_grad else None
+        sums = [0.0] * 6
+        for j in range(steps):
+            y1, y2 = hidden(j)
+            d_logit = d_logits[j]
+            d_y2 = (d_logit @ w3.T) * (y2 > 0.0)
+            d_y1 = (d_y2 @ w2.T) * (y1 > 0.0)
+            grads = (
+                h2[j].T @ d_y1, d_y1.sum(axis=0),
+                y1.T @ d_y2, d_y2.sum(axis=0),
+                y2.T @ d_logit, d_logit.sum(axis=0),
+            )
+            sums = [total + grad for total, grad in zip(sums, grads)]
+            if d_h is not None:
+                np.matmul(d_y1, w1.T, out=d_h[j])
+        for param, grad in zip(params, sums):
             if param.requires_grad:
                 param._accum(grad)
-        if h.requires_grad:
-            h._accum((d_y1 @ w1.T).reshape(h.shape))
+        if d_h is not None:
+            h._accum(d_h.reshape(h.shape))
 
     return _from_op(graph, (h, *params), backward_fn)
 
@@ -472,10 +521,11 @@ def grcsl_forward_batch(
 ) -> GrcslForward:
     """Run the structure learner over a batch of windows.
 
-    `values` and `tod` are (B, T_in, N, 1). Features, correlation scores and
-    reconstructions cover every step in one call each; only the two GRUs and
-    their graph heads walk the steps, both GRUs starting from zero hidden
-    state at the window head. The same tick features feed both lags.
+    `values` and `tod` are (B, T_in, N, 1). Features, correlation scores,
+    each lag's recurrence and graph head, and reconstructions cover every
+    step in one call each; both GRUs start from zero hidden state at the
+    window head, and the same tick features feed both lags. Train mode draws
+    all its Gumbel noise up front, in the order a step-by-step pass would.
     """
     if values.ndim != 4 or values.shape != tod.shape:
         raise ShapeError(f"expected (B, T, N, 1) inputs, got {values.shape} and {tod.shape}")
@@ -489,15 +539,15 @@ def grcsl_forward_batch(
     pairs = (t_in - 1, b, n * n, dims.heads)  # row i * N + j is the ordered pair (i, j)
     c0 = msdot(cur, cur, params.attn).reshape(pairs)  # lag 0: tick t with itself
     c1 = msdot(cur, prev, params.attn).reshape(pairs)  # lag 1: tick t with tick t - 1
-    h_intra = Tensor(np.zeros((1, b, n * n, dims.h_r)))
-    h_inter = Tensor(np.zeros((1, b, n * n, dims.h_r)))
-    intra, inter = [], []
-    for j in range(t_in - 1):
-        h_intra = gru_step(c0[j : j + 1], h_intra, params.gru_intra)
-        h_inter = gru_step(c1[j : j + 1], h_inter, params.gru_inter)
-        intra.append(graph_head(h_intra, params.head_intra, n, train, rng, mask_diag=True))
-        inter.append(graph_head(h_inter, params.head_inter, n, train, rng, mask_diag=False))
-    intra, inter = concat(intra, axis=0), concat(inter, axis=0)
+    noise = (None, None)
+    if train:
+        if rng is None:
+            raise ConfigError("train-mode graph sampling needs a random generator")
+        g = _gumbel(rng.random((t_in - 1, 2, 2, b, n, n)))  # (step, lag, sample, B, N, N)
+        noise = (g[:, :, 0] - g[:, :, 1]).swapaxes(0, 1)
+    h0 = Tensor(np.zeros((b, n * n, dims.h_r)))
+    intra = graph_head(gru_step(c0, h0, params.gru_intra), params.head_intra, n, noise[0], mask_diag=True)
+    inter = graph_head(gru_step(c1, h0, params.gru_inter), params.head_inter, n, noise[1])
     x_hat = sem_reconstruct(readings[:-1], readings[1:], intra, inter, params.sem)
     return GrcslForward(readings=readings, intra=intra, inter=inter, reconstructions=x_hat)
 
@@ -517,6 +567,8 @@ def graph_stacks(
     step j + 2. `on_batch`, if given, sees each batch's rows and forward
     pass in window order, still without gradient tracking.
     """
+    if batch_size < 1:
+        raise ConfigError(f"batch size must be >= 1, got {batch_size}")
     w, t_in, n, _ = values.shape
     intra = np.empty((w, t_in - 1, n, n))
     inter = np.empty((w, t_in - 1, n, n))

@@ -393,9 +393,10 @@ def _from_op(
     return out
 
 
-def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
+def _stable_sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Logistic function as 0.5 * (1 + tanh(x / 2)): branch-free, finite everywhere."""
-    out = np.tanh(0.5 * x)
+    out = np.multiply(x, 0.5, out=out)
+    np.tanh(out, out=out)
     out += 1.0
     out *= 0.5
     return out

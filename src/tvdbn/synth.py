@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checkpoint import _read, _write
 from .data import SpeedSeries, TICK_SECONDS
 from .errors import ConfigError, DataError
 from .grcsl import EDGE_CSV_HEADER, CausalGraphSeq
@@ -42,8 +43,6 @@ __all__ = [
     "save_truth",
     "load_truth",
 ]
-
-_TRUTH_FORMAT_VERSION = 1
 
 
 @dataclass
@@ -435,9 +434,10 @@ def export_truth_edges(
 
 
 def save_truth(path: str, truth: GroundTruthTvdbn) -> None:
-    np.savez(
+    """Write the ground truth atomically to exactly `path`, as a `truth` archive."""
+    _write(
         path,
-        version=np.array(_TRUTH_FORMAT_VERSION),
+        "truth",
         intra=truth.intra,
         inter=truth.inter,
         boundaries=truth.boundaries,
@@ -447,13 +447,12 @@ def save_truth(path: str, truth: GroundTruthTvdbn) -> None:
 
 
 def load_truth(path: str) -> GroundTruthTvdbn:
-    with np.load(path) as blob:
-        if int(blob["version"]) != _TRUTH_FORMAT_VERSION:
-            raise DataError(f"{path}: unsupported truth format version {int(blob['version'])}")
-        return GroundTruthTvdbn(
-            intra=blob["intra"],
-            inter=blob["inter"],
-            boundaries=blob["boundaries"],
-            noise_std=float(blob["noise_std"]),
-            seed=int(blob["seed"]),
-        )
+    """Read a truth file; a missing, unreadable or foreign file is a DataError naming it."""
+    blob = _read(path, "truth", "intra", "inter", "boundaries", "noise_std", "seed")
+    return GroundTruthTvdbn(
+        intra=blob["intra"],
+        inter=blob["inter"],
+        boundaries=blob["boundaries"],
+        noise_std=float(blob["noise_std"]),
+        seed=int(blob["seed"]),
+    )

@@ -461,12 +461,15 @@ def test_07_operators_match_naive_loop_nest_references():
         worst = max(worst, float(np.abs(got - naive).max()))
 
         d_c, d_h, pairs = int(rng.integers(1, 4)), int(rng.integers(1, 4)), int(rng.integers(1, 5))
+        steps = int(rng.integers(2, 5))
         shapes = [(d_c, d_h), (d_h, d_h), (d_h,)] * 3
         arrays = [rng.standard_normal(s) for s in shapes]
-        c = rng.standard_normal((1, pairs, d_c))
-        hidden = rng.standard_normal((1, pairs, d_h))
+        c = rng.standard_normal((steps, pairs, d_c))
+        hidden = rng.standard_normal((pairs, d_h))
         got = gru_step(Tensor(c), Tensor(hidden), GruCell(*[Tensor(a) for a in arrays])).data
-        worst = max(worst, float(np.abs(got[0] - loop_gru(c[0], hidden[0], arrays)).max()))
+        for j in range(steps):
+            hidden = loop_gru(c[j], hidden, arrays)
+            worst = max(worst, float(np.abs(got[j] - hidden).max()))
 
         t_in, t_out = int(rng.integers(3, 6)), int(rng.integers(2, 5))
         dims = DgcpmDims(

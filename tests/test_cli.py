@@ -490,6 +490,22 @@ def test_truncated_checkpoint_is_a_data_error(pipeline, tmp_path):
                  "--forecast-checkpoint", str(tmp_path / "dgcpm.npz")]) == 2
 
 
+@pytest.mark.parametrize("stage, key", [("export-graphs", "structure-batch"), ("predict", "forecast-batch")])
+@pytest.mark.parametrize("size", ["0", "-1"])
+def test_batch_sizes_below_one_are_configuration_errors(pipeline, tmp_path, caplog, stage, key, size):
+    # A batch size reaches graph generation and prediction only there; it must
+    # fail like a bad training batch does, not crash or write unset memory.
+    flags = [
+        "--config", str(pipeline / "run.cfg"), "--out-dir", str(tmp_path),
+        "--speed-csv", str(pipeline / "speed.csv"), "--dist-csv", str(pipeline / "dist.csv"),
+        "--structure-checkpoint", str(pipeline / "grcsl.npz"),
+        "--forecast-checkpoint", str(pipeline / "dgcpm.npz"),
+    ]
+    assert main([stage, *flags, f"--{key}={size}"]) == 1
+    assert any(f"batch size must be >= 1, got {size}" in r.getMessage() for r in caplog.records)
+    assert not (tmp_path / "graphs.csv").exists() and not (tmp_path / "forecasts.csv").exists()
+
+
 def test_checkpoint_paths_without_a_suffix_are_used_verbatim(pipeline, tmp_path):
     out = tmp_path / "out"
     flags = [

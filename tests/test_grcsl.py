@@ -1,6 +1,7 @@
 """Graph-generator tests: closed-form fixtures, sampling statistics, causality."""
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from tvdbn.grcsl import (
     msdot,
     sem_reconstruct,
 )
-from tvdbn.numerics import Tensor, glorot_uniform, no_grad
+from tvdbn.numerics import Adam, Tensor, concat, glorot_uniform, no_grad
 
 
 def small_dims(**overrides):
@@ -117,34 +118,83 @@ def naive_gru(c, h, cell):
 
 def test_gru_step_matches_naive_numpy(rng):
     cell = GruCell.init(rng, d_in=3, hidden=5)
-    c = rng.normal(size=(4, 7, 3))
+    c = rng.normal(size=(3, 4, 7, 3))
     h = rng.normal(size=(4, 7, 5))
     out = gru_step(Tensor(c), Tensor(h), cell)
-    np.testing.assert_allclose(out.data, naive_gru(c, h, cell), atol=1e-12)
+    assert out.shape == (3, 4, 7, 5)
+    for j in range(3):
+        h = naive_gru(c[j], h, cell)
+        np.testing.assert_allclose(out.data[j], h, atol=1e-12)
 
 
 def test_gru_zero_state_zero_input_is_fixed_point(rng):
     # Fresh cells have zero biases, so gates sit at 1/2 and the candidate at 0.
     cell = GruCell.init(rng, d_in=3, hidden=4)
-    out = gru_step(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))), cell)
+    out = gru_step(Tensor(np.zeros((3, 2, 3))), Tensor(np.zeros((2, 4))), cell)
     np.testing.assert_allclose(out.data, 0.0, atol=1e-15)
 
 
 def test_gru_saturated_update_gate_copies_previous_state(rng):
     cell = GruCell.init(rng, d_in=3, hidden=4)
     cell.b_z = Tensor(np.full(4, 50.0), requires_grad=True)  # z -> 1
-    c = rng.normal(size=(2, 3))
+    c = rng.normal(size=(3, 2, 3))
     h = rng.normal(size=(2, 4))
     out = gru_step(Tensor(c), Tensor(h), cell)
-    np.testing.assert_allclose(out.data, h, atol=1e-8)
+    np.testing.assert_allclose(out.data, np.broadcast_to(h, (3, 2, 4)), atol=1e-8)
+
+
+# Per-step bodies built from elementary tape ops on 2-D rows, in the window
+# kernels' operation order: the references the kernels must reproduce.
 
 
 def composed_gru_step(c, h_prev, cell):
-    """The GRU update built from elementary tape ops: the reference for the fused kernel."""
-    r = (c @ cell.w_cr + h_prev @ cell.w_hr + cell.b_r).sigmoid()
-    z = (c @ cell.w_cz + h_prev @ cell.w_hz + cell.b_z).sigmoid()
-    h_tilde = (c @ cell.w_ch + (r * h_prev) @ cell.w_hh + cell.b_h).tanh()
-    return z * h_prev + (1.0 - z) * h_tilde
+    """One GRU update of `h_prev` (..., P, H) under features `c` (..., P, d_in)."""
+    hid = h_prev.shape[-1]
+    c2, h2 = c.reshape(-1, c.shape[-1]), h_prev.reshape(-1, hid)
+    a_c = c2 @ concat([cell.w_cr, cell.w_cz, cell.w_ch], axis=1)
+    a_h = h2 @ concat([cell.w_hr, cell.w_hz], axis=1)
+    r = (a_c[:, :hid] + a_h[:, :hid] + cell.b_r).sigmoid()
+    z = (a_c[:, hid : 2 * hid] + a_h[:, hid:] + cell.b_z).sigmoid()
+    h_tilde = (a_c[:, 2 * hid :] + (r * h2) @ cell.w_hh + cell.b_h).tanh()
+    return (z * h2 + (1.0 - z) * h_tilde).reshape(h_prev.shape)
+
+
+def composed_graph_head(h, head, n, noise=None, mask_diag=False):
+    """One step's graphs (..., N, N) from hidden states (..., N*N, H); `noise` as in graph_head."""
+    h2 = h.reshape(-1, h.shape[-1])
+    y = (h2 @ head.w1 + head.b1).relu()
+    y = (y @ head.w2 + head.b2).relu()
+    logits = (y @ head.w3 + head.b3).reshape(h.shape[:-2] + (n, n))
+    if noise is not None:
+        logits = logits + Tensor(noise)
+    graph = (logits * (1.0 / head.tau)).sigmoid()
+    if mask_diag:
+        graph = graph * Tensor(1.0 - np.eye(n))
+    return graph
+
+
+def gumbel_difference(rng, shape):
+    """One step's train-mode noise, drawn the way a step-by-step pass draws it."""
+    return _gumbel(rng.random(shape)) - _gumbel(rng.random(shape))
+
+
+def stack_steps(outs):
+    return concat([out.reshape((1,) + out.shape) for out in outs], axis=0)
+
+
+def composed_gru(c, h0, cell):
+    states, h = [], h0
+    for j in range(c.shape[0]):
+        h = composed_gru_step(c[j], h, cell)
+        states.append(h)
+    return stack_steps(states)
+
+
+def composed_head(h, head, n, noise=None, mask_diag=False):
+    step_noise = [None] * h.shape[0] if noise is None else noise
+    return stack_steps(
+        [composed_graph_head(h[j], head, n, step_noise[j], mask_diag) for j in range(h.shape[0])]
+    )
 
 
 def run_with_grads(fn, arrays, seed_grad):
@@ -163,23 +213,24 @@ def assert_same_value_and_grads(fused, reference, names):
 
 @pytest.mark.parametrize("lead", [(7,), (3, 7)])
 def test_gru_step_kernel_matches_composed_reference(rng, lead):
-    d_in, hidden = 3, 5
+    steps, d_in, hidden = 4, 3, 5
     arrays = [rng.normal(size=s) * 0.5 for s in [(d_in, hidden), (hidden, hidden), (hidden,)] * 3]
-    c = rng.normal(size=lead + (d_in,))
-    h = rng.normal(size=lead + (hidden,))
-    seed_grad = rng.normal(size=lead + (hidden,))
-    names = ["c", "h_prev", *(name for name, _ in GruCell(*map(Tensor, arrays)).named_parameters())]
+    c = rng.normal(size=(steps,) + lead + (d_in,))
+    h0 = rng.normal(size=lead + (hidden,))
+    seed_grad = rng.normal(size=(steps,) + lead + (hidden,))
+    names = ["c", "h0", *(name for name, _ in GruCell(*map(Tensor, arrays)).named_parameters())]
     runs = [
-        run_with_grads(lambda c_t, h_t, *cell: step(c_t, h_t, GruCell(*cell)), [c, h, *arrays], seed_grad)
-        for step in (gru_step, composed_gru_step)
+        run_with_grads(lambda c_t, h_t, *cell: op(c_t, h_t, GruCell(*cell)), [c, h0, *arrays], seed_grad)
+        for op in (gru_step, composed_gru)
     ]
     assert_same_value_and_grads(*runs, names)
+    assert all(np.abs(grad).max() > 0.0 for grad in runs[0][1])
 
 
 def test_gru_step_rejects_mismatched_pair_axes(rng):
     cell = GruCell.init(rng, d_in=3, hidden=4)
     with pytest.raises(ShapeError):
-        gru_step(Tensor(np.zeros((2, 5, 3))), Tensor(np.zeros((5, 4))), cell)
+        gru_step(Tensor(np.zeros((2, 5, 3))), Tensor(np.zeros((6, 4))), cell)
 
 
 @settings(max_examples=30, deadline=None)
@@ -188,7 +239,7 @@ def test_gru_state_stays_in_unit_box(seed):
     # |h'| <= z|h| + (1-z)|tanh| <= max(|h|, 1): the unit box is invariant.
     rng = np.random.default_rng(seed)
     cell = GruCell.init(rng, d_in=2, hidden=3)
-    c = rng.normal(0.0, 3.0, size=(5, 2))
+    c = rng.normal(0.0, 3.0, size=(4, 5, 2))
     h = rng.uniform(-1.0, 1.0, size=(5, 3))
     out = gru_step(Tensor(c), Tensor(h), cell)
     assert np.all(np.abs(out.data) <= 1.0 + 1e-12)
@@ -199,41 +250,25 @@ def test_gru_state_stays_in_unit_box(seed):
 # ------------------------------------------------------------------ #
 
 
-def composed_graph_head(h, head, n, train=False, rng=None, mask_diag=False):
-    """The graph head built from elementary tape ops: the reference for the fused kernel."""
-    y = (h @ head.w1 + head.b1).relu()
-    y = (y @ head.w2 + head.b2).relu()
-    logits = y @ head.w3 + head.b3
-    logits = logits.reshape(logits.shape[:-2] + (n, n))
-    if train:
-        noise = _gumbel(rng, logits.shape) - _gumbel(rng, logits.shape)
-        graph = ((logits + Tensor(noise)) * (1.0 / head.tau)).sigmoid()
-    else:
-        graph = (logits * (1.0 / head.tau)).sigmoid()
-    if mask_diag:
-        graph = graph * Tensor(1.0 - np.eye(n))
-    return graph
-
-
 @pytest.mark.parametrize("lead", [(), (2,)])
 @pytest.mark.parametrize("train", [False, True])
 @pytest.mark.parametrize("mask_diag", [False, True])
 def test_graph_head_kernel_matches_composed_reference(rng, lead, train, mask_diag):
-    n, hidden, tau = 3, 4, 0.7
+    steps, n, hidden, tau = 3, 3, 4, 0.7
     shapes = [(hidden, hidden), (hidden,), (hidden, hidden), (hidden,), (hidden, 1), (1,)]
     arrays = [rng.normal(size=s) * 0.5 for s in shapes]
-    h = rng.normal(size=lead + (n * n, hidden))
-    seed_grad = rng.normal(size=lead + (n, n))
+    h = rng.normal(size=(steps,) + lead + (n * n, hidden))
+    seed_grad = rng.normal(size=(steps,) + lead + (n, n))
+    noise = gumbel_difference(rng, (steps,) + lead + (n, n)) if train else None
 
     def apply(fn):
         def op(h_t, w1, b1, w2, b2, w3, b3):
             head = GraphHead(w1=w1, b1=b1, w2=w2, b2=b2, w3=w3, b3=b3, tau=tau)
-            noise = np.random.default_rng(5) if train else None
-            return fn(h_t, head, n, train=train, rng=noise, mask_diag=mask_diag)
+            return fn(h_t, head, n, noise, mask_diag=mask_diag)
 
         return run_with_grads(op, [h, *arrays], seed_grad)
 
-    fused, reference = apply(graph_head), apply(composed_graph_head)
+    fused, reference = apply(graph_head), apply(composed_head)
     assert_same_value_and_grads(fused, reference, ["h", "w1", "b1", "w2", "b2", "w3", "b3"])
     if mask_diag:
         np.testing.assert_array_equal(np.diagonal(fused[0], axis1=-2, axis2=-1), 0.0)
@@ -246,9 +281,9 @@ def test_kernels_record_nothing_without_grad(rng):
     h = Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True)
     with no_grad():
         outs = [
-            gru_step(c, h, cell),
+            gru_step(c, h[0], cell),
             graph_head(h, head, n=2),
-            graph_head(h, head, n=2, train=True, rng=np.random.default_rng(0), mask_diag=True),
+            graph_head(h, head, n=2, noise=np.zeros((2, 2, 2)), mask_diag=True),
         ]
     for out in outs:
         assert out._parents == () and out._backward is None and not out.requires_grad
@@ -264,26 +299,55 @@ def tape_size(root):
     return len(seen)
 
 
-def test_train_step_tape_stays_small(rng):
-    # One train-mode objective at n=4, T_in=6, B=3 with the benchmark's tiny
-    # widths takes 131 nodes: each step adds only its two feature slices, two
-    # GRU steps and two graph heads. Features, scores, reconstruction, loss
-    # and constraint computed per step instead would add about 40 per step.
-    dims = GrcslDims(heads=2, d_att=4, h_r=6, d_s=3, h_m=6, sem_width=6, gconv_layers=1)
+TAPE_DIMS = dict(heads=2, d_att=4, h_r=6, d_s=3, h_m=6, sem_width=6, gconv_layers=1)
+
+
+def train_objective(rng, dims, b, t_in, n):
     params = GrcslParams.init(rng, dims)
-    values, tod = window_inputs(rng, b=3, t_in=6, n=4)
-    prior = np.ones((4, 4)) - np.eye(4)
+    values, tod = window_inputs(rng, b=b, t_in=t_in, n=n)
+    prior = np.ones((n, n)) - np.eye(n)
     fwd = grcsl_forward_batch(values, tod, prior, params, train=True, rng=rng)
-    loss = auglag_objective(grcsl_loss(fwd, None, lam=1e-3), constraint_sum(fwd), alpha=0.5, rho=1.0)
-    assert tape_size(loss) <= 150
+    return auglag_objective(grcsl_loss(fwd, None, lam=1e-3), constraint_sum(fwd), alpha=0.5, rho=1.0)
+
+
+def test_train_step_tape_stays_small(rng):
+    # One train-mode objective at n=4, B=3 with the benchmark's tiny widths
+    # takes 103 nodes: every op covers the whole window, so the tape does not
+    # grow with the window length. Per-step GRU and head ops would add six
+    # nodes per step (two slices, two GRU steps, two heads).
+    short = tape_size(train_objective(rng, GrcslDims(**TAPE_DIMS), b=3, t_in=6, n=4))
+    long = tape_size(train_objective(rng, GrcslDims(**TAPE_DIMS), b=3, t_in=12, n=4))
+    assert short == long
+    assert short <= 150
+
+
+def test_train_step_memory_stays_bounded(rng):
+    # tracemalloc sees every numpy buffer: one training step (forward, loss,
+    # backward, Adam) at N=10, B=8, T_in=12 with default widths keeps only
+    # the states and one gate stack per lag, not every step's activations.
+    params = GrcslParams.init(rng, GrcslDims())
+    values, tod = window_inputs(rng, b=8, t_in=12, n=10)
+    prior = np.ones((10, 10)) - np.eye(10)
+    opt = Adam(params.parameters(), lr=1e-3)
+    tracemalloc.start()
+    try:
+        fwd = grcsl_forward_batch(values, tod, prior, params, train=True, rng=rng)
+        loss = auglag_objective(grcsl_loss(fwd, None, lam=1e-3), constraint_sum(fwd), alpha=0.5, rho=1.0)
+        opt.zero_grad()
+        loss.backward()
+        opt.step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 30e6, f"one training step peaked at {peak / 1e6:.1f} MB"
 
 
 def test_graph_head_eval_mode_is_deterministic_sigmoid(rng):
     head = GraphHead.init(rng, hidden=6, tau=0.2)
-    h = Tensor(rng.normal(size=(9, 6)))
+    h = Tensor(rng.normal(size=(2, 9, 6)))
     g1 = graph_head(h, head, n=3)
     g2 = graph_head(h, head, n=3)
-    assert g1.shape == (3, 3)
+    assert g1.shape == (2, 3, 3)
     np.testing.assert_array_equal(g1.data, g2.data)
     assert np.all((g1.data > 0.0) & (g1.data < 1.0))
 
@@ -291,7 +355,7 @@ def test_graph_head_eval_mode_is_deterministic_sigmoid(rng):
 def test_graph_head_fresh_init_leans_sparse(rng):
     # Final bias -1 at tau = 0.2 puts near-zero-hidden edges at sigmoid(-5).
     head = GraphHead.init(rng, hidden=6, tau=0.2)
-    h = Tensor(np.zeros((4, 6)))
+    h = Tensor(np.zeros((1, 4, 6)))
     g = graph_head(h, head, n=2)
     np.testing.assert_allclose(g.data, 1.0 / (1.0 + np.exp(5.0)), rtol=1e-12)
 
@@ -300,25 +364,35 @@ def test_graph_head_train_mode_is_symmetric_around_half_at_zero_logit():
     # logit 0: the Gumbel difference is logistic and symmetric, so the
     # sampled edge mean converges to 1/2 (SE ~ 0.0016 at 1e5 draws).
     head = zero_logit_head(hidden=1)
-    h = Tensor(np.zeros((25000, 4, 1)))
-    g = graph_head(h, head, n=2, train=True, rng=np.random.default_rng(42))
-    assert g.data.shape == (25000, 2, 2)
+    h = Tensor(np.zeros((1, 25000, 4, 1)))
+    noise = gumbel_difference(np.random.default_rng(42), (1, 25000, 2, 2))
+    g = graph_head(h, head, n=2, noise=noise)
+    assert g.data.shape == (1, 25000, 2, 2)
     assert abs(g.data.mean() - 0.5) < 0.01
     # near-binary at low temperature: mass piles up near the ends
     assert ((g.data < 0.1) | (g.data > 0.9)).mean() > 0.7
 
 
-def test_graph_head_train_mode_requires_rng(rng):
-    head = GraphHead.init(rng, hidden=3, tau=0.2)
+def test_train_mode_forward_requires_rng(rng):
+    params = GrcslParams.init(rng, small_dims())
+    values, tod = window_inputs(rng)
     with pytest.raises(ConfigError):
-        graph_head(Tensor(np.zeros((4, 3))), head, n=2, train=True)
+        grcsl_forward_batch(values, tod, None, params, train=True)
 
 
 def test_graph_head_masks_diagonal_when_asked(rng):
     head = GraphHead.init(rng, hidden=3, tau=0.2)
-    h = Tensor(rng.normal(size=(2, 9, 3)))
+    h = Tensor(rng.normal(size=(1, 2, 9, 3)))
     g = graph_head(h, head, n=3, mask_diag=True)
     np.testing.assert_array_equal(np.diagonal(g.data, axis1=-2, axis2=-1), 0.0)
+
+
+def test_graph_head_rejects_states_without_a_step_axis_or_pairs(rng):
+    head = GraphHead.init(rng, hidden=3, tau=0.2)
+    with pytest.raises(ShapeError):
+        graph_head(Tensor(np.zeros((9, 3))), head, n=3)
+    with pytest.raises(ShapeError):
+        graph_head(Tensor(np.zeros((2, 8, 3))), head, n=3)
 
 
 def test_graph_head_rejects_non_positive_temperature(rng):
@@ -327,7 +401,7 @@ def test_graph_head_rejects_non_positive_temperature(rng):
     head = GraphHead.init(rng, hidden=3, tau=0.2)
     head.tau = -1.0
     with pytest.raises(ConfigError):
-        graph_head(Tensor(np.zeros((4, 3))), head, n=2)
+        graph_head(Tensor(np.zeros((1, 4, 3))), head, n=2)
 
 
 # ------------------------------------------------------------------ #
@@ -393,20 +467,20 @@ def test_forward_pairs_rows_row_major_and_lag_one_with_the_previous_tick(rng, mo
     pick = np.array([[[1.0], [0.0]]])  # (heads, d_feat, d_att): the reading, not the time of day
     params.attn = AttnParams(w_q=Tensor(pick), w_k=Tensor(pick))
     seen = {id(params.gru_intra): [], id(params.gru_inter): []}
-    step = grcsl.gru_step
+    window_op = grcsl.gru_step
 
-    def recording_step(c, h, cell):
+    def recording_op(c, h0, cell):
         seen[id(cell)].append(c.data.copy())
-        return step(c, h, cell)
+        return window_op(c, h0, cell)
 
-    monkeypatch.setattr(grcsl, "gru_step", recording_step)
+    monkeypatch.setattr(grcsl, "gru_step", recording_op)
     b, t_in, n = 2, 4, 3
     values, tod = window_inputs(rng, b=b, t_in=t_in, n=n)
     grcsl_forward_batch(values, tod, None, params)
     x = values[..., 0]  # (B, T_in, N)
     for lag, cell in ((0, params.gru_intra), (1, params.gru_inter)):
-        feats = seen[id(cell)]
-        assert len(feats) == t_in - 1
+        (feats,) = seen[id(cell)]  # one call per lag, over the whole window
+        assert feats.shape == (t_in - 1, b, n * n, 1)
         for j, c in enumerate(feats):
             t = j + 1  # 0-based tick of window step j + 2
             c = c.reshape(b, n * n)
@@ -418,7 +492,8 @@ def test_forward_pairs_rows_row_major_and_lag_one_with_the_previous_tick(rng, mo
 
 # The per-step forward, loss and constraint that the whole-window ones replaced,
 # kept as the reference they must reproduce: per-tick features, correlation
-# scores per step, and lists of per-step graphs and reconstructions.
+# scores, composed GRU updates and graph heads per step (the Gumbel noise drawn
+# per step and lag), and lists of per-step graphs and reconstructions.
 
 
 def loop_forward(values, tod, prior, params, train=False, rng=None):
@@ -432,10 +507,11 @@ def loop_forward(values, tod, prior, params, train=False, rng=None):
     for t in range(1, t_in):
         c0 = msdot(xs[t], xs[t], params.attn).reshape(b, n * n, heads)
         c1 = msdot(xs[t], xs[t - 1], params.attn).reshape(b, n * n, heads)
-        h_intra = gru_step(c0, h_intra, params.gru_intra)
-        h_inter = gru_step(c1, h_inter, params.gru_inter)
-        intra.append(graph_head(h_intra, params.head_intra, n, train, rng, mask_diag=True))
-        inter.append(graph_head(h_inter, params.head_inter, n, train, rng, mask_diag=False))
+        h_intra = composed_gru_step(c0, h_intra, params.gru_intra)
+        h_inter = composed_gru_step(c1, h_inter, params.gru_inter)
+        noise = [gumbel_difference(rng, (b, n, n)) if train else None for _ in range(2)]
+        intra.append(composed_graph_head(h_intra, params.head_intra, n, noise[0], mask_diag=True))
+        inter.append(composed_graph_head(h_inter, params.head_inter, n, noise[1]))
         recons.append(sem_reconstruct(readings[t - 1], readings[t], intra[-1], inter[-1], params.sem))
     return readings, intra, inter, recons
 

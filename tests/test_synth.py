@@ -376,6 +376,18 @@ def test_truth_round_trips_through_npz(tmp_path):
     np.testing.assert_array_equal(back.boundaries, truth.boundaries)
     assert back.noise_std == truth.noise_std
     assert back.seed == truth.seed
+    assert [p.name for p in tmp_path.iterdir()] == ["truth.npz"]  # no temporary left behind
+
+
+def test_missing_or_truncated_truth_file_is_a_data_error_naming_it(tmp_path):
+    path = tmp_path / "truth.npz"
+    with pytest.raises(DataError, match="truth.npz"):
+        load_truth(str(path))
+    save_truth(str(path), sample_tvdbn(n=3, t=20, num_regimes=1, density=0.2, noise_std=0.1))
+    whole = path.read_bytes()
+    path.write_bytes(whole[: len(whole) // 2])
+    with pytest.raises(DataError, match="truth.npz"):
+        load_truth(str(path))
 
 
 def test_truth_loader_rejects_unknown_versions(tmp_path):
