@@ -45,11 +45,11 @@ head = GraphHead(
     w3=Tensor(np.zeros((4, 1))), b3=Tensor(np.zeros(1)),
     tau=0.2,
 )
-hidden = Tensor(np.zeros((1, 2000, 9, 4)))  # one step of 2000 windows
-gumbel = -np.log(-np.log(np.random.default_rng(0).random((2, 1, 2000, 3, 3))))
-draws = graph_head(hidden, head, n=3, noise=gumbel[0] - gumbel[1]).data[0]
+hidden = Tensor(np.zeros((1, 1, 2000, 9, 4)))  # one lag, one step of 2000 windows
+gumbel = -np.log(-np.log(np.random.default_rng(0).random((2, 1, 1, 2000, 3, 3))))
+draws = graph_head(hidden, [head], n=3, noise=gumbel[0] - gumbel[1]).data[0, 0]
 off_diag = draws[:, ~np.eye(3, dtype=bool)]
 print(f"\ntrain-mode draws at zero logits: mean {off_diag.mean():.3f} (fair coin)")
 print(f"fraction within 0.05 of {{0,1}}: {np.mean((off_diag < 0.05) | (off_diag > 0.95)):.2f}")
-eval_graph = graph_head(Tensor(np.zeros((1, 1, 9, 4))), head, n=3).data
-print(f"eval-mode edge value at zero logits: {eval_graph[0, 0, 0, 1]:.3f} (plain sigmoid)")
+eval_graph = graph_head(Tensor(np.zeros((1, 1, 1, 9, 4))), [head], n=3).data
+print(f"eval-mode edge value at zero logits: {eval_graph[0, 0, 0, 0, 1]:.3f} (plain sigmoid)")

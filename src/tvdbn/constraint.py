@@ -29,7 +29,7 @@ import numpy as np
 from .data import WindowSet
 from .errors import ConfigError, NumericalError, ShapeError
 from .grcsl import GrcslDims, GrcslForward, GrcslParams, graph_stacks, grcsl_forward_batch
-from .numerics import Adam, Tensor, expm, peak_rss_mb, trace_expm
+from .numerics import Adam, Tensor, available_mb, expm, peak_rss_mb, trace_expm
 
 __all__ = [
     "notears_h",
@@ -40,6 +40,7 @@ __all__ = [
     "constraint_sum",
     "auglag_objective",
     "auglag_update",
+    "grcsl_peak_mb",
     "train_grcsl",
     "save_history",
 ]
@@ -48,6 +49,10 @@ log = logging.getLogger(__name__)
 
 # Edge weight above which an eval-mode graph entry counts as an edge in the history.
 EDGE_LEVEL = 0.5
+# Peak RSS of structure training: a base plus a term per window and node pair, fitted to
+# the ru_maxrss of one train_grcsl epoch over 64 windows at T_in = 12, default widths and
+# N = 10, 20, 30 (three batch sizes each).
+PEAK_BASE_MB, PEAK_MB_PER_PAIR = 39.6, 0.0342
 
 
 def notears_h(b):
@@ -207,6 +212,15 @@ def _edges_per_graph(stack: np.ndarray) -> float:
     return float(np.count_nonzero(stack > EDGE_LEVEL) / (stack.shape[0] * stack.shape[1]))
 
 
+def grcsl_peak_mb(batch: int, n: int, t_in: int, dims: GrcslDims) -> float:
+    """Expected peak RSS of `train_grcsl` in MB, batches of `batch` windows of N = n nodes.
+
+    The per-pair term is scaled by the (T_in - 1) * h_r state entries of a
+    pair, which the GRUs' states and gates, most of a step's tape, grow with.
+    """
+    return PEAK_BASE_MB + PEAK_MB_PER_PAIR * batch * n * n * (t_in - 1) * dims.h_r / (11 * 32)
+
+
 def train_grcsl(
     windows: WindowSet,
     prior: np.ndarray | None,
@@ -223,11 +237,20 @@ def train_grcsl(
     multipliers after the update driven by that S, the mean number of
     lag-0 and lag-1 edges per eval-mode graph (`edges_lag0`, `edges_lag1`),
     the iteration's wall time (`seconds`) and the process's peak RSS so far
-    (`peak_rss_mb`).
+    (`peak_rss_mb`). A run whose `grcsl_peak_mb` exceeds the memory
+    available is refused with ConfigError before anything is built.
     """
     cfg.validate()
     if len(windows) == 0:
         raise ConfigError("no training windows")
+    w, t_in, n, _ = windows.values.shape
+    need, free = grcsl_peak_mb(min(cfg.batch_size, w), n, t_in, dims), available_mb()
+    if free is not None and need > free:
+        fits = int((free - PEAK_BASE_MB) / (grcsl_peak_mb(1, n, t_in, dims) - PEAK_BASE_MB))
+        raise ConfigError(
+            f"structure training at batch size {cfg.batch_size} over {n} nodes needs about {need:.0f} MB, "
+            f"more than the {free:.0f} MB available; the largest batch that fits is {max(fits, 0)}"
+        )
     seq = np.random.SeedSequence(cfg.seed)
     init_seed, train_seed = seq.spawn(2)
     params = GrcslParams.init(np.random.default_rng(init_seed), dims)

@@ -29,7 +29,9 @@ depend only on ticks 1..t (the recurrence never looks ahead).
 from __future__ import annotations
 
 import csv
-from collections.abc import Callable
+import os
+import threading
+from collections.abc import Callable, Generator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +39,7 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 from .graphops import GconvParams, gconv_spectral
 from .numerics import Params, Tensor, concat, glorot_uniform, no_grad
-from .numerics.tensor import _from_op, _stable_sigmoid, _tracking
+from .numerics.tensor import _from_op, _stable_sigmoid, _tracking, _unbroadcast
 
 __all__ = [
     "GrcslDims",
@@ -60,6 +62,10 @@ __all__ = [
 
 # Columns of every graph edge CSV: estimated graphs, true graphs, static graph files.
 EDGE_CSV_HEADER = ["window_start_ts", "step", "lag", "src_id", "dst_id", "weight"]
+
+# Lag 0 (edges within a tick) and lag 1 (edges from the previous tick).
+LAGS = 2
+_pool = None  # the thread pool that runs every lag but lag 0, made on first use
 
 
 # --------------------------------------------------------------------- #
@@ -292,104 +298,240 @@ def extract_features(
     return concat(parts, axis=-1)
 
 
-def msdot(q: Tensor, k: Tensor, attn: AttnParams) -> Tensor:
-    """Multi-head scaled dot products between node feature sets.
+class _Chains:
+    """The lag chains of one `_lag_map` call and the threads that advance them.
 
-    Returns (..., N, N, heads); entry (i, j, m) is the head-m correlation of
-    node i's query with node j's key, scaled by sqrt(d). No softmax: these
-    are correlation strengths, not attention weights.
+    A chain is a generator that yields after each of its steps and returns its
+    result. One thread at a time advances a chain. A thread whose own chain is
+    done asks for a running one, and the thread running it hands it over at
+    the next step and stops, so a thread that gets little CPU on a busy host
+    holds back one step of work, not the rest of a lag.
     """
-    scale = 1.0 / float(np.sqrt(attn.w_q.shape[-1]))
-    qp = q.reshape(q.shape[:-2] + (1,) + q.shape[-2:]) @ attn.w_q  # (..., heads, N, d_att)
-    kp = k.reshape(k.shape[:-2] + (1,) + k.shape[-2:]) @ attn.w_k
-    scores = (qp @ kp.swap_last()) * scale  # (..., heads, N, N)
-    nd = scores.ndim
-    return scores.transpose(tuple(range(nd - 3)) + (nd - 2, nd - 1, nd - 3))
+
+    def __init__(self, chains: list) -> None:
+        self.chains, self.results, self.error = chains, [None] * len(chains), None
+        self.busy = [False] * len(chains)  # a thread is advancing the chain
+        self.wanted = [False] * len(chains)  # a thread done with its own chain waits for this one
+        self.cond = threading.Condition()
+
+    def run(self, lag: int) -> None:
+        """Advance chain `lag` if no thread took it over yet, then take over unfinished ones."""
+        may_take = False
+        while True:
+            with self.cond:
+                left = [i for i, chain in enumerate(self.chains) if chain is not None]
+                free = [i for i in left if not self.busy[i]]
+                if lag not in free:
+                    if not (may_take and left):
+                        return
+                    if not free:
+                        self.wanted[left[0]] = True
+                        self.cond.wait()
+                        continue
+                    lag = free[0]
+                self.busy[lag], self.wanted[lag], chain = True, False, self.chains[lag]
+            result, error = None, None
+            try:
+                while not self.wanted[lag]:
+                    next(chain)
+            except StopIteration as stop:
+                result = stop.value
+            except BaseException as exc:  # kept for the caller; the other chains run on
+                error = exc
+            else:
+                with self.cond:  # handed over to the thread that wanted it
+                    self.busy[lag] = False
+                    self.cond.notify_all()
+                return
+            with self.cond:
+                self.busy[lag], self.chains[lag], self.results[lag] = False, None, result
+                self.error = self.error or error
+                self.cond.notify_all()
+            may_take = True
+
+    def wait(self) -> list:
+        """The chains' results in lag order, once every chain is done; the first error is raised."""
+        with self.cond:
+            self.cond.wait_for(lambda: not any(self.chains))
+        if self.error is not None:
+            raise self.error
+        return self.results
 
 
-def gru_step(c: Tensor, h0: Tensor, cell: GruCell) -> Tensor:
-    """One lag's recurrence over a window: the stack of states after every step.
+def _lag_map(chain: Callable[[int], Generator], lags: int) -> list:
+    """The results of the chains chain(0), ..., chain(lags - 1), in lag order.
 
-    r = sigmoid(c w_cr + h w_hr + b_r), z = sigmoid(c w_cz + h w_hz + b_z),
-    h~ = tanh(c w_ch + (r * h) w_hh + b_h), and the next state is
-    z * h + (1 - z) * h~, starting from h = h0. `c` is (S, ..., P, d_in) and
-    `h0` is (..., P, H) with the same middle axes; the result is (S, ..., P, H).
-    One tape op: each step works on 2-D rows, and the op keeps only its
-    inputs, the states and one gate stack [r | z | h~] for the backward.
+    Each chain is a generator that yields after each step and returns its
+    result. The calling thread starts lag 0 and the pool's LAGS - 1 workers
+    the others; see `_Chains` for how a finished thread takes over a running
+    chain. The pool is made on first use, so importing tvdbn starts no
+    thread. A chain does numpy arithmetic on arrays only and writes only into
+    its own lag's arrays: it makes no Tensor and touches no tape, so every
+    tape op and gradient accumulation stays on the calling thread, in lag
+    order, and each chain runs the same operations in the same order on
+    whichever thread: the results are bit-equal to running the lags inline.
     """
-    if c.shape[1:-1] != h0.shape[:-1]:
-        raise ShapeError(f"gru_step needs (S, ..., P, d) and (..., P, H), got {c.shape} and {h0.shape}")
-    steps, hid = c.shape[0], h0.shape[-1]
-    params = cell.parameters()
+    global _pool
+    if _pool is None:
+        from concurrent.futures import ThreadPoolExecutor
+
+        _pool = ThreadPoolExecutor(max_workers=LAGS - 1)
+    chains = _Chains([chain(lag) for lag in range(lags)])
+    for lag in range(1, lags):
+        _pool.submit(chains.run, lag)
+    chains.run(0)
+    return chains.wait()
+
+
+def _drop_pool() -> None:
+    """Forget the pool in a forked child: it inherits the pool but not the pool's thread."""
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):  # POSIX; a platform without it has no fork
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def msdot(q: Tensor, keys: Sequence[Tensor], attn: AttnParams) -> Tensor:
+    """Multi-head scaled dot products of one query node set with one key node set per lag.
+
+    `q` and the L key sets are (..., N, d_in); entry (l, ..., i, j, m) of the
+    (L, ..., N, N, heads) result is the head-m correlation of node i's query
+    with node j's key in set l, scaled by 1 / sqrt(d_att). No softmax: these
+    are correlation strengths, not attention weights. One tape op that
+    projects the queries once and keeps only its inputs: the backward
+    projects again instead of keeping the projections.
+    """
+    w_q, w_k = attn.w_q.data, attn.w_k.data
+    scale = 1.0 / float(np.sqrt(w_q.shape[-1]))
+    qr, *krs = (x.data.reshape(x.shape[:-2] + (1,) + x.shape[-2:]) for x in (q, *keys))  # a heads axis
+    qp = qr @ w_q  # (..., heads, N, d_att)
+    out = np.stack([np.moveaxis((qp @ (kr @ w_k).swapaxes(-1, -2)) * scale, -3, -1) for kr in krs])
+    if not _tracking(q, *keys, attn.w_q, attn.w_k):
+        return Tensor(out)
+
+    def backward_fn(g: np.ndarray) -> None:
+        # The composed ops' rules in their order (scale, scores, projections), lag by lag: their bits.
+        qp, key_grads, grads = qr @ w_q, [], []
+        for g_l, kr in zip(g, krs):
+            g_s = np.moveaxis(g_l, -1, -3) * scale
+            d_qp = g_s @ (kr @ w_k)
+            d_kp = (qp.swapaxes(-1, -2) @ g_s).swapaxes(-1, -2)
+            grads += [(q, _unbroadcast(d_qp @ w_q.swapaxes(-1, -2), qr.shape).reshape(q.shape))]
+            grads += [(attn.w_q, qr.swapaxes(-1, -2) @ d_qp), (attn.w_k, kr.swapaxes(-1, -2) @ d_kp)]
+            key_grads.append(_unbroadcast(d_kp @ w_k.swapaxes(-1, -2), kr.shape))
+        # q's own gradients come first: a key set may be q itself.
+        for x, grad in grads + [(k, d.reshape(k.shape)) for k, d in zip(keys, key_grads)]:
+            if x.requires_grad:
+                x._accum(grad)
+
+    return _from_op(out, (q, *keys, attn.w_q, attn.w_k), backward_fn)
+
+
+def gru_step(c: Tensor, h0: Tensor, cells: Sequence[GruCell]) -> Tensor:
+    """Each lag's recurrence over a window: the stacks of states after every step.
+
+    Lag l runs cells[l]: r = sigmoid(c w_cr + h w_hr + b_r),
+    z = sigmoid(c w_cz + h w_hz + b_z), h~ = tanh(c w_ch + (r * h) w_hh + b_h),
+    and the next state is z * h + (1 - z) * h~, starting from h = h0[l]. `c`
+    is (L, S, ..., P, d_in) and `h0` is (L, ..., P, H); the result is
+    (L, S, ..., P, H). One tape op: each lag is a chain of steps on 2-D rows
+    that `_lag_map` runs beside the other lag's, and the op keeps only its
+    inputs, the states and each step's gate block [r | z | h~], which the
+    backward frees as it passes them.
+    """
+    lags, steps, hid = len(cells), c.shape[1], h0.shape[-1]
+    if c.shape[0] != lags or h0.shape[0] != lags or c.shape[2:-1] != h0.shape[1:-1]:
+        raise ShapeError(f"gru_step needs ({lags}, S, ..., P, d) and ({lags}, ..., P, H), "
+                         f"got {c.shape} and {h0.shape}")
+    params = [p for cell in cells for p in cell.parameters()]
     track = _tracking(c, h0, *params)
-    c2 = c.data.reshape(steps, -1, c.shape[-1])
-    rows = c2.shape[1]
-    w_c = np.concatenate([cell.w_cr.data, cell.w_cz.data, cell.w_ch.data], axis=1)
-    w_h = np.concatenate([cell.w_hr.data, cell.w_hz.data], axis=1)
-    states = np.empty((steps, rows, hid))
-    gates = np.empty((steps if track else 1, 3, rows, hid))  # r, z and h~, each one contiguous block
-    h = h0.data.reshape(rows, hid)
-    for j in range(steps):
-        gate = gates[j if track else 0]
-        r, z, h_tilde = gate
-        a_cr, a_cz, a_ch = np.split(c2[j] @ w_c, 3, axis=1)
-        a_hr, a_hz = np.split(h @ w_h, 2, axis=1)
-        np.add(a_cr, a_hr, out=r)
-        r += cell.b_r.data
-        np.add(a_cz, a_hz, out=z)
-        z += cell.b_z.data
-        _stable_sigmoid(gate[:2], out=gate[:2])
-        np.add(a_ch, (r * h) @ cell.w_hh.data, out=h_tilde)
-        h_tilde += cell.b_h.data
-        np.tanh(h_tilde, out=h_tilde)
-        h = np.multiply(z, h, out=states[j])
-        h += (1.0 - z) * h_tilde
-    out = states.reshape((steps,) + h0.shape)
+    c_data, h02 = c.data, h0.data.reshape(lags, -1, hid)
+    w_c = [np.concatenate([cell.w_cr.data, cell.w_cz.data, cell.w_ch.data], axis=1) for cell in cells]
+    w_h = [np.concatenate([cell.w_hr.data, cell.w_hz.data], axis=1) for cell in cells]
+    w_hh_b = [(cell.w_hh.data, cell.b_r.data, cell.b_z.data, cell.b_h.data) for cell in cells]
+    states = np.empty((lags, steps) + h02.shape[1:])
+
+    def c2(lag: int, j: int) -> np.ndarray:  # one step's features as 2-D rows
+        return c_data[lag, j].reshape(-1, c.shape[-1])
+
+    def forward(lag: int) -> Generator:  # returns the gate blocks
+        (w_hh, b_r, b_z, b_h), h, gates = w_hh_b[lag], h02[lag], []
+        for j in range(steps):
+            if track or not gates:
+                gates.append(np.empty((3,) + h.shape))  # r, z and h~, each one contiguous block
+            r, z, h_tilde = gate = gates[-1]
+            a_cr, a_cz, a_ch = np.split(c2(lag, j) @ w_c[lag], 3, axis=1)
+            a_hr, a_hz = np.split(h @ w_h[lag], 2, axis=1)
+            np.add(a_cr, a_hr, out=r)
+            r += b_r
+            np.add(a_cz, a_hz, out=z)
+            z += b_z
+            _stable_sigmoid(gate[:2], out=gate[:2])
+            np.add(a_ch, (r * h) @ w_hh, out=h_tilde)
+            h_tilde += b_h
+            np.tanh(h_tilde, out=h_tilde)
+            h = np.multiply(z, h, out=states[lag, j])
+            h += (1.0 - z) * h_tilde
+            yield
+        return gates if track else []
+
+    gates = _lag_map(forward, lags)
+    out = states.reshape((lags, steps) + h0.shape[1:])
     if not track:
         return Tensor(out)
 
     def backward_fn(grad: np.ndarray) -> None:
-        grad = grad.reshape(states.shape)
-        w_hh = cell.w_hh.data
-        d_pre = np.empty((3, rows, hid))  # one step's pre-activation grads of r, z and h~
-        d_c = np.empty_like(c.data) if c.requires_grad else None  # in c's memory order
-        g_wc, g_wh, g_whh, g_b = 0.0, 0.0, 0.0, 0.0
-        carry = None
-        for j in reversed(range(steps)):
-            g = grad[j] if carry is None else grad[j] + carry
-            h_prev = states[j - 1] if j else h0.data.reshape(rows, hid)
-            r, z, h_tilde = gates[j]
-            d_r, d_z, d_h = d_pre
-            np.multiply(g, 1.0 - z, out=d_h)
-            d_h *= 1.0 - h_tilde * h_tilde
-            np.multiply(g, h_prev - h_tilde, out=d_z)
-            d_z *= z
-            d_z *= 1.0 - z
-            d_rh = d_h @ w_hh.T
-            np.multiply(d_rh, h_prev, out=d_r)
-            d_r *= r
-            d_r *= 1.0 - r
-            d_rzh = np.concatenate(d_pre, axis=1)  # rows of [r | z | h~]
+        grad, need_h0 = grad.reshape(states.shape), h0.requires_grad
+        d_c = np.empty_like(c_data) if c.requires_grad else None  # in c's memory order
+
+        def backward(lag: int) -> Generator:  # returns the parameter gradients and the carry
+            # Steps in reverse, popping gate blocks; the pre-activation gradients [r | z | h~]
+            # share one buffer, and the state's gradient becomes the carry in place.
+            w_hh, h_0 = w_hh_b[lag][0], h02[lag]
+            d_rzh = np.empty(h_0.shape[:-1] + (3 * hid,))
+            d_r, d_z, d_h = np.split(d_rzh, 3, axis=1)
             d_rz = d_rzh[:, : 2 * hid]
-            g_wc = g_wc + c2[j].T @ d_rzh
-            g_wh = g_wh + h_prev.T @ d_rz
-            g_whh = g_whh + (r * h_prev).T @ d_h
-            g_b = g_b + d_rzh.sum(axis=0)
-            if d_c is not None:
-                d_c[j] = (d_rzh @ w_c.T).reshape(d_c.shape[1:])
-            if j or h0.requires_grad:
-                carry = g * z + d_rh * r + d_rz @ w_h.T
-        gw_cr, gw_cz, gw_ch = np.split(g_wc, 3, axis=1)
-        gw_hr, gw_hz = np.split(g_wh, 2, axis=1)
-        gb_r, gb_z, gb_h = np.split(g_b, 3)
-        grads = (gw_cr, gw_hr, gb_r, gw_cz, gw_hz, gb_z, gw_ch, g_whh, gb_h)
-        for param, grad_p in zip(params, grads):
+            carry, d_rh = np.empty_like(h_0), np.empty_like(h_0)
+            g_wc, g_wh, g_whh, g_b = 0.0, 0.0, 0.0, 0.0
+            for j in reversed(range(steps)):
+                g = grad[lag, j] if j == steps - 1 else np.add(grad[lag, j], carry, out=carry)
+                h_prev = states[lag, j - 1] if j else h_0
+                r, z, h_tilde = gates[lag].pop()
+                np.multiply(g, 1.0 - z, out=d_h)
+                d_h *= 1.0 - h_tilde * h_tilde
+                np.multiply(g, h_prev - h_tilde, out=d_z)
+                d_z *= z
+                d_z *= 1.0 - z
+                np.matmul(d_h, w_hh.T, out=d_rh)
+                np.multiply(d_rh, h_prev, out=d_r)
+                d_r *= r
+                d_r *= 1.0 - r
+                g_wc = g_wc + c2(lag, j).T @ d_rzh
+                g_wh = g_wh + h_prev.T @ d_rz
+                g_whh = g_whh + (r * h_prev).T @ d_h
+                g_b = g_b + d_rzh.sum(axis=0)
+                if d_c is not None:
+                    d_c[lag, j] = (d_rzh @ w_c[lag].T).reshape(d_c.shape[2:])
+                if j or need_h0:
+                    np.multiply(g, z, out=carry)
+                    d_rh *= r
+                    carry += d_rh
+                    carry += np.matmul(d_rz, w_h[lag].T, out=d_rh)
+                yield
+            (gw_cr, gw_cz, gw_ch), (gw_hr, gw_hz) = np.split(g_wc, 3, axis=1), np.split(g_wh, 2, axis=1)
+            gb_r, gb_z, gb_h = np.split(g_b, 3)
+            return gw_cr, gw_hr, gb_r, gw_cz, gw_hz, gb_z, gw_ch, g_whh, gb_h, carry
+
+        grads = _lag_map(backward, lags)
+        for param, grad_p in zip(params, (g for lag in grads for g in lag[:-1])):
             if param.requires_grad:
                 param._accum(grad_p)
         if d_c is not None:
             c._accum(d_c)
-        if h0.requires_grad:
-            h0._accum(carry.reshape(h0.shape))
+        if need_h0:
+            h0._accum(np.stack([lag[-1] for lag in grads]).reshape(h0.shape))
 
     return _from_op(out, (c, h0, *params), backward_fn)
 
@@ -401,64 +543,85 @@ def _gumbel(u: np.ndarray) -> np.ndarray:
 
 def graph_head(
     h: Tensor,
-    head: GraphHead,
+    heads: Sequence[GraphHead],
     n: int,
     noise: np.ndarray | None = None,
     mask_diag: bool = False,
 ) -> Tensor:
-    """Map a stack of pairwise hidden states (S, ..., N*N, H) to graphs (S, ..., N, N).
+    """Map each lag's stack of pairwise hidden states (L, S, ..., N*N, H) to graphs (L, S, ..., N, N).
 
-    Without `noise` (evaluation) an edge is sigmoid(logit / tau). In training
-    `noise` holds one difference of two standard Gumbel samples per edge, of
-    the result's shape, and the edge is sigmoid((logit + noise) / tau), a
-    reparameterized near-binary sample. `mask_diag` zeroes the diagonal. One
-    tape op that works step by step on 2-D rows; it keeps only its input and
-    the graphs, and the backward recomputes each step's two ReLU layers.
+    Lag l runs heads[l]. Without `noise` (evaluation) an edge is
+    sigmoid(logit / tau). In training `noise` holds one difference of two
+    standard Gumbel samples per edge, of the result's shape, and the edge is
+    sigmoid((logit + noise) / tau), a reparameterized near-binary sample.
+    `mask_diag` zeroes lag 0's diagonal. One tape op: each lag is a chain of
+    steps on 2-D rows that `_lag_map` runs beside the other lag's; it keeps
+    only its input and the graphs, and the backward recomputes each step's
+    two ReLU layers.
     """
-    if head.tau <= 0:
-        raise ConfigError(f"temperature must be positive, got {head.tau}")
-    if h.ndim < 3 or h.shape[-2] != n * n:
-        raise ShapeError(f"graph_head needs (S, ..., {n * n}, H) hidden states, got {h.shape}")
-    params = head.parameters()
-    w1, b1, w2, b2, w3, b3 = (t.data for t in params)
-    steps = h.shape[0]
-    h2 = h.data.reshape(steps, -1, h.shape[-1])
+    lags = len(heads)
+    if min(head.tau for head in heads) <= 0:
+        raise ConfigError(f"temperature must be positive, got {[head.tau for head in heads]}")
+    if h.ndim < 4 or h.shape[0] != lags or h.shape[-2] != n * n:
+        raise ShapeError(f"graph_head needs ({lags}, S, ..., {n * n}, H) hidden states, got {h.shape}")
+    params = [p for head in heads for p in head.parameters()]
+    weights = [[p.data for p in head.parameters()] for head in heads]
+    taus = [head.tau for head in heads]
+    h2 = h.data.reshape(lags, h.shape[1], -1, h.shape[-1])
+    graph = np.empty(h.shape[:-2] + (n, n))
 
-    def hidden(j: int) -> tuple[np.ndarray, np.ndarray]:
-        y1 = np.maximum(h2[j] @ w1 + b1, 0.0)
-        return y1, np.maximum(y1 @ w2 + b2, 0.0)
+    def hidden(lag: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+        w1, b1, w2, b2 = weights[lag][:4]
+        y1 = h2[lag, j] @ w1
+        y1 += b1
+        y2 = np.maximum(y1, 0.0, out=y1) @ w2
+        y2 += b2
+        return y1, np.maximum(y2, 0.0, out=y2)
 
-    logits = np.empty(h2.shape[:2] + (1,))
-    for j in range(steps):
-        np.add(hidden(j)[1] @ w3, b3, out=logits[j])
-    logits = logits.reshape(h.shape[:-2] + (n, n))
-    if noise is not None:
-        logits += noise
-    graph = _stable_sigmoid(logits * (1.0 / head.tau))
-    if mask_diag:
-        graph *= 1.0 - np.eye(n)
+    def forward(lag: int) -> Generator:
+        w3, b3 = weights[lag][4:]
+        logits = np.empty(h2.shape[1:3] + (1,))
+        for j in range(len(logits)):
+            np.add(hidden(lag, j)[1] @ w3, b3, out=logits[j])
+            yield
+        logits = logits.reshape(graph.shape[1:])
+        if noise is not None:
+            logits += noise[lag]
+        logits *= 1.0 / taus[lag]
+        _stable_sigmoid(logits, out=graph[lag])
+        if mask_diag and lag == 0:
+            graph[lag] *= 1.0 - np.eye(n)
+
+    _lag_map(forward, lags)
     if not _tracking(h, *params):
         return Tensor(graph)
 
     def backward_fn(g: np.ndarray) -> None:
-        # A masked diagonal entry is 0 in `graph`, so its slope graph * (1 - graph) is 0 too.
-        d_logits = (g * graph * (1.0 - graph) * (1.0 / head.tau)).reshape(steps, -1, 1)
         d_h = np.empty(h2.shape) if h.requires_grad else None
-        sums = [0.0] * 6
-        for j in range(steps):
-            y1, y2 = hidden(j)
-            d_logit = d_logits[j]
-            d_y2 = (d_logit @ w3.T) * (y2 > 0.0)
-            d_y1 = (d_y2 @ w2.T) * (y1 > 0.0)
-            grads = (
-                h2[j].T @ d_y1, d_y1.sum(axis=0),
-                y1.T @ d_y2, d_y2.sum(axis=0),
-                y2.T @ d_logit, d_logit.sum(axis=0),
-            )
-            sums = [total + grad for total, grad in zip(sums, grads)]
-            if d_h is not None:
-                np.matmul(d_y1, w1.T, out=d_h[j])
-        for param, grad in zip(params, sums):
+
+        def backward(lag: int) -> Generator:  # returns the parameter gradients
+            w1, _, w2, _, w3, _ = weights[lag]
+            # A masked diagonal entry is 0 in `graph`, so its slope graph * (1 - graph) is 0 too.
+            d_logits = g[lag] * graph[lag] * (1.0 - graph[lag]) * (1.0 / taus[lag])
+            sums = [0.0] * 6
+            for j, d_logit in enumerate(d_logits.reshape(h2.shape[1], -1, 1)):
+                y1, y2 = hidden(lag, j)
+                d_y2 = d_logit @ w3.T
+                d_y2 *= y2 > 0.0
+                d_y1 = d_y2 @ w2.T
+                d_y1 *= y1 > 0.0
+                grads = (
+                    h2[lag, j].T @ d_y1, d_y1.sum(axis=0),
+                    y1.T @ d_y2, d_y2.sum(axis=0),
+                    y2.T @ d_logit, d_logit.sum(axis=0),
+                )
+                sums = [total + grad for total, grad in zip(sums, grads)]
+                if d_h is not None:
+                    np.matmul(d_y1, w1.T, out=d_h[lag, j])
+                yield
+            return sums
+
+        for param, grad in zip(params, (grad for lag in _lag_map(backward, lags) for grad in lag)):
             if param.requires_grad:
                 param._accum(grad)
         if d_h is not None:
@@ -536,18 +699,18 @@ def grcsl_forward_batch(
     readings = Tensor(values.swapaxes(0, 1))
     x = extract_features(readings, Tensor(tod.swapaxes(0, 1)), prior, params)
     cur, prev = x[1:], x[:-1]
-    pairs = (t_in - 1, b, n * n, dims.heads)  # row i * N + j is the ordered pair (i, j)
-    c0 = msdot(cur, cur, params.attn).reshape(pairs)  # lag 0: tick t with itself
-    c1 = msdot(cur, prev, params.attn).reshape(pairs)  # lag 1: tick t with tick t - 1
-    noise = (None, None)
+    # Lag 0 pairs tick t with itself, lag 1 with tick t - 1; row i * N + j is the ordered pair (i, j).
+    c = msdot(cur, (cur, prev), params.attn).reshape((LAGS, t_in - 1, b, n * n, dims.heads))
+    noise = None
     if train:
         if rng is None:
             raise ConfigError("train-mode graph sampling needs a random generator")
-        g = _gumbel(rng.random((t_in - 1, 2, 2, b, n, n)))  # (step, lag, sample, B, N, N)
+        g = _gumbel(rng.random((t_in - 1, LAGS, 2, b, n, n)))  # (step, lag, sample, B, N, N)
         noise = (g[:, :, 0] - g[:, :, 1]).swapaxes(0, 1)
-    h0 = Tensor(np.zeros((b, n * n, dims.h_r)))
-    intra = graph_head(gru_step(c0, h0, params.gru_intra), params.head_intra, n, noise[0], mask_diag=True)
-    inter = graph_head(gru_step(c1, h0, params.gru_inter), params.head_inter, n, noise[1])
+    h0 = Tensor(np.broadcast_to(np.zeros((b, n * n, dims.h_r)), (LAGS, b, n * n, dims.h_r)))
+    h = gru_step(c, h0, (params.gru_intra, params.gru_inter))
+    graphs = graph_head(h, (params.head_intra, params.head_inter), n, noise, mask_diag=True)
+    intra, inter = graphs[0], graphs[1]
     x_hat = sem_reconstruct(readings[:-1], readings[1:], intra, inter, params.sem)
     return GrcslForward(readings=readings, intra=intra, inter=inter, reconstructions=x_hat)
 

@@ -2,7 +2,7 @@
 
 from .gradcheck import GradReport, grad_check
 from .linalg import expm, trace_expm
-from .memory import peak_rss_mb
+from .memory import available_mb, peak_rss_mb
 from .optim import Adam
 from .tensor import Params, Tensor, concat, glorot_uniform, no_grad
 
@@ -11,6 +11,7 @@ __all__ = [
     "GradReport",
     "Params",
     "Tensor",
+    "available_mb",
     "concat",
     "expm",
     "glorot_uniform",

@@ -48,58 +48,51 @@ def _positive_graph(rng: np.random.Generator, shape, zero_diag: bool = False) ->
 
 
 def _check_msdot(rng: np.random.Generator) -> GradReport:
-    q = rng.standard_normal((2, 4, 3))
-    k = rng.standard_normal((2, 4, 3))
+    q, k0, k1 = rng.standard_normal((3, 2, 4, 3))  # one query set, one key set per lag
     w_q, w_k = rng.standard_normal((2, 2, 3, 2))  # (heads, d_in, d_att) each
 
-    def op(q_t, k_t, wq, wk):
-        return msdot(q_t, k_t, AttnParams(w_q=wq, w_k=wk))
+    def op(q_t, k0_t, k1_t, wq, wk):
+        return msdot(q_t, [k0_t, k1_t], AttnParams(w_q=wq, w_k=wk))
 
-    return grad_check(op, [q, k, w_q, w_k], name="msdot")
+    return grad_check(op, [q, k0, k1, w_q, w_k], name="msdot")
 
 
 def _check_gru_step(rng: np.random.Generator) -> GradReport:
-    c = rng.standard_normal((3, 2, 5, 3))  # three steps of a (2, 5) batch of pairs
-    h = rng.standard_normal((2, 5, 4))
+    c = rng.standard_normal((2, 3, 2, 5, 3))  # two lags, three steps of a (2, 5) batch of pairs
+    h = rng.standard_normal((2, 2, 5, 4))
     shapes = [(3, 4), (4, 4), (4,)] * 3
-    arrays = [rng.standard_normal(s) * 0.5 for s in shapes]
+    arrays = [rng.standard_normal(s) * 0.5 for _ in range(2) for s in shapes]
 
     def op(c_t, h_t, *cell_arrays):
-        cell = GruCell(*cell_arrays)
-        return gru_step(c_t, h_t, cell)
+        return gru_step(c_t, h_t, [GruCell(*cell_arrays[:9]), GruCell(*cell_arrays[9:])])
 
     return grad_check(op, [c, h, *arrays], name="gru_step")
 
 
 def _graph_head_case(rng: np.random.Generator, n: int, hid: int) -> list[np.ndarray]:
-    return [
-        rng.standard_normal((2, 1, n * n, hid)),  # two steps of one window
-        rng.standard_normal((hid, hid)) * 0.5,
-        rng.standard_normal(hid) * 0.2,
-        rng.standard_normal((hid, hid)) * 0.5,
-        rng.standard_normal(hid) * 0.2,
-        rng.standard_normal((hid, 1)) * 0.5,
-        rng.standard_normal(1) * 0.2,
-    ]
+    """Hidden states of two lags (two steps of one window each), then each lag's head weights."""
+    shapes = [(hid, hid), (hid,), (hid, hid), (hid,), (hid, 1), (1,)]
+    heads = [rng.standard_normal(s) * (0.5 if len(s) == 2 else 0.2) for _ in range(2) for s in shapes]
+    return [rng.standard_normal((2, 2, 1, n * n, hid)), *heads]
 
 
 def _check_graph_head(rng: np.random.Generator) -> GradReport:
     n, hid = 3, 4
 
-    def op(h_t, w1, b1, w2, b2, w3, b3):
-        head = GraphHead(w1=w1, b1=b1, w2=w2, b2=b2, w3=w3, b3=b3, tau=0.5)
-        return graph_head(h_t, head, n, mask_diag=True)
+    def op(h_t, *arrays):
+        heads = [GraphHead(*arrays[:6], tau=0.5), GraphHead(*arrays[6:], tau=0.5)]
+        return graph_head(h_t, heads, n, mask_diag=True)
 
     return grad_check(op, _graph_head_case(rng, n, hid), name="graph_head_logits")
 
 
 def _check_graph_head_train(rng: np.random.Generator) -> GradReport:
     n, hid = 3, 4
-    noise = rng.logistic(size=(2, 1, n, n))  # a difference of two standard Gumbels is logistic
+    noise = rng.logistic(size=(2, 2, 1, n, n))  # a difference of two standard Gumbels is logistic
 
-    def op(h_t, w1, b1, w2, b2, w3, b3):
-        head = GraphHead(w1=w1, b1=b1, w2=w2, b2=b2, w3=w3, b3=b3, tau=0.5)
-        return graph_head(h_t, head, n, noise)
+    def op(h_t, *arrays):
+        heads = [GraphHead(*arrays[:6], tau=0.5), GraphHead(*arrays[6:], tau=0.5)]
+        return graph_head(h_t, heads, n, noise)
 
     return grad_check(op, _graph_head_case(rng, n, hid), name="graph_head_train")
 

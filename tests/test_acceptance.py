@@ -463,13 +463,16 @@ def test_07_operators_match_naive_loop_nest_references():
         d_c, d_h, pairs = int(rng.integers(1, 4)), int(rng.integers(1, 4)), int(rng.integers(1, 5))
         steps = int(rng.integers(2, 5))
         shapes = [(d_c, d_h), (d_h, d_h), (d_h,)] * 3
-        arrays = [rng.standard_normal(s) for s in shapes]
-        c = rng.standard_normal((steps, pairs, d_c))
-        hidden = rng.standard_normal((pairs, d_h))
-        got = gru_step(Tensor(c), Tensor(hidden), GruCell(*[Tensor(a) for a in arrays])).data
-        for j in range(steps):
-            hidden = loop_gru(c[j], hidden, arrays)
-            worst = max(worst, float(np.abs(got[j] - hidden).max()))
+        arrays = [[rng.standard_normal(s) for s in shapes] for _ in range(2)]  # one cell per lag
+        c = rng.standard_normal((2, steps, pairs, d_c))
+        hidden = rng.standard_normal((2, pairs, d_h))
+        cells = [GruCell(*[Tensor(a) for a in lag]) for lag in arrays]
+        got = gru_step(Tensor(c), Tensor(hidden), cells).data
+        for lag in range(2):
+            h = hidden[lag]
+            for j in range(steps):
+                h = loop_gru(c[lag, j], h, arrays[lag])
+                worst = max(worst, float(np.abs(got[lag, j] - h).max()))
 
         t_in, t_out = int(rng.integers(3, 6)), int(rng.integers(2, 5))
         dims = DgcpmDims(

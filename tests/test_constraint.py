@@ -348,6 +348,29 @@ def test_training_rejects_empty_window_sets():
         train_grcsl(empty, None, tiny_dims(), GrcslTrainConfig())
 
 
+def test_oversized_run_is_refused_before_it_allocates(monkeypatch):
+    # 64 windows of 30 nodes at batch 32 need about 1 GB; with 200 MB free the
+    # largest batch that fits is 5, and the refusal comes before any tape.
+    z = np.zeros((64, 12, 30, 1))
+    windows = replace(
+        tiny_windows(), values=z, mask=z + 1.0, tod=z, target=z[:, :2], target_mask=z[:, :2] + 1.0,
+        start_index=np.arange(64), start_ts=np.arange(64), t_in=12,
+    )
+    monkeypatch.setattr(constraint, "available_mb", lambda: 200.0)
+    assert constraint.grcsl_peak_mb(32, 30, 12, GrcslDims()) > 1000.0
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=r"needs about 1025 MB, more than the 200 MB .* fits is 5$"):
+            train_grcsl(windows, None, GrcslDims(), GrcslTrainConfig(batch_size=32))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000, f"the refusal allocated {peak} bytes"
+    monkeypatch.setattr(constraint, "available_mb", lambda: None)  # no readout, no refusal
+    cfg = GrcslTrainConfig(batch_size=32, inner_epochs=0, max_outer_iters=1)
+    assert train_grcsl(tiny_windows(), None, tiny_dims(), cfg).history
+
+
 def test_eval_mode_constraint_drives_termination(rng):
     # The S recorded in history must equal a deterministic recomputation,
     # not a Gumbel-sampled value.

@@ -1,6 +1,12 @@
 """Graph-generator tests: closed-form fixtures, sampling statistics, causality."""
 
 import csv
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -30,6 +36,10 @@ from tvdbn.grcsl import (
     sem_reconstruct,
 )
 from tvdbn.numerics import Adam, Tensor, concat, glorot_uniform, no_grad
+from tvdbn.numerics import linalg as linalg_module
+from tvdbn.numerics import tensor as tensor_module
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def small_dims(**overrides):
@@ -57,25 +67,36 @@ def test_msdot_identity_projection_is_gram_matrix():
     # w_q = w_k = I, d_att = 1: score(i, j) = x_i * x_j / sqrt(1).
     attn = AttnParams(w_q=Tensor(np.eye(1)[None]), w_k=Tensor(np.eye(1)[None]))
     x = Tensor(np.array([[1.0], [2.0]]))
-    scores = msdot(x, x, attn)
-    assert scores.shape == (2, 2, 1)
-    np.testing.assert_allclose(scores.data[..., 0], [[1.0, 2.0], [2.0, 4.0]])
+    scores = msdot(x, [x], attn)
+    assert scores.shape == (1, 2, 2, 1)
+    np.testing.assert_allclose(scores.data[0, ..., 0], [[1.0, 2.0], [2.0, 4.0]])
 
 
 def test_msdot_scales_by_sqrt_of_projection_width():
     # Ones-projections of width 4 give q.k = 4 * x_i * x_j, then / sqrt(4).
     attn = AttnParams(w_q=Tensor(np.ones((1, 1, 4))), w_k=Tensor(np.ones((1, 1, 4))))
     x = Tensor(np.array([[1.0], [2.0]]))
-    scores = msdot(x, x, attn)
-    np.testing.assert_allclose(scores.data[..., 0], [[2.0, 4.0], [4.0, 8.0]])
+    scores = msdot(x, [x], attn)
+    np.testing.assert_allclose(scores.data[0, ..., 0], [[2.0, 4.0], [4.0, 8.0]])
 
 
 def test_msdot_stacks_heads_on_last_axis():
     attn = AttnParams(w_q=Tensor(np.array([[[1.0]], [[2.0]]])), w_k=Tensor(np.ones((2, 1, 1))))
     x = Tensor(np.array([[1.0], [3.0]]))
-    scores = msdot(x, x, attn)
-    assert scores.shape == (2, 2, 2)
+    scores = msdot(x, [x], attn)
+    assert scores.shape == (1, 2, 2, 2)
     np.testing.assert_allclose(scores.data[..., 1], 2.0 * scores.data[..., 0])
+
+
+def test_msdot_stacks_key_sets_on_first_axis():
+    # Key set l gives slice l, the query set's scores against that set alone.
+    rng = np.random.default_rng(4)
+    attn = AttnParams.init(rng, d_in=3, d_att=4, heads=2)
+    q, k0, k1 = (Tensor(rng.normal(size=(2, 5, 3))) for _ in range(3))
+    scores = msdot(q, [k0, k1], attn).data
+    assert scores.shape == (2, 2, 5, 5, 2)
+    np.testing.assert_array_equal(scores[0], msdot(q, [k0], attn).data[0])
+    np.testing.assert_array_equal(scores[1], msdot(q, [k1], attn).data[0])
 
 
 def test_stacked_heads_keep_the_per_head_init_and_scores(rng):
@@ -86,7 +107,7 @@ def test_stacked_heads_keep_the_per_head_init_and_scores(rng):
     np.testing.assert_array_equal(attn.w_k.data, np.stack(per_head[2:]))
     q = rng.normal(size=(5, 6, 3))
     k = rng.normal(size=(5, 6, 3))
-    scores = msdot(Tensor(q), Tensor(k), attn).data
+    scores = msdot(Tensor(q), [Tensor(k)], attn).data[0]
     assert scores.shape == (5, 6, 6, 2)
     for m in range(2):
         want = (q @ per_head[m]) @ np.swapaxes(k @ per_head[2 + m], -1, -2) / 2.0
@@ -98,8 +119,8 @@ def test_msdot_is_asymmetric_between_query_and_key():
     attn = AttnParams.init(rng, d_in=3, d_att=4, heads=1)
     q = Tensor(rng.normal(size=(5, 3)))
     k = Tensor(rng.normal(size=(5, 3)))
-    ab = msdot(q, k, attn).data
-    ba = msdot(k, q, attn).data
+    ab = msdot(q, [k], attn).data
+    ba = msdot(k, [q], attn).data
     assert not np.allclose(ab, ba)
 
 
@@ -120,17 +141,17 @@ def test_gru_step_matches_naive_numpy(rng):
     cell = GruCell.init(rng, d_in=3, hidden=5)
     c = rng.normal(size=(3, 4, 7, 3))
     h = rng.normal(size=(4, 7, 5))
-    out = gru_step(Tensor(c), Tensor(h), cell)
-    assert out.shape == (3, 4, 7, 5)
+    out = gru_step(Tensor(c[None]), Tensor(h[None]), [cell])
+    assert out.shape == (1, 3, 4, 7, 5)
     for j in range(3):
         h = naive_gru(c[j], h, cell)
-        np.testing.assert_allclose(out.data[j], h, atol=1e-12)
+        np.testing.assert_allclose(out.data[0, j], h, atol=1e-12)
 
 
 def test_gru_zero_state_zero_input_is_fixed_point(rng):
     # Fresh cells have zero biases, so gates sit at 1/2 and the candidate at 0.
     cell = GruCell.init(rng, d_in=3, hidden=4)
-    out = gru_step(Tensor(np.zeros((3, 2, 3))), Tensor(np.zeros((2, 4))), cell)
+    out = gru_step(Tensor(np.zeros((1, 3, 2, 3))), Tensor(np.zeros((1, 2, 4))), [cell])
     np.testing.assert_allclose(out.data, 0.0, atol=1e-15)
 
 
@@ -139,8 +160,8 @@ def test_gru_saturated_update_gate_copies_previous_state(rng):
     cell.b_z = Tensor(np.full(4, 50.0), requires_grad=True)  # z -> 1
     c = rng.normal(size=(3, 2, 3))
     h = rng.normal(size=(2, 4))
-    out = gru_step(Tensor(c), Tensor(h), cell)
-    np.testing.assert_allclose(out.data, np.broadcast_to(h, (3, 2, 4)), atol=1e-8)
+    out = gru_step(Tensor(c[None]), Tensor(h[None]), [cell])
+    np.testing.assert_allclose(out.data[0], np.broadcast_to(h, (3, 2, 4)), atol=1e-8)
 
 
 # Per-step bodies built from elementary tape ops on 2-D rows, in the window
@@ -157,6 +178,16 @@ def composed_gru_step(c, h_prev, cell):
     z = (a_c[:, hid : 2 * hid] + a_h[:, hid:] + cell.b_z).sigmoid()
     h_tilde = (a_c[:, 2 * hid :] + (r * h2) @ cell.w_hh + cell.b_h).tanh()
     return (z * h2 + (1.0 - z) * h_tilde).reshape(h_prev.shape)
+
+
+def composed_msdot(q, k, attn):
+    """Scores (..., N, N, heads) of one key set, from elementary tape ops in msdot's operation order."""
+    scale = 1.0 / float(np.sqrt(attn.w_q.shape[-1]))
+    qp = q.reshape(q.shape[:-2] + (1,) + q.shape[-2:]) @ attn.w_q  # (..., heads, N, d_att)
+    kp = k.reshape(k.shape[:-2] + (1,) + k.shape[-2:]) @ attn.w_k
+    scores = (qp @ kp.swap_last()) * scale  # (..., heads, N, N)
+    nd = scores.ndim
+    return scores.transpose(tuple(range(nd - 3)) + (nd - 2, nd - 1, nd - 3))
 
 
 def composed_graph_head(h, head, n, noise=None, mask_diag=False):
@@ -211,26 +242,61 @@ def assert_same_value_and_grads(fused, reference, names):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=name)
 
 
+def lag_names(names, lags=2):
+    return [f"lag{lag}.{name}" for lag in range(lags) for name in names]
+
+
+def test_msdot_kernel_matches_composed_reference(rng):
+    # One query set against two key sets, each scored by the composed body.
+    q, k0, k1 = (rng.normal(size=(3, 2, 5, 4)) for _ in range(3))
+    w_q, w_k = rng.normal(size=(2, 3, 4, 2))  # (heads, d_in, d_att) each
+    seed_grad = rng.normal(size=(2, 3, 2, 5, 5, 3))
+
+    def kernel(q_t, k0_t, k1_t, wq, wk):
+        return msdot(q_t, [k0_t, k1_t], AttnParams(w_q=wq, w_k=wk))
+
+    def composed(q_t, k0_t, k1_t, wq, wk):
+        attn = AttnParams(w_q=wq, w_k=wk)
+        return stack_steps([composed_msdot(q_t, k, attn) for k in (k0_t, k1_t)])
+
+    runs = [run_with_grads(op, [q, k0, k1, w_q, w_k], seed_grad) for op in (kernel, composed)]
+    assert_same_value_and_grads(*runs, ["q", "k0", "k1", "w_q", "w_k"])
+    assert all(np.abs(grad).max() > 0.0 for grad in runs[0][1])
+
+
 @pytest.mark.parametrize("lead", [(7,), (3, 7)])
 def test_gru_step_kernel_matches_composed_reference(rng, lead):
+    # Both lags, each with its own cell, features and initial state, against
+    # the composed per-step body run one lag at a time.
     steps, d_in, hidden = 4, 3, 5
-    arrays = [rng.normal(size=s) * 0.5 for s in [(d_in, hidden), (hidden, hidden), (hidden,)] * 3]
-    c = rng.normal(size=(steps,) + lead + (d_in,))
-    h0 = rng.normal(size=lead + (hidden,))
-    seed_grad = rng.normal(size=(steps,) + lead + (hidden,))
-    names = ["c", "h0", *(name for name, _ in GruCell(*map(Tensor, arrays)).named_parameters())]
+    shapes = [(d_in, hidden), (hidden, hidden), (hidden,)] * 3
+    arrays = [rng.normal(size=s) * 0.5 for _ in range(2) for s in shapes]
+    c = rng.normal(size=(2, steps) + lead + (d_in,))
+    h0 = rng.normal(size=(2,) + lead + (hidden,))
+    seed_grad = rng.normal(size=(2, steps) + lead + (hidden,))
+    names = ["c", "h0", *lag_names(name for name, _ in GruCell(*map(Tensor, arrays[:9])).named_parameters())]
+
+    def composed(c_t, h_t, cells):
+        return stack_steps([composed_gru(c_t[lag], h_t[lag], cell) for lag, cell in enumerate(cells)])
+
     runs = [
-        run_with_grads(lambda c_t, h_t, *cell: op(c_t, h_t, GruCell(*cell)), [c, h0, *arrays], seed_grad)
-        for op in (gru_step, composed_gru)
+        run_with_grads(
+            lambda c_t, h_t, *w: op(c_t, h_t, [GruCell(*w[:9]), GruCell(*w[9:])]), [c, h0, *arrays], seed_grad
+        )
+        for op in (gru_step, composed)
     ]
     assert_same_value_and_grads(*runs, names)
     assert all(np.abs(grad).max() > 0.0 for grad in runs[0][1])
 
 
 def test_gru_step_rejects_mismatched_pair_axes(rng):
-    cell = GruCell.init(rng, d_in=3, hidden=4)
+    cells = [GruCell.init(rng, d_in=3, hidden=4) for _ in range(2)]
     with pytest.raises(ShapeError):
-        gru_step(Tensor(np.zeros((2, 5, 3))), Tensor(np.zeros((6, 4))), cell)
+        gru_step(Tensor(np.zeros((2, 2, 5, 3))), Tensor(np.zeros((2, 6, 4))), cells)
+    with pytest.raises(ShapeError):  # one lag axis entry per cell, on both inputs
+        gru_step(Tensor(np.zeros((1, 2, 5, 3))), Tensor(np.zeros((2, 5, 4))), cells)
+    with pytest.raises(ShapeError):
+        gru_step(Tensor(np.zeros((2, 2, 5, 3))), Tensor(np.zeros((1, 5, 4))), cells)
 
 
 @settings(max_examples=30, deadline=None)
@@ -241,7 +307,7 @@ def test_gru_state_stays_in_unit_box(seed):
     cell = GruCell.init(rng, d_in=2, hidden=3)
     c = rng.normal(0.0, 3.0, size=(4, 5, 2))
     h = rng.uniform(-1.0, 1.0, size=(5, 3))
-    out = gru_step(Tensor(c), Tensor(h), cell)
+    out = gru_step(Tensor(c[None]), Tensor(h[None]), [cell])
     assert np.all(np.abs(out.data) <= 1.0 + 1e-12)
 
 
@@ -254,36 +320,50 @@ def test_gru_state_stays_in_unit_box(seed):
 @pytest.mark.parametrize("train", [False, True])
 @pytest.mark.parametrize("mask_diag", [False, True])
 def test_graph_head_kernel_matches_composed_reference(rng, lead, train, mask_diag):
-    steps, n, hidden, tau = 3, 3, 4, 0.7
+    # Both lags, each with its own head, temperature and noise, against the
+    # composed per-step body run one lag at a time; the mask is lag 0's only.
+    steps, n, hidden, taus = 3, 3, 4, (0.7, 0.4)
     shapes = [(hidden, hidden), (hidden,), (hidden, hidden), (hidden,), (hidden, 1), (1,)]
-    arrays = [rng.normal(size=s) * 0.5 for s in shapes]
-    h = rng.normal(size=(steps,) + lead + (n * n, hidden))
-    seed_grad = rng.normal(size=(steps,) + lead + (n, n))
-    noise = gumbel_difference(rng, (steps,) + lead + (n, n)) if train else None
+    arrays = [rng.normal(size=s) * 0.5 for _ in range(2) for s in shapes]
+    h = rng.normal(size=(2, steps) + lead + (n * n, hidden))
+    seed_grad = rng.normal(size=(2, steps) + lead + (n, n))
+    noise = gumbel_difference(rng, (2, steps) + lead + (n, n)) if train else None
+
+    def kernel(h_t, heads):
+        return graph_head(h_t, heads, n, noise, mask_diag=mask_diag)
+
+    def composed(h_t, heads):
+        lag_noise = [None, None] if noise is None else noise
+        return stack_steps([
+            composed_head(h_t[lag], head, n, lag_noise[lag], mask_diag and lag == 0)
+            for lag, head in enumerate(heads)
+        ])
 
     def apply(fn):
-        def op(h_t, w1, b1, w2, b2, w3, b3):
-            head = GraphHead(w1=w1, b1=b1, w2=w2, b2=b2, w3=w3, b3=b3, tau=tau)
-            return fn(h_t, head, n, noise, mask_diag=mask_diag)
+        def op(h_t, *w):
+            return fn(h_t, [GraphHead(*w[6 * lag : 6 * lag + 6], tau=taus[lag]) for lag in range(2)])
 
         return run_with_grads(op, [h, *arrays], seed_grad)
 
-    fused, reference = apply(graph_head), apply(composed_head)
-    assert_same_value_and_grads(fused, reference, ["h", "w1", "b1", "w2", "b2", "w3", "b3"])
+    fused, reference = apply(kernel), apply(composed)
+    assert_same_value_and_grads(fused, reference, ["h", *lag_names(["w1", "b1", "w2", "b2", "w3", "b3"])])
     if mask_diag:
-        np.testing.assert_array_equal(np.diagonal(fused[0], axis1=-2, axis2=-1), 0.0)
+        np.testing.assert_array_equal(np.diagonal(fused[0][0], axis1=-2, axis2=-1), 0.0)
+    assert np.all(np.diagonal(fused[0][1], axis1=-2, axis2=-1) > 0.0)  # lag 1 keeps its self-loops
 
 
 def test_kernels_record_nothing_without_grad(rng):
+    attn = AttnParams.init(rng, d_in=2, d_att=2, heads=1)
     cell = GruCell.init(rng, d_in=2, hidden=3)
     head = GraphHead.init(rng, hidden=3, tau=0.2)
-    c = Tensor(rng.normal(size=(2, 4, 2)), requires_grad=True)
-    h = Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True)
+    c = Tensor(rng.normal(size=(1, 2, 4, 2)), requires_grad=True)
+    h = Tensor(rng.normal(size=(1, 2, 4, 3)), requires_grad=True)
     with no_grad():
         outs = [
-            gru_step(c, h[0], cell),
-            graph_head(h, head, n=2),
-            graph_head(h, head, n=2, noise=np.zeros((2, 2, 2)), mask_diag=True),
+            msdot(c[0], [c[0]], attn),
+            gru_step(c, h[:, 0], [cell]),
+            graph_head(h, [head], n=2),
+            graph_head(h, [head], n=2, noise=np.zeros((1, 2, 2, 2)), mask_diag=True),
         ]
     for out in outs:
         assert out._parents == () and out._backward is None and not out.requires_grad
@@ -312,9 +392,9 @@ def train_objective(rng, dims, b, t_in, n):
 
 def test_train_step_tape_stays_small(rng):
     # One train-mode objective at n=4, B=3 with the benchmark's tiny widths
-    # takes 103 nodes: every op covers the whole window, so the tape does not
-    # grow with the window length. Per-step GRU and head ops would add six
-    # nodes per step (two slices, two GRU steps, two heads).
+    # takes 87 nodes: every op covers the whole window and both lags, so the
+    # tape does not grow with the window length. Per-step GRU and head ops
+    # would add six nodes per step (two slices, two GRU steps, two heads).
     short = tape_size(train_objective(rng, GrcslDims(**TAPE_DIMS), b=3, t_in=6, n=4))
     long = tape_size(train_objective(rng, GrcslDims(**TAPE_DIMS), b=3, t_in=12, n=4))
     assert short == long
@@ -344,10 +424,10 @@ def test_train_step_memory_stays_bounded(rng):
 
 def test_graph_head_eval_mode_is_deterministic_sigmoid(rng):
     head = GraphHead.init(rng, hidden=6, tau=0.2)
-    h = Tensor(rng.normal(size=(2, 9, 6)))
-    g1 = graph_head(h, head, n=3)
-    g2 = graph_head(h, head, n=3)
-    assert g1.shape == (2, 3, 3)
+    h = Tensor(rng.normal(size=(1, 2, 9, 6)))
+    g1 = graph_head(h, [head], n=3)
+    g2 = graph_head(h, [head], n=3)
+    assert g1.shape == (1, 2, 3, 3)
     np.testing.assert_array_equal(g1.data, g2.data)
     assert np.all((g1.data > 0.0) & (g1.data < 1.0))
 
@@ -355,8 +435,8 @@ def test_graph_head_eval_mode_is_deterministic_sigmoid(rng):
 def test_graph_head_fresh_init_leans_sparse(rng):
     # Final bias -1 at tau = 0.2 puts near-zero-hidden edges at sigmoid(-5).
     head = GraphHead.init(rng, hidden=6, tau=0.2)
-    h = Tensor(np.zeros((1, 4, 6)))
-    g = graph_head(h, head, n=2)
+    h = Tensor(np.zeros((1, 1, 4, 6)))
+    g = graph_head(h, [head], n=2)
     np.testing.assert_allclose(g.data, 1.0 / (1.0 + np.exp(5.0)), rtol=1e-12)
 
 
@@ -364,10 +444,10 @@ def test_graph_head_train_mode_is_symmetric_around_half_at_zero_logit():
     # logit 0: the Gumbel difference is logistic and symmetric, so the
     # sampled edge mean converges to 1/2 (SE ~ 0.0016 at 1e5 draws).
     head = zero_logit_head(hidden=1)
-    h = Tensor(np.zeros((1, 25000, 4, 1)))
-    noise = gumbel_difference(np.random.default_rng(42), (1, 25000, 2, 2))
-    g = graph_head(h, head, n=2, noise=noise)
-    assert g.data.shape == (1, 25000, 2, 2)
+    h = Tensor(np.zeros((1, 1, 25000, 4, 1)))
+    noise = gumbel_difference(np.random.default_rng(42), (1, 1, 25000, 2, 2))
+    g = graph_head(h, [head], n=2, noise=noise)
+    assert g.data.shape == (1, 1, 25000, 2, 2)
     assert abs(g.data.mean() - 0.5) < 0.01
     # near-binary at low temperature: mass piles up near the ends
     assert ((g.data < 0.1) | (g.data > 0.9)).mean() > 0.7
@@ -382,17 +462,19 @@ def test_train_mode_forward_requires_rng(rng):
 
 def test_graph_head_masks_diagonal_when_asked(rng):
     head = GraphHead.init(rng, hidden=3, tau=0.2)
-    h = Tensor(rng.normal(size=(1, 2, 9, 3)))
-    g = graph_head(h, head, n=3, mask_diag=True)
+    h = Tensor(rng.normal(size=(1, 1, 2, 9, 3)))
+    g = graph_head(h, [head], n=3, mask_diag=True)
     np.testing.assert_array_equal(np.diagonal(g.data, axis1=-2, axis2=-1), 0.0)
 
 
 def test_graph_head_rejects_states_without_a_step_axis_or_pairs(rng):
     head = GraphHead.init(rng, hidden=3, tau=0.2)
     with pytest.raises(ShapeError):
-        graph_head(Tensor(np.zeros((9, 3))), head, n=3)
+        graph_head(Tensor(np.zeros((1, 9, 3))), [head], n=3)
     with pytest.raises(ShapeError):
-        graph_head(Tensor(np.zeros((2, 8, 3))), head, n=3)
+        graph_head(Tensor(np.zeros((1, 2, 8, 3))), [head], n=3)
+    with pytest.raises(ShapeError):  # one lag axis entry per head
+        graph_head(Tensor(np.zeros((2, 2, 9, 3))), [head], n=3)
 
 
 def test_graph_head_rejects_non_positive_temperature(rng):
@@ -401,7 +483,7 @@ def test_graph_head_rejects_non_positive_temperature(rng):
     head = GraphHead.init(rng, hidden=3, tau=0.2)
     head.tau = -1.0
     with pytest.raises(ConfigError):
-        graph_head(Tensor(np.zeros((1, 4, 3))), head, n=2)
+        graph_head(Tensor(np.zeros((1, 1, 4, 3))), [head], n=2)
 
 
 # ------------------------------------------------------------------ #
@@ -469,9 +551,10 @@ def test_forward_pairs_rows_row_major_and_lag_one_with_the_previous_tick(rng, mo
     seen = {id(params.gru_intra): [], id(params.gru_inter): []}
     window_op = grcsl.gru_step
 
-    def recording_op(c, h0, cell):
-        seen[id(cell)].append(c.data.copy())
-        return window_op(c, h0, cell)
+    def recording_op(c, h0, cells):
+        for lag, cell in enumerate(cells):
+            seen[id(cell)].append(c.data[lag].copy())
+        return window_op(c, h0, cells)
 
     monkeypatch.setattr(grcsl, "gru_step", recording_op)
     b, t_in, n = 2, 4, 3
@@ -479,7 +562,7 @@ def test_forward_pairs_rows_row_major_and_lag_one_with_the_previous_tick(rng, mo
     grcsl_forward_batch(values, tod, None, params)
     x = values[..., 0]  # (B, T_in, N)
     for lag, cell in ((0, params.gru_intra), (1, params.gru_inter)):
-        (feats,) = seen[id(cell)]  # one call per lag, over the whole window
+        (feats,) = seen[id(cell)]  # one call for both lags, over the whole window
         assert feats.shape == (t_in - 1, b, n * n, 1)
         for j, c in enumerate(feats):
             t = j + 1  # 0-based tick of window step j + 2
@@ -491,9 +574,9 @@ def test_forward_pairs_rows_row_major_and_lag_one_with_the_previous_tick(rng, mo
 
 
 # The per-step forward, loss and constraint that the whole-window ones replaced,
-# kept as the reference they must reproduce: per-tick features, correlation
-# scores, composed GRU updates and graph heads per step (the Gumbel noise drawn
-# per step and lag), and lists of per-step graphs and reconstructions.
+# kept as the reference they must reproduce: per-tick features, and composed
+# correlation scores, GRU updates and graph heads per step and lag (the Gumbel
+# noise drawn per step and lag), and lists of per-step graphs and reconstructions.
 
 
 def loop_forward(values, tod, prior, params, train=False, rng=None):
@@ -505,8 +588,8 @@ def loop_forward(values, tod, prior, params, train=False, rng=None):
     h_inter = Tensor(np.zeros((b, n * n, hidden)))
     intra, inter, recons = [], [], []
     for t in range(1, t_in):
-        c0 = msdot(xs[t], xs[t], params.attn).reshape(b, n * n, heads)
-        c1 = msdot(xs[t], xs[t - 1], params.attn).reshape(b, n * n, heads)
+        c0 = composed_msdot(xs[t], xs[t], params.attn).reshape(b, n * n, heads)
+        c1 = composed_msdot(xs[t], xs[t - 1], params.attn).reshape(b, n * n, heads)
         h_intra = composed_gru_step(c0, h_intra, params.gru_intra)
         h_inter = composed_gru_step(c1, h_inter, params.gru_inter)
         noise = [gumbel_difference(rng, (b, n, n)) if train else None for _ in range(2)]
@@ -566,6 +649,192 @@ def test_whole_window_forward_matches_the_per_step_reference(rng, train):
         scale = np.abs(want.grad).max()
         assert scale > 0.0, name
         np.testing.assert_allclose(got.grad, want.grad, rtol=1e-12, atol=1e-12 * scale, err_msg=name)
+
+
+# ------------------------------------------------------------------ #
+# lag threads
+# ------------------------------------------------------------------ #
+
+
+def train_and_eval_bits(b, n):
+    """Eval and train graphs, f, S and every parameter gradient of one train-mode objective."""
+    rng = np.random.default_rng(11)
+    params = GrcslParams.init(rng, GrcslDims())
+    values, tod = window_inputs(rng, b=b, t_in=6, n=n)
+    prior = rng.uniform(0.0, 1.0, (n, n)) * (1.0 - np.eye(n))
+    bits = dict(zip(("eval_intra", "eval_inter"), graph_stacks(values, tod, prior, params, batch_size=b)))
+    fwd = grcsl_forward_batch(values, tod, prior, params, train=True, rng=rng)
+    f, s = grcsl_loss(fwd, None, lam=1e-3), constraint_sum(fwd)
+    auglag_objective(f, s, alpha=0.5, rho=1.0).backward()
+    bits.update(train_intra=fwd.intra.data, train_inter=fwd.inter.data, f=f.data, S=s.data)
+    bits.update((name, p.grad) for name, p in params.named_parameters())
+    return bits
+
+
+def inline_lag_map(chain, lags):
+    """Every lag's chain to its end, one lag after the other, on the calling thread."""
+    results = []
+    for lag in range(lags):
+        steps = chain(lag)
+        while True:
+            try:
+                next(steps)
+            except StopIteration as stop:
+                results.append(stop.value)
+                break
+    return results
+
+
+@pytest.mark.parametrize("b, n", [(3, 4), (8, 10)])
+def test_pooled_and_inline_lag_maps_give_the_same_bits(monkeypatch, b, n):
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        pooled = train_and_eval_bits(b, n)
+    finally:
+        sys.setswitchinterval(interval)
+    monkeypatch.setattr(grcsl, "_lag_map", inline_lag_map)
+    inline = train_and_eval_bits(b, n)
+    assert pooled.keys() == inline.keys()
+    for key, value in pooled.items():
+        np.testing.assert_array_equal(value, inline[key], err_msg=key)
+
+
+def test_lag_map_returns_after_every_lag_even_when_one_raises():
+    finished = []
+
+    def chain(lag):
+        yield
+        if lag == 0:
+            raise ValueError("lag 0 failed")
+        time.sleep(0.05)
+        yield
+        finished.append(lag)
+
+    with pytest.raises(ValueError, match="lag 0 failed"):
+        grcsl._lag_map(chain, 2)
+    assert finished == [1]
+
+
+def test_lag_map_runs_the_lags_at_once_and_returns_them_in_lag_order():
+    # Both chains wait at a barrier, so each lag must start on its own thread.
+    barrier, starts = threading.Barrier(2, timeout=10), {}
+
+    def chain(lag):
+        starts[lag] = threading.get_ident()
+        barrier.wait()
+        yield
+        return lag * 10
+
+    assert grcsl._lag_map(chain, 2) == [0, 10]
+    assert starts[0] == threading.get_ident() != starts[1]
+
+
+def test_a_thread_done_with_its_lag_takes_over_the_rest_of_a_slow_one():
+    # Lag 1 starts on the worker, and its first step stalls until lag 0 is
+    # done; its later steps must then run on the calling thread, in order,
+    # and the results stay in lag order.
+    lag1_started, lag0_done, steps = threading.Event(), threading.Event(), []
+
+    def chain(lag):
+        for j in range(4):
+            if lag == 0 and j == 0:
+                assert lag1_started.wait(timeout=10)
+            if lag == 1 and j == 0:
+                lag1_started.set()
+                assert lag0_done.wait(timeout=10)
+                time.sleep(0.05)  # the caller asks for this chain meanwhile
+            steps.append((lag, j, threading.get_ident()))
+            yield
+        if lag == 0:
+            lag0_done.set()
+        return lag
+
+    assert grcsl._lag_map(chain, 2) == [0, 1]
+    caller = threading.get_ident()
+    assert [(lag, j) for lag, j, _ in steps if lag == 1] == [(1, 0), (1, 1), (1, 2), (1, 3)]
+    assert {thread for lag, j, thread in steps if lag == 0} == {caller}
+    assert steps[4][2] != caller  # lag 1's stalled first step ran on the worker
+    assert {thread for lag, j, thread in steps[5:]} == {caller}
+
+
+def test_lag_workers_never_touch_the_tape(rng, monkeypatch):
+    # Every tape node and every gradient accumulation of a train step and an
+    # eval batch comes from the calling thread; the lags' steps run on it and
+    # on the pool's one worker (that the worker runs a lag at once with the
+    # caller is test_lag_map_runs_the_lags_at_once_and_returns_them_in_lag_order).
+    tape_threads, lag_threads = set(), set()
+    from_op, accum, lag_map = grcsl._from_op, Tensor._accum, grcsl._lag_map
+
+    def recording_from_op(*args):
+        tape_threads.add(threading.get_ident())
+        return from_op(*args)
+
+    def recording_accum(self, g):
+        tape_threads.add(threading.get_ident())
+        return accum(self, g)
+
+    def recording_lag_map(chain, lags):
+        def recorded(lag):
+            steps = chain(lag)
+            while True:
+                lag_threads.add((lag, threading.get_ident()))
+                try:
+                    next(steps)
+                except StopIteration as stop:
+                    return stop.value
+                yield
+
+        return lag_map(recorded, lags)
+
+    for module in (tensor_module, linalg_module, grcsl):
+        monkeypatch.setattr(module, "_from_op", recording_from_op)
+    monkeypatch.setattr(Tensor, "_accum", recording_accum)
+    monkeypatch.setattr(grcsl, "_lag_map", recording_lag_map)
+    params = GrcslParams.init(rng, GrcslDims(**TAPE_DIMS))
+    values, tod = window_inputs(rng, b=4, t_in=5, n=4)
+    prior = np.ones((4, 4)) - np.eye(4)
+    opt = Adam(params.parameters(), lr=1e-3)
+    fwd = grcsl_forward_batch(values, tod, prior, params, train=True, rng=rng)
+    loss = auglag_objective(grcsl_loss(fwd, None, lam=1e-3), constraint_sum(fwd), alpha=0.5, rho=1.0)
+    opt.zero_grad()
+    loss.backward()
+    opt.step()
+    graph_stacks(values, tod, prior, params, batch_size=2)
+    caller = threading.get_ident()
+    assert tape_threads == {caller}
+    assert {lag for lag, thread in lag_threads} == {0, 1}
+    assert len({thread for lag, thread in lag_threads} - {caller}) <= 1  # the one pool worker
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork here")
+def test_a_forked_child_runs_both_lags_after_its_parent_did(rng):
+    params = GrcslParams.init(rng, small_dims())
+    values, tod = window_inputs(rng)
+    want = grcsl_forward_batch(values, tod, None, params).intra.data  # the parent's pool now has its thread
+
+    def child(queue):
+        queue.put(grcsl_forward_batch(values, tod, None, params).intra.data)
+
+    ctx = multiprocessing.get_context("fork")
+    queue = ctx.Queue()
+    process = ctx.Process(target=child, args=(queue,))
+    process.start()
+    try:
+        got = queue.get(timeout=30)
+    finally:
+        process.join(timeout=30)
+        if process.is_alive():
+            process.kill()
+    assert process.exitcode == 0
+    np.testing.assert_array_equal(got, want)
+
+
+def test_importing_the_package_starts_no_thread():
+    code = "import threading, tvdbn, tvdbn.cli, tvdbn.grcsl; print(threading.active_count())"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "1"
 
 
 def test_forward_rejects_bad_rank_and_short_windows(rng):
