@@ -367,21 +367,17 @@ def export_forecasts(
     valid: np.ndarray,
     sensor_ids: list[str],
 ) -> None:
-    """Write per-cell forecasts: window_start_ts,horizon_step,sensor_id,predicted,actual,valid."""
-    w, t_out, n = predictions.shape
+    """Write per-cell forecasts: window_start_ts,horizon_step,sensor_id,predicted,actual,valid.
+
+    Rows run by window, then horizon step, then sensor.
+    """
+    win, step, node = np.indices(predictions.shape).reshape(3, -1).tolist()
+    ts = np.asarray(start_ts)[win].tolist()
+    cells = (predictions.ravel().tolist(), actuals.ravel().tolist(), valid.ravel().astype(int).tolist())
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["window_start_ts", "horizon_step", "sensor_id", "predicted", "actual", "valid"])
-        for k in range(w):
-            for h in range(t_out):
-                for i in range(n):
-                    writer.writerow(
-                        [
-                            start_ts[k],
-                            h + 1,
-                            sensor_ids[i],
-                            f"{predictions[k, h, i]:.10g}",
-                            f"{actuals[k, h, i]:.10g}",
-                            int(valid[k, h, i]),
-                        ]
-                    )
+        writer.writerows(
+            (t, h + 1, sensor_ids[i], f"{p:.10g}", f"{a:.10g}", v)
+            for t, h, i, p, a, v in zip(ts, step, node, *cells)
+        )

@@ -29,9 +29,9 @@ depend only on ticks 1..t (the recurrence never looks ahead).
 from __future__ import annotations
 
 import csv
+import functools
 import os
-import threading
-from collections.abc import Callable, Generator, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,7 +65,15 @@ EDGE_CSV_HEADER = ["window_start_ts", "step", "lag", "src_id", "dst_id", "weight
 
 # Lag 0 (edges within a tick) and lag 1 (edges from the previous tick).
 LAGS = 2
-_pool = None  # the thread pool that runs every lag but lag 0, made on first use
+# Threads that run the GRU and graph-head tasks: one per core of the two-core
+# machine the kernels were measured on; BLAS runs one thread inside each.
+WORKERS = 2
+# Row partitions per lag. No pair's rows meet another's, so each partition
+# runs through every step as one task. With 4 per lag, a task that a busy
+# host starves holds back at most an eighth of a kernel's work, and each
+# task's (rows, H) arrays are a quarter of the lag's.
+PARTS = 4
+_pool = None  # the thread pool of the GRU and graph-head tasks, made on first use
 
 
 # --------------------------------------------------------------------- #
@@ -298,93 +306,44 @@ def extract_features(
     return concat(parts, axis=-1)
 
 
-class _Chains:
-    """The lag chains of one `_lag_map` call and the threads that advance them.
+def _run(tasks: list[Callable[[], object]]) -> list:
+    """The tasks' results in task order, once every task has ended; the first error in task order is raised.
 
-    A chain is a generator that yields after each of its steps and returns its
-    result. One thread at a time advances a chain. A thread whose own chain is
-    done asks for a running one, and the thread running it hands it over at
-    the next step and stops, so a thread that gets little CPU on a busy host
-    holds back one step of work, not the rest of a lag.
-    """
-
-    def __init__(self, chains: list) -> None:
-        self.chains, self.results, self.error = chains, [None] * len(chains), None
-        self.busy = [False] * len(chains)  # a thread is advancing the chain
-        self.wanted = [False] * len(chains)  # a thread done with its own chain waits for this one
-        self.cond = threading.Condition()
-
-    def run(self, lag: int) -> None:
-        """Advance chain `lag` if no thread took it over yet, then take over unfinished ones."""
-        may_take = False
-        while True:
-            with self.cond:
-                left = [i for i, chain in enumerate(self.chains) if chain is not None]
-                free = [i for i in left if not self.busy[i]]
-                if lag not in free:
-                    if not (may_take and left):
-                        return
-                    if not free:
-                        self.wanted[left[0]] = True
-                        self.cond.wait()
-                        continue
-                    lag = free[0]
-                self.busy[lag], self.wanted[lag], chain = True, False, self.chains[lag]
-            result, error = None, None
-            try:
-                while not self.wanted[lag]:
-                    next(chain)
-            except StopIteration as stop:
-                result = stop.value
-            except BaseException as exc:  # kept for the caller; the other chains run on
-                error = exc
-            else:
-                with self.cond:  # handed over to the thread that wanted it
-                    self.busy[lag] = False
-                    self.cond.notify_all()
-                return
-            with self.cond:
-                self.busy[lag], self.chains[lag], self.results[lag] = False, None, result
-                self.error = self.error or error
-                self.cond.notify_all()
-            may_take = True
-
-    def wait(self) -> list:
-        """The chains' results in lag order, once every chain is done; the first error is raised."""
-        with self.cond:
-            self.cond.wait_for(lambda: not any(self.chains))
-        if self.error is not None:
-            raise self.error
-        return self.results
-
-
-def _lag_map(chain: Callable[[int], Generator], lags: int) -> list:
-    """The results of the chains chain(0), ..., chain(lags - 1), in lag order.
-
-    Each chain is a generator that yields after each step and returns its
-    result. The calling thread starts lag 0 and the pool's LAGS - 1 workers
-    the others; see `_Chains` for how a finished thread takes over a running
-    chain. The pool is made on first use, so importing tvdbn starts no
-    thread. A chain does numpy arithmetic on arrays only and writes only into
-    its own lag's arrays: it makes no Tensor and touches no tape, so every
-    tape op and gradient accumulation stays on the calling thread, in lag
-    order, and each chain runs the same operations in the same order on
-    whichever thread: the results are bit-equal to running the lags inline.
+    The tasks run on a pool of WORKERS threads, made on first use so that
+    importing tvdbn starts no thread.
     """
     global _pool
     if _pool is None:
         from concurrent.futures import ThreadPoolExecutor
 
-        _pool = ThreadPoolExecutor(max_workers=LAGS - 1)
-    chains = _Chains([chain(lag) for lag in range(lags)])
-    for lag in range(1, lags):
-        _pool.submit(chains.run, lag)
-    chains.run(0)
-    return chains.wait()
+        _pool = ThreadPoolExecutor(max_workers=WORKERS)
+    futures = [_pool.submit(task) for task in tasks]
+    for future in futures:
+        future.exception()  # waits for the task without raising
+    return [future.result() for future in futures]
+
+
+def _part(rows: int, k: int) -> slice:
+    """Partition k of `rows` rows, one of PARTS nearly equal slices."""
+    return slice(rows * k // PARTS, rows * (k + 1) // PARTS)
+
+
+def _map_rows(body: Callable[[int, int], object], lags: int) -> list[list]:
+    """body(lag, k) for every lag and row partition k, run by `_run`: per lag, the results in partition order.
+
+    A body does numpy arithmetic on arrays only and writes only into its own
+    rows: it makes no Tensor and touches no tape, so every tape op and
+    gradient accumulation stays on the calling thread, and which thread runs
+    a task never changes a bit. The parameter gradients are summed partition
+    by partition, and BLAS may round a product of fewer rows differently, so
+    another PARTS may move results in their last bits.
+    """
+    results = _run([functools.partial(body, lag, k) for lag in range(lags) for k in range(PARTS)])
+    return [results[lag * PARTS : (lag + 1) * PARTS] for lag in range(lags)]
 
 
 def _drop_pool() -> None:
-    """Forget the pool in a forked child: it inherits the pool but not the pool's thread."""
+    """Forget the pool in a forked child: it inherits the pool but not the pool's threads."""
     global _pool
     _pool = None
 
@@ -436,10 +395,11 @@ def gru_step(c: Tensor, h0: Tensor, cells: Sequence[GruCell]) -> Tensor:
     z = sigmoid(c w_cz + h w_hz + b_z), h~ = tanh(c w_ch + (r * h) w_hh + b_h),
     and the next state is z * h + (1 - z) * h~, starting from h = h0[l]. `c`
     is (L, S, ..., P, d_in) and `h0` is (L, ..., P, H); the result is
-    (L, S, ..., P, H). One tape op: each lag is a chain of steps on 2-D rows
-    that `_lag_map` runs beside the other lag's, and the op keeps only its
-    inputs, the states and each step's gate block [r | z | h~], which the
-    backward frees as it passes them.
+    (L, S, ..., P, H). One tape op: each lag's (..., P) rows are split into
+    PARTS partitions, and each partition runs through every step as one task
+    on 2-D rows (`_map_rows`). The op keeps only its inputs, the states and
+    each step's gate block [r | z | h~] per partition, which the backward
+    frees as it passes them.
     """
     lags, steps, hid = len(cells), c.shape[1], h0.shape[-1]
     if c.shape[0] != lags or h0.shape[0] != lags or c.shape[2:-1] != h0.shape[1:-1]:
@@ -447,22 +407,20 @@ def gru_step(c: Tensor, h0: Tensor, cells: Sequence[GruCell]) -> Tensor:
                          f"got {c.shape} and {h0.shape}")
     params = [p for cell in cells for p in cell.parameters()]
     track = _tracking(c, h0, *params)
-    c_data, h02 = c.data, h0.data.reshape(lags, -1, hid)
+    c3, h02 = c.data.reshape(lags, steps, -1, c.shape[-1]), h0.data.reshape(lags, -1, hid)
     w_c = [np.concatenate([cell.w_cr.data, cell.w_cz.data, cell.w_ch.data], axis=1) for cell in cells]
     w_h = [np.concatenate([cell.w_hr.data, cell.w_hz.data], axis=1) for cell in cells]
     w_hh_b = [(cell.w_hh.data, cell.b_r.data, cell.b_z.data, cell.b_h.data) for cell in cells]
-    states = np.empty((lags, steps) + h02.shape[1:])
+    states, rows = np.empty((lags, steps) + h02.shape[1:]), h02.shape[1]
 
-    def c2(lag: int, j: int) -> np.ndarray:  # one step's features as 2-D rows
-        return c_data[lag, j].reshape(-1, c.shape[-1])
-
-    def forward(lag: int) -> Generator:  # returns the gate blocks
-        (w_hh, b_r, b_z, b_h), h, gates = w_hh_b[lag], h02[lag], []
+    def forward(lag: int, k: int) -> list:  # partition k's gate blocks
+        part = _part(rows, k)
+        (w_hh, b_r, b_z, b_h), h, gates = w_hh_b[lag], h02[lag, part], []
         for j in range(steps):
             if track or not gates:
                 gates.append(np.empty((3,) + h.shape))  # r, z and h~, each one contiguous block
             r, z, h_tilde = gate = gates[-1]
-            a_cr, a_cz, a_ch = np.split(c2(lag, j) @ w_c[lag], 3, axis=1)
+            a_cr, a_cz, a_ch = np.split(c3[lag, j, part] @ w_c[lag], 3, axis=1)
             a_hr, a_hz = np.split(h @ w_h[lag], 2, axis=1)
             np.add(a_cr, a_hr, out=r)
             r += b_r
@@ -472,33 +430,35 @@ def gru_step(c: Tensor, h0: Tensor, cells: Sequence[GruCell]) -> Tensor:
             np.add(a_ch, (r * h) @ w_hh, out=h_tilde)
             h_tilde += b_h
             np.tanh(h_tilde, out=h_tilde)
-            h = np.multiply(z, h, out=states[lag, j])
+            h = np.multiply(z, h, out=states[lag, j, part])
             h += (1.0 - z) * h_tilde
-            yield
         return gates if track else []
 
-    gates = _lag_map(forward, lags)
+    gates = _map_rows(forward, lags)
     out = states.reshape((lags, steps) + h0.shape[1:])
     if not track:
         return Tensor(out)
 
     def backward_fn(grad: np.ndarray) -> None:
-        grad, need_h0 = grad.reshape(states.shape), h0.requires_grad
-        d_c = np.empty_like(c_data) if c.requires_grad else None  # in c's memory order
+        grad = grad.reshape(states.shape)
+        d_c = np.empty(c3.shape) if c.requires_grad else None
+        d_h0 = np.empty(h02.shape) if h0.requires_grad else None
 
-        def backward(lag: int) -> Generator:  # returns the parameter gradients and the carry
+        def backward(lag: int, k: int) -> tuple:  # partition k's parameter gradients
             # Steps in reverse, popping gate blocks; the pre-activation gradients [r | z | h~]
             # share one buffer, and the state's gradient becomes the carry in place.
-            w_hh, h_0 = w_hh_b[lag][0], h02[lag]
+            part = _part(rows, k)
+            w_hh, h_0, blocks = w_hh_b[lag][0], h02[lag, part], gates[lag][k]
             d_rzh = np.empty(h_0.shape[:-1] + (3 * hid,))
             d_r, d_z, d_h = np.split(d_rzh, 3, axis=1)
             d_rz = d_rzh[:, : 2 * hid]
-            carry, d_rh = np.empty_like(h_0), np.empty_like(h_0)
+            carry = d_h0[lag, part] if d_h0 is not None else np.empty(h_0.shape)
+            d_rh = np.empty(h_0.shape)
             g_wc, g_wh, g_whh, g_b = 0.0, 0.0, 0.0, 0.0
             for j in reversed(range(steps)):
-                g = grad[lag, j] if j == steps - 1 else np.add(grad[lag, j], carry, out=carry)
-                h_prev = states[lag, j - 1] if j else h_0
-                r, z, h_tilde = gates[lag].pop()
+                g = grad[lag, j, part] if j == steps - 1 else np.add(grad[lag, j, part], carry, out=carry)
+                h_prev = states[lag, j - 1, part] if j else h_0
+                r, z, h_tilde = blocks.pop()
                 np.multiply(g, 1.0 - z, out=d_h)
                 d_h *= 1.0 - h_tilde * h_tilde
                 np.multiply(g, h_prev - h_tilde, out=d_z)
@@ -508,30 +468,30 @@ def gru_step(c: Tensor, h0: Tensor, cells: Sequence[GruCell]) -> Tensor:
                 np.multiply(d_rh, h_prev, out=d_r)
                 d_r *= r
                 d_r *= 1.0 - r
-                g_wc = g_wc + c2(lag, j).T @ d_rzh
+                g_wc = g_wc + c3[lag, j, part].T @ d_rzh
                 g_wh = g_wh + h_prev.T @ d_rz
                 g_whh = g_whh + (r * h_prev).T @ d_h
                 g_b = g_b + d_rzh.sum(axis=0)
                 if d_c is not None:
-                    d_c[lag, j] = (d_rzh @ w_c[lag].T).reshape(d_c.shape[2:])
-                if j or need_h0:
+                    np.matmul(d_rzh, w_c[lag].T, out=d_c[lag, j, part])
+                if j or d_h0 is not None:
                     np.multiply(g, z, out=carry)
                     d_rh *= r
                     carry += d_rh
                     carry += np.matmul(d_rz, w_h[lag].T, out=d_rh)
-                yield
-            (gw_cr, gw_cz, gw_ch), (gw_hr, gw_hz) = np.split(g_wc, 3, axis=1), np.split(g_wh, 2, axis=1)
-            gb_r, gb_z, gb_h = np.split(g_b, 3)
-            return gw_cr, gw_hr, gb_r, gw_cz, gw_hz, gb_z, gw_ch, g_whh, gb_h, carry
+            return g_wc, g_wh, g_whh, g_b
 
-        grads = _lag_map(backward, lags)
-        for param, grad_p in zip(params, (g for lag in grads for g in lag[:-1])):
-            if param.requires_grad:
-                param._accum(grad_p)
+        for cell, parts in zip(cells, _map_rows(backward, lags)):
+            g_wc, g_wh, g_whh, g_b = (sum(grads) for grads in zip(*parts))
+            # Gate by gate (r, z, h~): the input weights', recurrent weights' and bias's gradients.
+            per_gate = zip(np.split(g_wc, 3, axis=1), [*np.split(g_wh, 2, axis=1), g_whh], np.split(g_b, 3))
+            for param, grad_p in zip(cell.parameters(), (grad_p for gate in per_gate for grad_p in gate)):
+                if param.requires_grad:
+                    param._accum(grad_p)
         if d_c is not None:
-            c._accum(d_c)
-        if need_h0:
-            h0._accum(np.stack([lag[-1] for lag in grads]).reshape(h0.shape))
+            c._accum(d_c.reshape(c.shape))
+        if d_h0 is not None:
+            h0._accum(d_h0.reshape(h0.shape))
 
     return _from_op(out, (c, h0, *params), backward_fn)
 
@@ -554,10 +514,12 @@ def graph_head(
     sigmoid(logit / tau). In training `noise` holds one difference of two
     standard Gumbel samples per edge, of the result's shape, and the edge is
     sigmoid((logit + noise) / tau), a reparameterized near-binary sample.
-    `mask_diag` zeroes lag 0's diagonal. One tape op: each lag is a chain of
-    steps on 2-D rows that `_lag_map` runs beside the other lag's; it keeps
-    only its input and the graphs, and the backward recomputes each step's
-    two ReLU layers.
+    `mask_diag` zeroes lag 0's diagonal. One tape op: each lag's (..., N*N)
+    rows are split into PARTS partitions, and each partition's logits at
+    every step are one task on 2-D rows (`_map_rows`); the noise, 1/tau, the
+    sigmoid and the mask then act on both lags at once. The op keeps only
+    its input and the graphs, and the backward recomputes the two ReLU
+    layers.
     """
     lags = len(heads)
     if min(head.tau for head in heads) <= 0:
@@ -566,64 +528,62 @@ def graph_head(
         raise ShapeError(f"graph_head needs ({lags}, S, ..., {n * n}, H) hidden states, got {h.shape}")
     params = [p for head in heads for p in head.parameters()]
     weights = [[p.data for p in head.parameters()] for head in heads]
-    taus = [head.tau for head in heads]
-    h2 = h.data.reshape(lags, h.shape[1], -1, h.shape[-1])
+    h3 = h.data.reshape(lags, h.shape[1], -1, h.shape[-1])
+    steps, rows = h3.shape[1:3]
     graph = np.empty(h.shape[:-2] + (n, n))
+    inv_tau = np.array([1.0 / head.tau for head in heads]).reshape((lags,) + (1,) * (graph.ndim - 1))
 
-    def hidden(lag: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+    def hidden(lag: int, j: int, part: slice) -> tuple[np.ndarray, np.ndarray]:
         w1, b1, w2, b2 = weights[lag][:4]
-        y1 = h2[lag, j] @ w1
+        y1 = h3[lag, j, part] @ w1
         y1 += b1
         y2 = np.maximum(y1, 0.0, out=y1) @ w2
         y2 += b2
         return y1, np.maximum(y2, 0.0, out=y2)
 
-    def forward(lag: int) -> Generator:
-        w3, b3 = weights[lag][4:]
-        logits = np.empty(h2.shape[1:3] + (1,))
-        for j in range(len(logits)):
-            np.add(hidden(lag, j)[1] @ w3, b3, out=logits[j])
-            yield
-        logits = logits.reshape(graph.shape[1:])
-        if noise is not None:
-            logits += noise[lag]
-        logits *= 1.0 / taus[lag]
-        _stable_sigmoid(logits, out=graph[lag])
-        if mask_diag and lag == 0:
-            graph[lag] *= 1.0 - np.eye(n)
+    def forward(lag: int, k: int) -> None:  # partition k's logits, written into `graph`
+        part, (w3, b3), logits = _part(rows, k), weights[lag][4:], graph.reshape(lags, steps, rows, 1)
+        for j in range(steps):
+            np.add(hidden(lag, j, part)[1] @ w3, b3, out=logits[lag, j, part])
 
-    _lag_map(forward, lags)
+    _map_rows(forward, lags)
+    if noise is not None:
+        graph += noise
+    graph *= inv_tau
+    _stable_sigmoid(graph, out=graph)
+    if mask_diag:
+        graph[0] *= 1.0 - np.eye(n)
     if not _tracking(h, *params):
         return Tensor(graph)
 
     def backward_fn(g: np.ndarray) -> None:
-        d_h = np.empty(h2.shape) if h.requires_grad else None
+        d_h = np.empty(h3.shape) if h.requires_grad else None
+        # A masked diagonal entry is 0 in `graph`, so its slope graph * (1 - graph) is 0 too.
+        d_logits = (g * graph * (1.0 - graph) * inv_tau).reshape(lags, steps, rows, 1)
 
-        def backward(lag: int) -> Generator:  # returns the parameter gradients
-            w1, _, w2, _, w3, _ = weights[lag]
-            # A masked diagonal entry is 0 in `graph`, so its slope graph * (1 - graph) is 0 too.
-            d_logits = g[lag] * graph[lag] * (1.0 - graph[lag]) * (1.0 / taus[lag])
-            sums = [0.0] * 6
-            for j, d_logit in enumerate(d_logits.reshape(h2.shape[1], -1, 1)):
-                y1, y2 = hidden(lag, j)
+        def backward(lag: int, k: int) -> list:  # partition k's parameter gradients
+            part, (w1, _, w2, _, w3, _), sums = _part(rows, k), weights[lag], [0.0] * 6
+            for j in range(steps):
+                d_logit = d_logits[lag, j, part]
+                y1, y2 = hidden(lag, j, part)
                 d_y2 = d_logit @ w3.T
                 d_y2 *= y2 > 0.0
                 d_y1 = d_y2 @ w2.T
                 d_y1 *= y1 > 0.0
                 grads = (
-                    h2[lag, j].T @ d_y1, d_y1.sum(axis=0),
+                    h3[lag, j, part].T @ d_y1, d_y1.sum(axis=0),
                     y1.T @ d_y2, d_y2.sum(axis=0),
                     y2.T @ d_logit, d_logit.sum(axis=0),
                 )
                 sums = [total + grad for total, grad in zip(sums, grads)]
                 if d_h is not None:
-                    np.matmul(d_y1, w1.T, out=d_h[lag, j])
-                yield
+                    np.matmul(d_y1, w1.T, out=d_h[lag, j, part])
             return sums
 
-        for param, grad in zip(params, (grad for lag in _lag_map(backward, lags) for grad in lag)):
-            if param.requires_grad:
-                param._accum(grad)
+        for head, parts in zip(heads, _map_rows(backward, lags)):
+            for param, grad in zip(head.parameters(), (sum(grads) for grads in zip(*parts))):
+                if param.requires_grad:
+                    param._accum(grad)
         if d_h is not None:
             h._accum(d_h.reshape(h.shape))
 

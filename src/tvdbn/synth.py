@@ -380,24 +380,15 @@ def random_recovery_baseline(
     n = truth.num_nodes
     out: dict[int, float] = {}
     for lag, mean_edges in edges_per_graph.items():
-        if lag == 0:
-            slots = [(i, j) for i in range(n) for j in range(n) if i != j]
-        else:
-            slots = [(i, j) for i in range(n) for j in range(n)]
-        budget = int(round(mean_edges))
-        budget = max(0, min(budget, len(slots)))
-        truths = [
-            (truth.intra[r] if lag == 0 else truth.inter[r]) != 0
-            for r in range(truth.num_regimes)
-        ]
+        # Flat indices i * n + j of the admissible slots, in row-major order.
+        slots = np.flatnonzero(~np.eye(n, dtype=bool)) if lag == 0 else np.arange(n * n)
+        budget = max(0, min(int(round(mean_edges)), len(slots)))
         f1s: list[float] = []
-        for true in truths:
+        for true in (truth.intra if lag == 0 else truth.inter) != 0:  # one (N, N) support per regime
             for _ in range(draws):
                 est = np.zeros((n, n), dtype=bool)
                 if budget:
-                    chosen = rng.choice(len(slots), size=budget, replace=False)
-                    for c in chosen:
-                        est[slots[c]] = True
+                    est.flat[slots[rng.choice(len(slots), size=budget, replace=False)]] = True
                 tp = int((est & true).sum())
                 fp = int((est & ~true).sum())
                 fn = int((~est & true).sum())

@@ -393,15 +393,22 @@ def test_baseline_masked_mae_hand_computed():
 
 
 def test_export_forecasts_round_trips(tmp_path):
-    preds = np.array([[[1.5, 2.5], [3.5, 4.5]]])  # (1, 2, 2)
-    actuals = np.array([[[1.0, 2.0], [3.0, 4.0]]])
-    valid = np.array([[[True, False], [True, True]]])
+    # Two windows, two horizon steps, two sensors: rows run by window, then horizon step, then sensor.
+    preds = np.array([[[1.5, 2.5], [3.5, 4.5]], [[5.5, 6.5], [7.5, 8.5]]])  # (2, 2, 2)
+    actuals = preds - 0.5
+    valid = np.array([[[True, False], [True, True]], [[False, True], [True, False]]])
     path = tmp_path / "forecasts.csv"
-    export_forecasts(str(path), [7000], preds, actuals, valid, ["a", "b"])
+    export_forecasts(str(path), [7000, 7300], preds, actuals, valid, ["a", "b"])
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["window_start_ts", "horizon_step", "sensor_id", "predicted", "actual", "valid"]
-    assert len(rows) == 1 + 4
-    assert rows[1] == ["7000", "1", "a", "1.5", "1", "1"]
-    assert rows[2] == ["7000", "1", "b", "2.5", "2", "0"]
-    assert rows[4] == ["7000", "2", "b", "4.5", "4", "1"]
+    assert rows[1:] == [
+        ["7000", "1", "a", "1.5", "1", "1"],
+        ["7000", "1", "b", "2.5", "2", "0"],
+        ["7000", "2", "a", "3.5", "3", "1"],
+        ["7000", "2", "b", "4.5", "4", "1"],
+        ["7300", "1", "a", "5.5", "5", "0"],
+        ["7300", "1", "b", "6.5", "6", "1"],
+        ["7300", "2", "a", "7.5", "7", "1"],
+        ["7300", "2", "b", "8.5", "8", "0"],
+    ]

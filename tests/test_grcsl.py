@@ -1,6 +1,7 @@
 """Graph-generator tests: closed-form fixtures, sampling statistics, causality."""
 
 import csv
+import functools
 import multiprocessing
 import os
 import subprocess
@@ -264,10 +265,11 @@ def test_msdot_kernel_matches_composed_reference(rng):
     assert all(np.abs(grad).max() > 0.0 for grad in runs[0][1])
 
 
-@pytest.mark.parametrize("lead", [(7,), (3, 7)])
+@pytest.mark.parametrize("lead", [(7,), (3, 7), (3, 25)])
 def test_gru_step_kernel_matches_composed_reference(rng, lead):
     # Both lags, each with its own cell, features and initial state, against
-    # the composed per-step body run one lag at a time.
+    # the composed per-step body run one lag at a time. (3, 25) is B = 3,
+    # N = 5: 75 rows per lag, which the row partitions do not split evenly.
     steps, d_in, hidden = 4, 3, 5
     shapes = [(d_in, hidden), (hidden, hidden), (hidden,)] * 3
     arrays = [rng.normal(size=s) * 0.5 for _ in range(2) for s in shapes]
@@ -316,13 +318,14 @@ def test_gru_state_stays_in_unit_box(seed):
 # ------------------------------------------------------------------ #
 
 
-@pytest.mark.parametrize("lead", [(), (2,)])
+@pytest.mark.parametrize("lead, n", [((), 3), ((2,), 3), ((3,), 5)], ids=["lead0", "lead1", "lead2"])
 @pytest.mark.parametrize("train", [False, True])
 @pytest.mark.parametrize("mask_diag", [False, True])
-def test_graph_head_kernel_matches_composed_reference(rng, lead, train, mask_diag):
+def test_graph_head_kernel_matches_composed_reference(rng, lead, n, train, mask_diag):
     # Both lags, each with its own head, temperature and noise, against the
     # composed per-step body run one lag at a time; the mask is lag 0's only.
-    steps, n, hidden, taus = 3, 3, 4, (0.7, 0.4)
+    # B = 3, N = 5 gives 75 rows per lag, which the row partitions do not split evenly.
+    steps, hidden, taus = 3, 4, (0.7, 0.4)
     shapes = [(hidden, hidden), (hidden,), (hidden, hidden), (hidden,), (hidden, 1), (1,)]
     arrays = [rng.normal(size=s) * 0.5 for _ in range(2) for s in shapes]
     h = rng.normal(size=(2, steps) + lead + (n * n, hidden))
@@ -652,7 +655,7 @@ def test_whole_window_forward_matches_the_per_step_reference(rng, train):
 
 
 # ------------------------------------------------------------------ #
-# lag threads
+# kernel tasks
 # ------------------------------------------------------------------ #
 
 
@@ -671,20 +674,6 @@ def train_and_eval_bits(b, n):
     return bits
 
 
-def inline_lag_map(chain, lags):
-    """Every lag's chain to its end, one lag after the other, on the calling thread."""
-    results = []
-    for lag in range(lags):
-        steps = chain(lag)
-        while True:
-            try:
-                next(steps)
-            except StopIteration as stop:
-                results.append(stop.value)
-                break
-    return results
-
-
 @pytest.mark.parametrize("b, n", [(3, 4), (8, 10)])
 def test_pooled_and_inline_lag_maps_give_the_same_bits(monkeypatch, b, n):
     interval = sys.getswitchinterval()
@@ -693,78 +682,68 @@ def test_pooled_and_inline_lag_maps_give_the_same_bits(monkeypatch, b, n):
         pooled = train_and_eval_bits(b, n)
     finally:
         sys.setswitchinterval(interval)
-    monkeypatch.setattr(grcsl, "_lag_map", inline_lag_map)
+    monkeypatch.setattr(grcsl, "_run", lambda tasks: [task() for task in tasks])
     inline = train_and_eval_bits(b, n)
     assert pooled.keys() == inline.keys()
     for key, value in pooled.items():
         np.testing.assert_array_equal(value, inline[key], err_msg=key)
 
 
-def test_lag_map_returns_after_every_lag_even_when_one_raises():
+def test_run_returns_after_every_task_even_when_one_raises():
+    # Task 1 raises first in time; the error raised is task 0's, the first in task order.
     finished = []
 
-    def chain(lag):
-        yield
-        if lag == 0:
-            raise ValueError("lag 0 failed")
+    def task(k):
+        if k == 0:
+            time.sleep(0.05)
+        if k < 2:
+            raise ValueError(f"task {k} failed")
         time.sleep(0.05)
-        yield
-        finished.append(lag)
+        finished.append(k)
 
-    with pytest.raises(ValueError, match="lag 0 failed"):
-        grcsl._lag_map(chain, 2)
-    assert finished == [1]
+    with pytest.raises(ValueError, match="task 0 failed"):
+        grcsl._run([lambda k=k: task(k) for k in range(4)])
+    assert sorted(finished) == [2, 3]
 
 
-def test_lag_map_runs_the_lags_at_once_and_returns_them_in_lag_order():
-    # Both chains wait at a barrier, so each lag must start on its own thread.
-    barrier, starts = threading.Barrier(2, timeout=10), {}
+def test_run_runs_tasks_on_two_threads_at_once_and_returns_them_in_task_order():
+    # Both tasks wait at a barrier, so each must run on its own pool thread.
+    barrier, threads = threading.Barrier(2, timeout=10), {}
 
-    def chain(lag):
-        starts[lag] = threading.get_ident()
+    def task(k):
+        threads[k] = threading.get_ident()
         barrier.wait()
-        yield
-        return lag * 10
+        return k * 10
 
-    assert grcsl._lag_map(chain, 2) == [0, 10]
-    assert starts[0] == threading.get_ident() != starts[1]
+    assert grcsl._run([lambda k=k: task(k) for k in range(2)]) == [0, 10]
+    assert len({threads[0], threads[1], threading.get_ident()}) == 3
 
 
-def test_a_thread_done_with_its_lag_takes_over_the_rest_of_a_slow_one():
-    # Lag 1 starts on the worker, and its first step stalls until lag 0 is
-    # done; its later steps must then run on the calling thread, in order,
-    # and the results stay in lag order.
-    lag1_started, lag0_done, steps = threading.Event(), threading.Event(), []
+def test_a_stalled_task_holds_back_only_itself_and_results_stay_in_order():
+    # Task 0 blocks until every other task has run: the other pool thread
+    # must run them all while it waits, and the results come back in task order.
+    tasks, lock, threads, others_done = 2 * grcsl.PARTS, threading.Lock(), {}, threading.Event()
 
-    def chain(lag):
-        for j in range(4):
-            if lag == 0 and j == 0:
-                assert lag1_started.wait(timeout=10)
-            if lag == 1 and j == 0:
-                lag1_started.set()
-                assert lag0_done.wait(timeout=10)
-                time.sleep(0.05)  # the caller asks for this chain meanwhile
-            steps.append((lag, j, threading.get_ident()))
-            yield
-        if lag == 0:
-            lag0_done.set()
-        return lag
+    def task(k):
+        if k == 0:
+            assert others_done.wait(timeout=10)
+        with lock:
+            threads[k] = threading.get_ident()
+            if len(threads) == tasks - 1 and 0 not in threads:
+                others_done.set()
+        return k
 
-    assert grcsl._lag_map(chain, 2) == [0, 1]
-    caller = threading.get_ident()
-    assert [(lag, j) for lag, j, _ in steps if lag == 1] == [(1, 0), (1, 1), (1, 2), (1, 3)]
-    assert {thread for lag, j, thread in steps if lag == 0} == {caller}
-    assert steps[4][2] != caller  # lag 1's stalled first step ran on the worker
-    assert {thread for lag, j, thread in steps[5:]} == {caller}
+    assert grcsl._run([lambda k=k: task(k) for k in range(tasks)]) == list(range(tasks))
+    assert len({threads[k] for k in range(1, tasks)}) == 1
+    assert threads[0] != threads[1]
 
 
 def test_lag_workers_never_touch_the_tape(rng, monkeypatch):
     # Every tape node and every gradient accumulation of a train step and an
-    # eval batch comes from the calling thread; the lags' steps run on it and
-    # on the pool's one worker (that the worker runs a lag at once with the
-    # caller is test_lag_map_runs_the_lags_at_once_and_returns_them_in_lag_order).
-    tape_threads, lag_threads = set(), set()
-    from_op, accum, lag_map = grcsl._from_op, Tensor._accum, grcsl._lag_map
+    # eval batch comes from the calling thread; the kernels' tasks run only on
+    # the pool's threads, every lag and partition of every kernel call.
+    tape_threads, task_threads, batches = set(), set(), []
+    from_op, accum, run = grcsl._from_op, Tensor._accum, grcsl._run
 
     def recording_from_op(*args):
         tape_threads.add(threading.get_ident())
@@ -774,23 +753,19 @@ def test_lag_workers_never_touch_the_tape(rng, monkeypatch):
         tape_threads.add(threading.get_ident())
         return accum(self, g)
 
-    def recording_lag_map(chain, lags):
-        def recorded(lag):
-            steps = chain(lag)
-            while True:
-                lag_threads.add((lag, threading.get_ident()))
-                try:
-                    next(steps)
-                except StopIteration as stop:
-                    return stop.value
-                yield
+    def recording_run(tasks):
+        batches.append(len(tasks))
 
-        return lag_map(recorded, lags)
+        def recorded(task):
+            task_threads.add(threading.get_ident())
+            return task()
+
+        return run([functools.partial(recorded, task) for task in tasks])
 
     for module in (tensor_module, linalg_module, grcsl):
         monkeypatch.setattr(module, "_from_op", recording_from_op)
     monkeypatch.setattr(Tensor, "_accum", recording_accum)
-    monkeypatch.setattr(grcsl, "_lag_map", recording_lag_map)
+    monkeypatch.setattr(grcsl, "_run", recording_run)
     params = GrcslParams.init(rng, GrcslDims(**TAPE_DIMS))
     values, tod = window_inputs(rng, b=4, t_in=5, n=4)
     prior = np.ones((4, 4)) - np.eye(4)
@@ -803,8 +778,9 @@ def test_lag_workers_never_touch_the_tape(rng, monkeypatch):
     graph_stacks(values, tod, prior, params, batch_size=2)
     caller = threading.get_ident()
     assert tape_threads == {caller}
-    assert {lag for lag, thread in lag_threads} == {0, 1}
-    assert len({thread for lag, thread in lag_threads} - {caller}) <= 1  # the one pool worker
+    # GRU and head, forward and backward, then two eval batches of GRU and head.
+    assert batches == [grcsl.LAGS * grcsl.PARTS] * 8
+    assert caller not in task_threads and len(task_threads) <= grcsl.WORKERS
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork here")

@@ -355,6 +355,14 @@ def test_random_baseline_sits_near_the_density():
     assert 0.12 < base[1] < 0.30
 
 
+def test_random_baseline_is_pinned_at_a_fixed_truth_and_seed():
+    # The values of the slot-list implementation this one replaced: the same
+    # rng.choice call per draw picks the same slots, so 04c's bars stay put.
+    truth = sample_tvdbn(n=6, t=60, num_regimes=2, density=0.3, noise_std=0.1, seed=4)
+    base = random_recovery_baseline(truth, {0: 4.4, 1: 9.0}, draws=25, seed=3)
+    assert base == {0: 0.1442857142857143, 1: 0.26152173913043475}
+
+
 def test_random_baseline_zero_budget_scores_zero():
     truth = sample_tvdbn(n=5, t=50, num_regimes=1, density=0.3, noise_std=0.1, seed=0)
     base = random_recovery_baseline(truth, {0: 0.0, 1: 0.0}, draws=10)
