@@ -25,7 +25,6 @@ files and stdout. Exit codes: 0 success, 1 usage or configuration error,
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import logging
 import os
@@ -46,6 +45,7 @@ from .data import (
     load_manifest,
     load_speed_table,
     make_windows,
+    read_table,
     save_manifest,
     save_speed_table,
     split_chronological,
@@ -54,6 +54,7 @@ from .data import (
     invert_zscore,
 )
 from .dgcpm import (
+    FORECAST_CSV_HEADER,
     DgcpmDims,
     DgcpmTrainConfig,
     SplitArrays,
@@ -199,22 +200,12 @@ def _coerce(key: str, raw: str):
 
 
 def parse_config_file(path: str) -> dict:
-    """Flat key=value lines; blank lines and lines starting with # skipped."""
-    values: dict = {}
+    """Flat key=value lines as `load_manifest` reads them, coerced to their fields' types."""
     try:
-        fh = open(path)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    with fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path} line {line_no}: expected key=value")
-            key, raw = line.split("=", 1)
-            values[key.strip()] = _coerce(key.strip(), raw.strip())
-    return values
+        entries = load_manifest(path)
+    except DataError as exc:
+        raise ConfigError(str(exc)) from None
+    return {key: _coerce(key, raw) for key, raw in entries.items()}
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -289,35 +280,30 @@ def _forecast_ckpt_path(cfg: RunConfig) -> str:
     return cfg.forecast_checkpoint or os.path.join(cfg.out_dir, "dgcpm.npz")
 
 
-def _static_graphs_from_file(cfg: RunConfig, sensor_ids: list[str]) -> tuple[np.ndarray, np.ndarray]:
+def _static_graphs_from_file(path: str, sensor_ids: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """Constant graph pair from an edge CSV in the export format."""
-    _require(cfg, "static_graph_file")
     n = len(sensor_ids)
     index = {sid: i for i, sid in enumerate(sensor_ids)}
-    intra = np.zeros((n, n))
-    inter = np.zeros((n, n))
-    with open(cfg.static_graph_file, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[:6] != EDGE_CSV_HEADER:
-            raise DataError(f"{cfg.static_graph_file}: expected graph edge CSV header")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 6:
-                raise DataError(f"{cfg.static_graph_file} line {line_no}: expected 6 cells")
-            _, _, lag, src, dst, weight = row
-            if src not in index or dst not in index:
-                missing = src if src not in index else dst
-                raise DataError(
-                    f"{cfg.static_graph_file} line {line_no}: unknown sensor {missing!r}"
-                )
+    graphs = {"0": np.zeros((n, n)), "1": np.zeros((n, n))}
+    rows = read_table(path)
+    if next(rows)[1] != EDGE_CSV_HEADER:
+        raise DataError(f"{path}: expected graph edge CSV header {','.join(EDGE_CSV_HEADER)}")
+    for line_no, (_, _, lag, src, dst, weight) in rows:
+        where = f"{path} line {line_no}"
+        if src not in index or dst not in index:
+            missing = src if src not in index else dst
+            raise DataError(f"{where}: unknown sensor {missing!r}")
+        target = graphs.get(lag.strip())
+        if target is None:
+            raise DataError(f"{where}: lag must be 0 or 1, got {lag!r}")
+        try:
             # Aggregation needs non-negative strengths in [0, 1].
             w = min(abs(float(weight)), 1.0)
-            target = intra if lag.strip() == "0" else inter
-            target[index[dst], index[src]] = max(target[index[dst], index[src]], w)
-    np.fill_diagonal(intra, 0.0)
-    return intra, inter
+        except ValueError:
+            raise DataError(f"{where}: non-numeric weight {weight!r}") from None
+        target[index[dst], index[src]] = max(target[index[dst], index[src]], w)
+    np.fill_diagonal(graphs["0"], 0.0)
+    return graphs["0"], graphs["1"]
 
 
 def _graph_path(cfg: RunConfig, split: str) -> str:
@@ -359,7 +345,8 @@ def _graph_stacks(
         intra0, inter0 = prior.weights.copy(), prior.weights
         np.fill_diagonal(intra0, 0.0)
     elif cfg.graph_source == "static-dbn-file":
-        intra0, inter0 = _static_graphs_from_file(cfg, windows.sensor_ids)
+        _require(cfg, "static_graph_file")
+        intra0, inter0 = _static_graphs_from_file(cfg.static_graph_file, windows.sensor_ids)
     else:
         raise ConfigError(f"unknown graph_source {cfg.graph_source!r}")
     # One constant pair serves every window and step: read-only views, no copies.
@@ -536,50 +523,31 @@ def cmd_predict(cfg: RunConfig) -> int:
 
 
 def _load_forecast_csv(path: str):
-    by_window: dict[int, dict[tuple[int, str], tuple[float, float, bool]]] = {}
-    horizon_max = 0
-    sensor_order: list[str] = []
-    seen_sensors = set()
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        expected = ["window_start_ts", "horizon_step", "sensor_id", "predicted", "actual", "valid"]
-        if header is None or header[:6] != expected:
-            raise DataError(f"{path}: expected forecast CSV header {','.join(expected)}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 6:
-                raise DataError(f"{path} line {line_no}: expected 6 cells")
-            try:
-                ts = int(row[0])
-                h = int(row[1])
-                pred = float(row[3])
-                actual = float(row[4])
-                valid = bool(int(row[5]))
-            except ValueError:
-                raise DataError(f"{path} line {line_no}: malformed cell") from None
-            if h < 1:
-                raise DataError(f"{path} line {line_no}: horizon_step must be >= 1, got {h}")
-            sid = row[2]
-            if sid not in seen_sensors:
-                seen_sensors.add(sid)
-                sensor_order.append(sid)
-            horizon_max = max(horizon_max, h)
-            by_window.setdefault(ts, {})[(h, sid)] = (pred, actual, valid)
-    if not by_window:
+    cells: dict[tuple[int, int, int], tuple[float, float, bool]] = {}  # by (window ts, step, sensor)
+    sensor_index: dict[str, int] = {}  # in order of first appearance
+    rows = read_table(path)
+    if next(rows)[1] != FORECAST_CSV_HEADER:
+        raise DataError(f"{path}: expected forecast CSV header {','.join(FORECAST_CSV_HEADER)}")
+    for line_no, (ts, step, sid, pred, actual, valid) in rows:
+        try:
+            window, h = int(ts), int(step)
+            cell = (float(pred), float(actual), bool(int(valid)))
+        except ValueError:
+            raise DataError(f"{path} line {line_no}: malformed cell") from None
+        if h < 1:
+            raise DataError(f"{path} line {line_no}: horizon_step must be >= 1, got {h}")
+        cells[window, h, sensor_index.setdefault(sid, len(sensor_index))] = cell
+    if not cells:
         raise DataError(f"{path}: no forecast rows")
-    ts_order = sorted(by_window)
-    w, n = len(ts_order), len(sensor_order)
-    preds = np.zeros((w, horizon_max, n))
-    actuals = np.zeros((w, horizon_max, n))
-    valid = np.zeros((w, horizon_max, n), dtype=bool)
-    sidx = {sid: i for i, sid in enumerate(sensor_order)}
-    for k, ts in enumerate(ts_order):
-        for (h, sid), (p, a, v) in by_window[ts].items():
-            preds[k, h - 1, sidx[sid]] = p
-            actuals[k, h - 1, sidx[sid]] = a
-            valid[k, h - 1, sidx[sid]] = v
+    windows = {ts: k for k, ts in enumerate(sorted({ts for ts, _, _ in cells}))}
+    shape = (len(windows), max(h for _, h, _ in cells), len(sensor_index))
+    preds = np.zeros(shape)
+    actuals = np.zeros(shape)
+    valid = np.zeros(shape, dtype=bool)
+    for (ts, h, i), (p, a, v) in cells.items():
+        preds[windows[ts], h - 1, i] = p
+        actuals[windows[ts], h - 1, i] = a
+        valid[windows[ts], h - 1, i] = v
     return preds, actuals, valid
 
 

@@ -19,14 +19,13 @@ training windows, so the stopping rule is not a coin flip.
 from __future__ import annotations
 
 import copy
-import csv
 import logging
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import WindowSet
+from .data import WindowSet, write_table
 from .errors import ConfigError, NumericalError, ShapeError
 from .grcsl import GrcslDims, GrcslForward, GrcslParams, graph_stacks, grcsl_forward_batch
 from .numerics import Adam, Tensor, available_mb, expm, peak_rss_mb, trace_expm
@@ -340,16 +339,6 @@ def train_grcsl(
 
 def save_history(path: str, history: list[dict]) -> None:
     """Write outer-loop history as CSV: outer_iter,f,S,alpha,rho."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["outer_iter", "f", "S", "alpha", "rho"])
-        for row in history:
-            writer.writerow(
-                [
-                    row["outer_iter"],
-                    f"{row['f']:.10g}",
-                    f"{row['S']:.10g}",
-                    f"{row['alpha']:.10g}",
-                    f"{row['rho']:.10g}",
-                ]
-            )
+    columns = ["f", "S", "alpha", "rho"]
+    rows = ([row["outer_iter"], *(f"{row[key]:.10g}" for key in columns)] for row in history)
+    write_table(path, ["outer_iter", *columns], rows)

@@ -1,6 +1,6 @@
 """Loading, normalizing, and windowing of sensor speed tables.
 
-File formats:
+File formats (every CSV is read by `read_table` and written by `write_table`):
 
 * speed table: CSV with header ``timestamp,<id1>,...,<idN>``; one row per
   5-minute tick, timestamps ISO-8601; a literal ``0.0`` cell means the
@@ -8,7 +8,7 @@ File formats:
 * distances: CSV with header ``from,to,dist`` describing directed pairwise
   road distances, turned into a prior graph by a Gaussian kernel;
 * manifest: flat ``key=value`` text recording normalization statistics and
-  split boundaries next to exported artifacts.
+  split boundaries next to exported artifacts; CLI config files share it.
 
 Timestamps are parsed as naive ISO-8601 against a fixed 1970-01-01 origin,
 so epoch arithmetic (and the derived time-of-day feature) never consults the
@@ -18,6 +18,7 @@ host timezone.
 from __future__ import annotations
 
 import csv
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
 from functools import cached_property
@@ -32,6 +33,8 @@ __all__ = [
     "NormStats",
     "Window",
     "WindowSet",
+    "read_table",
+    "write_table",
     "load_speed_table",
     "save_speed_table",
     "build_distance_graph",
@@ -177,25 +180,50 @@ class WindowSet:
 
 
 # --------------------------------------------------------------------- #
-# speed table I/O
+# table I/O
 # --------------------------------------------------------------------- #
 
 
-def _open_table(path: str):
+def read_table(path: str) -> Iterator[tuple[int, list[str]]]:
+    """The rows of a CSV table as (line_no, cells), read as the caller consumes them.
+
+    The header comes first with its cells stripped, then every non-blank
+    row; line_no is the file line the row ends on. A file that cannot be
+    opened or decoded, an empty file, and a row whose cell count differs
+    from the header's are a DataError naming the file (and the line).
+    """
     try:
-        return open(path, newline="")
-    except OSError as exc:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path}: empty file")
+            width = len(header)
+            yield reader.line_num, [cell.strip() for cell in header]
+            for row in filter(None, reader):
+                if len(row) != width:
+                    raise DataError(f"{path} line {reader.line_num}: expected {width} cells, got {len(row)}")
+                yield reader.line_num, row
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
+    except csv.Error as exc:
+        raise DataError(f"{path} line {reader.line_num}: {exc}") from None
 
 
-def _parse_timestamp(text: str, line_no: int) -> int:
+def write_table(path: str, header: list[str], rows: Iterable[Iterable]) -> None:
+    """Write a CSV table: the header, then one line per row of cells."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _parse_timestamp(text: str, where: str) -> int:
     try:
         dt = datetime.fromisoformat(text.strip())
     except ValueError as exc:
-        raise DataError(f"line {line_no}: bad timestamp {text!r}: {exc}") from None
-    if dt.tzinfo is not None:
-        dt = dt.replace(tzinfo=None)
-    return int(round((dt - _EPOCH).total_seconds()))
+        raise DataError(f"{where}: bad timestamp {text!r}: {exc}") from None
+    return int(round((dt.replace(tzinfo=None) - _EPOCH).total_seconds()))
 
 
 def load_speed_table(path: str) -> SpeedSeries:
@@ -204,54 +232,40 @@ def load_speed_table(path: str) -> SpeedSeries:
     Raises DataError naming the offending line for ragged rows, non-numeric
     cells, non-monotone timestamps, or spacing other than 5 minutes.
     """
-    with _open_table(path) as fh:
-        reader = csv.reader(fh)
+    rows = read_table(path)
+    _, header = next(rows)
+    if header[:1] != ["timestamp"]:
+        raise DataError(f"{path}: first header column must be 'timestamp'")
+    sensor_ids = header[1:]
+    if not sensor_ids:
+        raise DataError(f"{path}: no sensor columns")
+    timestamps: list[int] = []
+    values: list[np.ndarray] = []
+    for line_no, cells in rows:
+        where = f"{path} line {line_no}"
+        stamp = _parse_timestamp(cells[0], where)
+        step = stamp - timestamps[-1] if timestamps else TICK_SECONDS
+        if step <= 0:
+            raise DataError(f"{where}: timestamps not strictly increasing")
+        if step != TICK_SECONDS:
+            raise DataError(f"{where}: expected 5-minute spacing, got {step}s")
+        timestamps.append(stamp)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        if not header or header[0].strip() != "timestamp":
-            raise DataError(f"{path}: first header column must be 'timestamp'")
-        sensor_ids = [c.strip() for c in header[1:]]
-        if not sensor_ids:
-            raise DataError(f"{path}: no sensor columns")
-        n = len(sensor_ids)
-        timestamps: list[int] = []
-        rows: list[list[float]] = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != n + 1:
-                raise DataError(f"{path} line {line_no}: expected {n + 1} cells, got {len(row)}")
-            timestamps.append(_parse_timestamp(row[0], line_no))
-            try:
-                rows.append([float(cell) for cell in row[1:]])
-            except ValueError:
-                raise DataError(f"{path} line {line_no}: non-numeric cell") from None
-    if not rows:
+            # One float64 array per row: no float object per cell outlives its row.
+            values.append(np.fromiter(map(float, cells[1:]), dtype=np.float64, count=len(sensor_ids)))
+        except ValueError:
+            raise DataError(f"{where}: non-numeric cell") from None
+    if not values:
         raise DataError(f"{path}: no data rows")
-    ts = np.asarray(timestamps, dtype=np.int64)
-    diffs = np.diff(ts)
-    if np.any(diffs <= 0):
-        bad = int(np.argmax(diffs <= 0)) + 3  # +2 header/first row, +1 to the second of the pair
-        raise DataError(f"{path} line {bad}: timestamps not strictly increasing")
-    if ts.size > 1 and np.any(diffs != TICK_SECONDS):
-        bad = int(np.argmax(diffs != TICK_SECONDS)) + 3
-        raise DataError(f"{path} line {bad}: expected 5-minute spacing, got {int(diffs[bad - 3])}s")
-    values = np.asarray(rows, dtype=np.float64)
-    mask = values != 0.0
-    return SpeedSeries(sensor_ids=sensor_ids, timestamps=ts, values=values, mask=mask)
+    table = np.stack(values)
+    return SpeedSeries(sensor_ids=sensor_ids, timestamps=timestamps, values=table, mask=table != 0.0)
 
 
 def save_speed_table(path: str, series: SpeedSeries) -> None:
     """Write a SpeedSeries back to the CSV speed-table format."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp"] + list(series.sensor_ids))
-        for t in range(series.length):
-            stamp = (_EPOCH + timedelta(seconds=int(series.timestamps[t]))).isoformat(sep=" ")
-            row = [stamp] + [f"{v:.12g}" for v in series.values[t]]
-            writer.writerow(row)
+    stamps = ((_EPOCH + timedelta(seconds=int(ts))).isoformat(sep=" ") for ts in series.timestamps)
+    rows = ([stamp, *(f"{v:.12g}" for v in row)] for stamp, row in zip(stamps, series.values))
+    write_table(path, ["timestamp", *series.sensor_ids], rows)
 
 
 # --------------------------------------------------------------------- #
@@ -261,25 +275,16 @@ def save_speed_table(path: str, series: SpeedSeries) -> None:
 
 def load_distance_rows(path: str) -> list[tuple[str, str, float]]:
     """Parse a `from,to,dist` CSV into (from_id, to_id, distance) rows."""
-    rows: list[tuple[str, str, float]] = []
-    with _open_table(path) as fh:
-        reader = csv.reader(fh)
+    rows = read_table(path)
+    if next(rows)[1] != ["from", "to", "dist"]:
+        raise DataError(f"{path}: expected header 'from,to,dist'")
+    out: list[tuple[str, str, float]] = []
+    for line_no, (src, dst, dist) in rows:
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        if [c.strip() for c in header[:3]] != ["from", "to", "dist"]:
-            raise DataError(f"{path}: expected header 'from,to,dist'")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise DataError(f"{path} line {line_no}: expected 3 cells, got {len(row)}")
-            try:
-                rows.append((row[0].strip(), row[1].strip(), float(row[2])))
-            except ValueError:
-                raise DataError(f"{path} line {line_no}: non-numeric distance") from None
-    return rows
+            out.append((src.strip(), dst.strip(), float(dist)))
+        except ValueError:
+            raise DataError(f"{path} line {line_no}: non-numeric distance") from None
+    return out
 
 
 def build_distance_graph(
@@ -448,15 +453,22 @@ def save_manifest(path: str, entries: dict) -> None:
 
 
 def load_manifest(path: str) -> dict[str, str]:
-    """Read key=value lines back; values stay strings for the caller to coerce."""
+    """Read the key=value lines of a manifest or a CLI config file; values stay strings.
+
+    Blank lines and lines starting with # are skipped. An unreadable file or
+    a line without `=` is a DataError naming the file (and the line).
+    """
     entries: dict[str, str] = {}
-    with _open_table(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise DataError(f"{path} line {line_no}: expected key=value")
-            key, value = line.split("=", 1)
-            entries[key.strip()] = value.strip()
+    try:
+        with open(path) as fh:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                if "=" not in line:
+                    raise DataError(f"{path} line {line_no}: expected key=value")
+                key, value = line.split("=", 1)
+                entries[key.strip()] = value.strip()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
     return entries

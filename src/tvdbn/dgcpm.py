@@ -16,19 +16,19 @@ frozen throughout: graphs are produced once, in eval mode, per window.
 from __future__ import annotations
 
 import copy
-import csv
 import logging
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import NormStats, SpeedSeries, WindowSet, invert_zscore
+from .data import NormStats, SpeedSeries, WindowSet, invert_zscore, write_table
 from .errors import ConfigError, ShapeError
 from .graphops import GconvParams, dygconv, gconv_spectral
 from .numerics import Adam, Params, Tensor, concat, glorot_uniform, no_grad, peak_rss_mb
 
 __all__ = [
+    "FORECAST_CSV_HEADER",
     "DgcpmDims",
     "DgcpmParams",
     "DgcpmTrainConfig",
@@ -43,6 +43,8 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
+
+FORECAST_CSV_HEADER = ["window_start_ts", "horizon_step", "sensor_id", "predicted", "actual", "valid"]
 
 
 @dataclass
@@ -373,11 +375,7 @@ def export_forecasts(
     """
     win, step, node = np.indices(predictions.shape).reshape(3, -1).tolist()
     ts = np.asarray(start_ts)[win].tolist()
-    cells = (predictions.ravel().tolist(), actuals.ravel().tolist(), valid.ravel().astype(int).tolist())
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["window_start_ts", "horizon_step", "sensor_id", "predicted", "actual", "valid"])
-        writer.writerows(
-            (t, h + 1, sensor_ids[i], f"{p:.10g}", f"{a:.10g}", v)
-            for t, h, i, p, a, v in zip(ts, step, node, *cells)
-        )
+    columns = (predictions.ravel().tolist(), actuals.ravel().tolist(), valid.ravel().astype(int).tolist())
+    cells = zip(ts, step, node, *columns)
+    rows = ((t, h + 1, sensor_ids[i], f"{p:.10g}", f"{a:.10g}", v) for t, h, i, p, a, v in cells)
+    write_table(path, FORECAST_CSV_HEADER, rows)

@@ -28,7 +28,6 @@ depend only on ticks 1..t (the recurrence never looks ahead).
 
 from __future__ import annotations
 
-import csv
 import functools
 import os
 from collections.abc import Callable, Sequence
@@ -36,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import write_table
 from .errors import ConfigError, ShapeError
 from .graphops import GconvParams, gconv_spectral
 from .numerics import Params, Tensor, concat, glorot_uniform, no_grad
@@ -733,13 +733,7 @@ def export_graph_edges(
     win, step, lag, dst, src = np.nonzero(graphs > threshold)
     weights = graphs[win, step, lag, dst, src]
     ts = np.asarray(start_ts)[win].tolist()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(EDGE_CSV_HEADER)
-        writer.writerows(
-            (t, j + 2, k, sensor_ids[s], sensor_ids[d], f"{w:.10g}")
-            for t, j, k, s, d, w in zip(
-                ts, step.tolist(), lag.tolist(), src.tolist(), dst.tolist(), weights.tolist()
-            )
-        )
+    cells = zip(ts, step.tolist(), lag.tolist(), src.tolist(), dst.tolist(), weights.tolist())
+    rows = ((t, j + 2, k, sensor_ids[s], sensor_ids[d], f"{w:.10g}") for t, j, k, s, d, w in cells)
+    write_table(path, EDGE_CSV_HEADER, rows)
     return len(weights)

@@ -9,11 +9,11 @@ never a fake 0.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import write_table
 from .errors import ConfigError, ShapeError
 
 __all__ = [
@@ -47,6 +47,10 @@ class EvalReport:
     per_horizon: dict[int, HorizonMetrics]
     overall: HorizonMetrics
     horizons: list[int] = field(default_factory=list)
+
+    def rows(self) -> list[tuple[int | str, HorizonMetrics]]:
+        """(label, metrics) per requested horizon, then ("overall", metrics): the rows of both reports."""
+        return [(h, self.per_horizon[h]) for h in self.horizons] + [("overall", self.overall)]
 
 
 def _metrics_over(pred: np.ndarray, actual: np.ndarray, valid: np.ndarray) -> HorizonMetrics:
@@ -108,15 +112,10 @@ def render_report(report: EvalReport) -> str:
     lines = [
         f"{'horizon':>8} {'MAE':>10} {'RMSE':>10} {'MAPE%':>10} {'cells':>8}",
     ]
-    for h in report.horizons:
-        m = report.per_horizon[h]
+    for label, m in report.rows():
         lines.append(
-            f"{h:>8} {_fmt(m.mae):>10} {_fmt(m.rmse):>10} {_fmt(m.mape):>10} {m.valid_cells:>8}"
+            f"{label:>8} {_fmt(m.mae):>10} {_fmt(m.rmse):>10} {_fmt(m.mape):>10} {m.valid_cells:>8}"
         )
-    m = report.overall
-    lines.append(
-        f"{'overall':>8} {_fmt(m.mae):>10} {_fmt(m.rmse):>10} {_fmt(m.mape):>10} {m.valid_cells:>8}"
-    )
     lines.append("")
     lines.append(
         "reference (non-binding, full-scale 207-sensor benchmark, horizon 3): "
@@ -133,15 +132,9 @@ def render_report(report: EvalReport) -> str:
 
 def write_report_csv(path: str, report: EvalReport) -> None:
     """CSV mirror of the text table: horizon,mae,rmse,mape,valid_cells."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["horizon", "mae", "rmse", "mape", "valid_cells"])
 
-        def _cell(x: float | None) -> str:
-            return "" if x is None else f"{x:.10g}"
+    def _cell(x: float | None) -> str:
+        return "" if x is None else f"{x:.10g}"
 
-        for h in report.horizons:
-            m = report.per_horizon[h]
-            writer.writerow([h, _cell(m.mae), _cell(m.rmse), _cell(m.mape), m.valid_cells])
-        m = report.overall
-        writer.writerow(["overall", _cell(m.mae), _cell(m.rmse), _cell(m.mape), m.valid_cells])
+    rows = ((label, _cell(m.mae), _cell(m.rmse), _cell(m.mape), m.valid_cells) for label, m in report.rows())
+    write_table(path, ["horizon", "mae", "rmse", "mape", "valid_cells"], rows)

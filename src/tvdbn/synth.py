@@ -18,13 +18,12 @@ matched-density Monte-Carlo random baseline to calibrate F1 against.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .checkpoint import _read, _write
-from .data import SpeedSeries, TICK_SECONDS
+from .data import SpeedSeries, TICK_SECONDS, write_table
 from .errors import ConfigError, DataError
 from .grcsl import EDGE_CSV_HEADER, CausalGraphSeq
 
@@ -411,17 +410,14 @@ def export_truth_edges(
     window_start_ts carries the regime's first tick timestamp and `step` the
     regime index; weights are the signed true coefficients.
     """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(EDGE_CSV_HEADER)
-        for r in range(truth.num_regimes):
-            regime_ts = start_ts + TICK_SECONDS * int(truth.boundaries[r])
-            for lag, graph in ((0, truth.intra[r]), (1, truth.inter[r])):
-                dst, src = np.nonzero(graph)
-                for i, j in zip(dst, src):
-                    writer.writerow(
-                        [regime_ts, r, lag, sensor_ids[j], sensor_ids[i], f"{graph[i, j]:.10g}"]
-                    )
+    regime_ts = start_ts + TICK_SECONDS * truth.boundaries
+    rows = (
+        (int(regime_ts[r]), r, lag, sensor_ids[j], sensor_ids[i], f"{graph[i, j]:.10g}")
+        for r in range(truth.num_regimes)
+        for lag, graph in ((0, truth.intra[r]), (1, truth.inter[r]))
+        for i, j in zip(*np.nonzero(graph))
+    )
+    write_table(path, EDGE_CSV_HEADER, rows)
 
 
 def save_truth(path: str, truth: GroundTruthTvdbn) -> None:

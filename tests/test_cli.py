@@ -11,9 +11,11 @@ import pytest
 from tvdbn import cli
 from tvdbn.checkpoint import load_graphs, save_graphs
 from tvdbn.cli import RunConfig, build_parser, main, parse_config_file, resolve_config
-from tvdbn.data import load_speed_table, make_windows, split_chronological
+from tvdbn.data import load_speed_table, make_windows, save_speed_table, split_chronological
+from tvdbn.dgcpm import FORECAST_CSV_HEADER
 from tvdbn.errors import ConfigError
-from tvdbn.grcsl import graph_stacks
+from tvdbn.grcsl import EDGE_CSV_HEADER, graph_stacks
+from tvdbn.synth import to_speed_series
 
 TINY = """
 # desk-scale run
@@ -159,12 +161,34 @@ def test_usage_errors_exit_one(tmp_path):
     assert main(["synth", "--out-dir", str(tmp_path), "--synth-n", "abc"]) == 1
 
 
-def test_data_errors_exit_two(tmp_path):
+def test_data_errors_exit_two(tmp_path, caplog):
     assert main(["train-structure", "--speed-csv", str(tmp_path / "missing.csv"),
                  "--out-dir", str(tmp_path)]) == 2
     bad = tmp_path / "forecasts.csv"
     bad.write_text("wrong,header\n1,2\n")
     assert main(["evaluate", "--forecast-csv", str(bad), "--out-dir", str(tmp_path)]) == 2
+    assert main(["evaluate", "--forecast-csv", str(tmp_path / "none.csv"), "--out-dir", str(tmp_path)]) == 2
+    # Static graph files are read by export-graphs before anything else can fail.
+    speed = tmp_path / "speed.csv"
+    save_speed_table(str(speed), to_speed_series(np.random.default_rng(0).standard_normal((60, 2))))
+    edges = tmp_path / "edges.csv"
+    export = ["export-graphs", "--speed-csv", str(speed), "--out-dir", str(tmp_path), "--t-in", "2",
+              "--t-out", "1", "--use-prior", "false", "--graph-source", "static-dbn-file",
+              "--static-graph-file", str(edges)]
+    cases = [
+        (None, "cannot read"),
+        ("0,2,0,s000,s001,abc", "line 2: non-numeric weight 'abc'"),
+        ("0,2,2,s000,s001,0.5", "line 2: lag must be 0 or 1, got '2'"),
+    ]
+    for row, message in cases:
+        if row is not None:
+            edges.write_text(",".join(EDGE_CSV_HEADER) + "\n" + row + "\n")
+        caplog.clear()
+        assert main(export) == 2, message
+        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert len(errors) == 1 and "edges.csv" in errors[0] and message in errors[0], errors
+    edges.write_text(",".join(EDGE_CSV_HEADER) + "\n0,2,1,s000,s001,0.5\n")
+    assert main(export) == 0
 
 
 def test_gradcheck_exits_zero_and_prints_reports(capsys):
@@ -263,7 +287,7 @@ def test_pipeline_graphs_csv_is_well_formed(pipeline):
 def test_pipeline_forecasts_cover_the_test_split(pipeline):
     with open(pipeline / "forecasts.csv", newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0][:6] == ["window_start_ts", "horizon_step", "sensor_id", "predicted", "actual", "valid"]
+    assert rows[0] == FORECAST_CSV_HEADER
     body = rows[1:]
     # synth_t=240 -> test split 48 ticks -> (48 - 9 + 1 + 2) // 3 windows of
     # 4 sensors x 3 horizon steps
@@ -399,7 +423,7 @@ def test_evaluate_perfect_forecast_scores_zero(tmp_path):
     path = tmp_path / "forecasts.csv"
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["window_start_ts", "horizon_step", "sensor_id", "predicted", "actual", "valid"])
+        writer.writerow(FORECAST_CSV_HEADER)
         for h in (1, 2):
             for sid in ("a", "b"):
                 writer.writerow([100, h, sid, 55.5, 55.5, 1])
@@ -418,7 +442,7 @@ def test_evaluate_rejects_a_horizon_step_below_one(tmp_path, caplog, step):
     path = tmp_path / "forecasts.csv"
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["window_start_ts", "horizon_step", "sensor_id", "predicted", "actual", "valid"])
+        writer.writerow(FORECAST_CSV_HEADER)
         writer.writerow([100, 1, "a", 1.0, 1.0, 1])
         writer.writerow([100, step, "a", 99.0, 1.0, 1])
     assert main(["evaluate", "--forecast-csv", str(path), "--out-dir", str(tmp_path / "o"),
@@ -430,7 +454,7 @@ def test_evaluate_rejects_horizons_beyond_the_forecast(tmp_path):
     path = tmp_path / "forecasts.csv"
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["window_start_ts", "horizon_step", "sensor_id", "predicted", "actual", "valid"])
+        writer.writerow(FORECAST_CSV_HEADER)
         writer.writerow([100, 1, "a", 1.0, 1.0, 1])
     # requested horizons all exceed the single forecast step -> config error
     assert main(["evaluate", "--forecast-csv", str(path), "--out-dir", str(tmp_path / "o"),

@@ -1,10 +1,13 @@
 """Speed/distance table IO, normalization, windowing, and splits."""
 
+import ast
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tvdbn
 from tvdbn.data import (
     SpeedSeries,
     apply_zscore,
@@ -14,6 +17,7 @@ from tvdbn.data import (
     load_manifest,
     load_speed_table,
     make_windows,
+    read_table,
     save_manifest,
     save_speed_table,
     split_chronological,
@@ -72,6 +76,18 @@ class TestSpeedTable:
         with pytest.raises(DataError, match="line 3"):
             load_speed_table(path)
 
+    def test_error_lines_count_blank_lines(self, tmp_path):
+        path = write(
+            tmp_path,
+            "s.csv",
+            "timestamp,a\n"
+            "2012-03-01 00:00:00,1.0\n"
+            "\n"
+            "2012-03-01 00:07:00,2.0\n",
+        )
+        with pytest.raises(DataError, match="line 4: expected 5-minute spacing"):
+            load_speed_table(path)
+
     def test_rejects_ragged_row(self, tmp_path):
         path = write(
             tmp_path,
@@ -100,6 +116,41 @@ class TestSpeedTable:
         )
         with pytest.raises(DataError):
             load_speed_table(path)
+
+
+class TestTable:
+    def test_read_table_names_file_and_line_of_a_ragged_row(self, tmp_path):
+        path = write(tmp_path, "t.csv", " a , b \n1,2\n\n3,4,5\n")
+        rows = read_table(path)
+        assert next(rows) == (1, ["a", "b"])
+        assert next(rows) == (2, ["1", "2"])
+        with pytest.raises(DataError, match=r"t\.csv line 4: expected 2 cells, got 3"):
+            next(rows)
+
+    def test_read_table_rejects_an_empty_file(self, tmp_path):
+        path = write(tmp_path, "empty.csv", "")
+        with pytest.raises(DataError, match=r"empty\.csv: empty file"):
+            list(read_table(path))
+
+    def test_only_data_builds_csv_readers_and_writers(self):
+        """The table format is decided in one module: no other module builds a csv.reader or csv.writer."""
+        package = Path(tvdbn.__file__).parent
+        users = set()
+        for module in package.rglob("*.py"):
+            for node in ast.walk(ast.parse(module.read_text(), str(module))):
+                named = (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "csv"
+                    and node.attr in ("reader", "writer")
+                ) or (
+                    isinstance(node, ast.ImportFrom)
+                    and node.module == "csv"
+                    and any(alias.name in ("reader", "writer") for alias in node.names)
+                )
+                if named:
+                    users.add(module.relative_to(package).as_posix())
+        assert users == {"data.py"}
 
 
 class TestDistanceGraph:
