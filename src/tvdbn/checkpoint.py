@@ -31,16 +31,6 @@ from .dgcpm import DgcpmDims, DgcpmParams
 from .errors import DataError
 from .grcsl import GrcslDims, GrcslParams
 
-__all__ = [
-    "save_grcsl",
-    "load_grcsl",
-    "save_dgcpm",
-    "load_dgcpm",
-    "graph_key",
-    "save_graphs",
-    "load_graphs",
-]
-
 _FORMAT_VERSION = 2
 
 

@@ -248,7 +248,7 @@ def _load_prior(cfg: RunConfig, sensor_ids: list[str]) -> PriorGraph | None:
     if not cfg.use_prior and cfg.graph_source != "distance":
         return None
     _require(cfg, "dist_csv")
-    rows = load_distance_rows(cfg.dist_csv)
+    rows = load_distance_rows(cfg.dist_csv, sensor_ids)
     return build_distance_graph(rows, sensor_ids, kappa=cfg.kappa)
 
 
@@ -641,7 +641,3 @@ def main(argv: list[str] | None = None) -> int:
     except TvdbnError as exc:  # pragma: no cover - safety net
         log.error("error: %s", exc)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -30,20 +30,6 @@ from .errors import ConfigError, NumericalError, ShapeError
 from .grcsl import GrcslDims, GrcslForward, GrcslParams, graph_stacks, grcsl_forward_batch
 from .numerics import Adam, Tensor, available_mb, expm, peak_rss_mb, trace_expm
 
-__all__ = [
-    "notears_h",
-    "AugLagState",
-    "GrcslTrainConfig",
-    "GrcslTrainResult",
-    "grcsl_loss",
-    "constraint_sum",
-    "auglag_objective",
-    "auglag_update",
-    "grcsl_peak_mb",
-    "train_grcsl",
-    "save_history",
-]
-
 log = logging.getLogger(__name__)
 
 # Edge weight above which an eval-mode graph entry counts as an edge in the history.

@@ -27,28 +27,6 @@ import numpy as np
 
 from .errors import ConfigError, DataError, NumericalError
 
-__all__ = [
-    "SpeedSeries",
-    "PriorGraph",
-    "NormStats",
-    "Window",
-    "WindowSet",
-    "read_table",
-    "write_table",
-    "load_speed_table",
-    "save_speed_table",
-    "build_distance_graph",
-    "load_distance_rows",
-    "zscore_fit_apply",
-    "apply_zscore",
-    "invert_zscore",
-    "time_of_day",
-    "split_chronological",
-    "make_windows",
-    "save_manifest",
-    "load_manifest",
-]
-
 _EPOCH = datetime(1970, 1, 1)
 TICK_SECONDS = 300  # fixed 5-minute sampling period
 SECONDS_PER_DAY = 86400.0
@@ -240,24 +218,27 @@ def load_speed_table(path: str) -> SpeedSeries:
     if not sensor_ids:
         raise DataError(f"{path}: no sensor columns")
     timestamps: list[int] = []
-    values: list[np.ndarray] = []
-    for line_no, cells in rows:
-        where = f"{path} line {line_no}"
-        stamp = _parse_timestamp(cells[0], where)
-        step = stamp - timestamps[-1] if timestamps else TICK_SECONDS
-        if step <= 0:
-            raise DataError(f"{where}: timestamps not strictly increasing")
-        if step != TICK_SECONDS:
-            raise DataError(f"{where}: expected 5-minute spacing, got {step}s")
-        timestamps.append(stamp)
-        try:
-            # One float64 array per row: no float object per cell outlives its row.
-            values.append(np.fromiter(map(float, cells[1:]), dtype=np.float64, count=len(sensor_ids)))
-        except ValueError:
-            raise DataError(f"{where}: non-numeric cell") from None
-    if not values:
+
+    def cells() -> Iterator[float]:
+        for line_no, row in rows:
+            where = f"{path} line {line_no}"
+            stamp = _parse_timestamp(row[0], where)
+            step = stamp - timestamps[-1] if timestamps else TICK_SECONDS
+            if step <= 0:
+                raise DataError(f"{where}: timestamps not strictly increasing")
+            if step != TICK_SECONDS:
+                raise DataError(f"{where}: expected 5-minute spacing, got {step}s")
+            timestamps.append(stamp)
+            try:
+                yield from map(float, row[1:])
+            except ValueError:
+                raise DataError(f"{where}: non-numeric cell") from None
+
+    # Every row's cells go into one growing buffer: no per-row array outlives its row.
+    flat = np.fromiter(cells(), dtype=np.float64)
+    if not timestamps:
         raise DataError(f"{path}: no data rows")
-    table = np.stack(values)
+    table = flat.reshape(len(timestamps), len(sensor_ids))
     return SpeedSeries(sensor_ids=sensor_ids, timestamps=timestamps, values=table, mask=table != 0.0)
 
 
@@ -273,17 +254,22 @@ def save_speed_table(path: str, series: SpeedSeries) -> None:
 # --------------------------------------------------------------------- #
 
 
-def load_distance_rows(path: str) -> list[tuple[str, str, float]]:
-    """Parse a `from,to,dist` CSV into (from_id, to_id, distance) rows."""
+def load_distance_rows(path: str, sensor_ids: list[str]) -> list[tuple[str, str, float]]:
+    """Parse a `from,to,dist` CSV between known sensors into (from_id, to_id, distance) rows."""
+    known = set(sensor_ids)
     rows = read_table(path)
     if next(rows)[1] != ["from", "to", "dist"]:
         raise DataError(f"{path}: expected header 'from,to,dist'")
     out: list[tuple[str, str, float]] = []
     for line_no, (src, dst, dist) in rows:
+        where = f"{path} line {line_no}"
+        src, dst = src.strip(), dst.strip()
+        if src not in known or dst not in known:
+            raise DataError(f"{where}: unknown sensor {src if src not in known else dst!r}")
         try:
-            out.append((src.strip(), dst.strip(), float(dist)))
+            out.append((src, dst, float(dist)))
         except ValueError:
-            raise DataError(f"{path} line {line_no}: non-numeric distance") from None
+            raise DataError(f"{where}: non-numeric distance") from None
     return out
 
 

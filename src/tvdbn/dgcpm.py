@@ -27,21 +27,6 @@ from .errors import ConfigError, ShapeError
 from .graphops import GconvParams, dygconv, gconv_spectral
 from .numerics import Adam, Params, Tensor, concat, glorot_uniform, no_grad, peak_rss_mb
 
-__all__ = [
-    "FORECAST_CSV_HEADER",
-    "DgcpmDims",
-    "DgcpmParams",
-    "DgcpmTrainConfig",
-    "DgcpmTrainResult",
-    "dgcpm_forward_batch",
-    "masked_mae_loss",
-    "curriculum_train",
-    "predict",
-    "node_mean_baseline",
-    "baseline_masked_mae",
-    "export_forecasts",
-]
-
 log = logging.getLogger(__name__)
 
 FORECAST_CSV_HEADER = ["window_start_ts", "horizon_step", "sensor_id", "predicted", "actual", "valid"]

@@ -21,15 +21,6 @@ import numpy as np
 from .errors import ShapeError
 from .numerics import Params, Tensor, glorot_uniform
 
-__all__ = [
-    "GconvParams",
-    "normalize_symmetric",
-    "normalize_row",
-    "gconv_spectral",
-    "gconv_spatial",
-    "dygconv",
-]
-
 
 @dataclass
 class GconvParams(Params):
@@ -40,14 +31,6 @@ class GconvParams(Params):
     """
 
     theta: list[Tensor]
-
-    @property
-    def layers(self) -> int:
-        return len(self.theta) - 1
-
-    @property
-    def width(self) -> int:
-        return self.theta[0].shape[1]
 
     @classmethod
     def init(cls, rng: np.random.Generator, d_in: int, width: int, layers: int) -> "GconvParams":

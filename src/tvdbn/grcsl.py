@@ -41,25 +41,6 @@ from .graphops import GconvParams, gconv_spectral
 from .numerics import Params, Tensor, concat, glorot_uniform, no_grad
 from .numerics.tensor import _from_op, _stable_sigmoid, _tracking, _unbroadcast
 
-__all__ = [
-    "GrcslDims",
-    "AttnParams",
-    "GruCell",
-    "GraphHead",
-    "SemParams",
-    "GrcslParams",
-    "CausalGraphSeq",
-    "extract_features",
-    "msdot",
-    "gru_step",
-    "graph_head",
-    "sem_reconstruct",
-    "grcsl_forward_batch",
-    "graph_stacks",
-    "export_graph_edges",
-    "EDGE_CSV_HEADER",
-]
-
 # Columns of every graph edge CSV: estimated graphs, true graphs, static graph files.
 EDGE_CSV_HEADER = ["window_start_ts", "step", "lag", "src_id", "dst_id", "weight"]
 

@@ -16,15 +16,6 @@ import numpy as np
 from .data import write_table
 from .errors import ConfigError, ShapeError
 
-__all__ = [
-    "MAPE_FLOOR",
-    "HorizonMetrics",
-    "EvalReport",
-    "evaluate",
-    "render_report",
-    "write_report_csv",
-]
-
 MAPE_FLOOR = 1.0
 
 # Published full-scale benchmark numbers (207-sensor highway network,

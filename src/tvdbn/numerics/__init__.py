@@ -5,18 +5,3 @@ from .linalg import expm, trace_expm
 from .memory import available_mb, peak_rss_mb
 from .optim import Adam
 from .tensor import Params, Tensor, concat, glorot_uniform, no_grad
-
-__all__ = [
-    "Adam",
-    "GradReport",
-    "Params",
-    "Tensor",
-    "available_mb",
-    "concat",
-    "expm",
-    "glorot_uniform",
-    "grad_check",
-    "no_grad",
-    "peak_rss_mb",
-    "trace_expm",
-]

@@ -15,8 +15,6 @@ import numpy as np
 
 from .tensor import Tensor, no_grad
 
-__all__ = ["GradReport", "grad_check"]
-
 DEFAULT_EPS = 1e-5
 DEFAULT_TOL = 1e-4
 _REL_FLOOR = 1e-8

@@ -15,8 +15,6 @@ import numpy as np
 from ..errors import ShapeError
 from .tensor import Tensor, _from_op, _tracking
 
-__all__ = ["expm", "trace_expm"]
-
 # Direct series below this 1-norm; above it, scale down to ~0.5 and square.
 _DIRECT_NORM = 4.0
 _MAX_TERMS = 64

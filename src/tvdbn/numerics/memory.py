@@ -19,8 +19,6 @@ from __future__ import annotations
 import ctypes
 import resource
 
-__all__ = ["available_mb", "peak_rss_mb"]
-
 # glibc's mallopt parameter numbers (malloc.h).
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3

@@ -8,8 +8,6 @@ import numpy as np
 
 from .tensor import Tensor
 
-__all__ = ["Adam"]
-
 
 class Adam:
     """Standard Adam with bias correction; state keyed by parameter order."""

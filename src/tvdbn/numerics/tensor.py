@@ -19,8 +19,6 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-__all__ = ["Tensor", "Params", "concat", "no_grad", "glorot_uniform"]
-
 _grad_enabled: bool = True
 
 

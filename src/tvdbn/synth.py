@@ -27,22 +27,6 @@ from .data import SpeedSeries, TICK_SECONDS, write_table
 from .errors import ConfigError, DataError
 from .grcsl import EDGE_CSV_HEADER, CausalGraphSeq
 
-__all__ = [
-    "GroundTruthTvdbn",
-    "LagScore",
-    "RecoveryScore",
-    "sample_tvdbn",
-    "simulate_linear_sem",
-    "topological_order",
-    "score_recovery",
-    "random_recovery_baseline",
-    "to_speed_series",
-    "planar_distance_rows",
-    "export_truth_edges",
-    "save_truth",
-    "load_truth",
-]
-
 
 @dataclass
 class GroundTruthTvdbn:

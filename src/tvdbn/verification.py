@@ -30,7 +30,6 @@ from .grcsl import (
 )
 from .numerics import GradReport, Tensor, grad_check
 
-__all__ = ["gradient_suite"]
 
 def _symmetric_prior(rng: np.random.Generator, n: int) -> np.ndarray:
     a = rng.random((n, n))

@@ -189,6 +189,14 @@ def test_data_errors_exit_two(tmp_path, caplog):
         assert len(errors) == 1 and "edges.csv" in errors[0] and message in errors[0], errors
     edges.write_text(",".join(EDGE_CSV_HEADER) + "\n0,2,1,s000,s001,0.5\n")
     assert main(export) == 0
+    # A distance row naming a sensor the speed table lacks.
+    dist = tmp_path / "dist.csv"
+    dist.write_text("from,to,dist\ns000,s001,1.0\ns001,s000,2.0\ns000,zzz,1.0\n")
+    caplog.clear()
+    prior = ["export-graphs", "--speed-csv", str(speed), "--out-dir", str(tmp_path), "--dist-csv", str(dist)]
+    assert main(prior) == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+    assert len(errors) == 1 and "dist.csv line 4: unknown sensor 'zzz'" in errors[0], errors
 
 
 def test_gradcheck_exits_zero_and_prints_reports(capsys):

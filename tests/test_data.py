@@ -163,7 +163,7 @@ class TestDistanceGraph:
             "d.csv",
             "from,to,dist\na,b,1.0\nb,c,2.0\na,c,3.0\n",
         )
-        rows = load_distance_rows(path)
+        rows = load_distance_rows(path, ["a", "b", "c"])
         g = build_distance_graph(rows, ["a", "b", "c"], kappa=0.1)
         expected = np.exp(-1.0 / (2.0 / 3.0))
         assert g.weights[0, 1] == pytest.approx(expected, rel=1e-12)
@@ -174,20 +174,21 @@ class TestDistanceGraph:
 
     def test_zero_spread_distances_rejected(self, tmp_path):
         path = write(tmp_path, "d.csv", "from,to,dist\na,b,2.0\nb,a,2.0\n")
-        rows = load_distance_rows(path)
+        rows = load_distance_rows(path, ["a", "b"])
         with pytest.raises(ConfigError):
             build_distance_graph(rows, ["a", "b"])
 
     def test_unknown_sensor_rejected(self, tmp_path):
-        path = write(tmp_path, "d.csv", "from,to,dist\na,zzz,1.0\nb,a,2.0\n")
-        rows = load_distance_rows(path)
+        path = write(tmp_path, "d.csv", "from,to,dist\nb,a,2.0\na,zzz,1.0\n")
+        with pytest.raises(DataError, match=r"d\.csv line 3: unknown sensor 'zzz'"):
+            load_distance_rows(path, ["a", "b"])
         with pytest.raises(DataError, match="zzz"):
-            build_distance_graph(rows, ["a", "b"])
+            build_distance_graph([("b", "a", 2.0), ("a", "zzz", 1.0)], ["a", "b"])
 
     def test_header_enforced(self, tmp_path):
         path = write(tmp_path, "d.csv", "src,dst,w\na,b,1.0\n")
         with pytest.raises(DataError):
-            load_distance_rows(path)
+            load_distance_rows(path, ["a", "b"])
 
 
 class TestNormalization:
