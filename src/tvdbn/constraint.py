@@ -28,7 +28,7 @@ import numpy as np
 from .data import WindowSet, write_table
 from .errors import ConfigError, NumericalError, ShapeError
 from .grcsl import GrcslDims, GrcslForward, GrcslParams, graph_stacks, grcsl_forward_batch
-from .numerics import Adam, Tensor, available_mb, expm, peak_rss_mb, trace_expm
+from .numerics import Adam, Tensor, available_mb, peak_rss_mb, trace_expm
 
 log = logging.getLogger(__name__)
 
@@ -43,22 +43,17 @@ PEAK_BASE_MB, PEAK_MB_PER_PAIR = 39.2, 0.0311
 def notears_h(b):
     """Acyclicity measure of (batched) square matrices; 0 iff acyclic support.
 
-    Accepts a plain ndarray (returns float or ndarray of batch shape) or a
-    Tensor (returns a Tensor, differentiable). Mathematically non-negative;
-    clamped at zero against floating-point noise.
+    A Tensor gives a differentiable Tensor; a plain array runs the same
+    arithmetic and gives a float, or an ndarray of the batch shape.
+    Mathematically non-negative; clamped at zero against floating-point noise.
     """
+    t = b if isinstance(b, Tensor) else Tensor(b)
+    if t.ndim < 2 or t.shape[-1] != t.shape[-2]:
+        raise ShapeError(f"notears_h needs square matrices, got {t.shape}")
+    h = (trace_expm(t * t) - float(t.shape[-1])).relu()
     if isinstance(b, Tensor):
-        if b.ndim < 2 or b.shape[-1] != b.shape[-2]:
-            raise ShapeError(f"notears_h needs square matrices, got {b.shape}")
-        n = b.shape[-1]
-        return (trace_expm(b * b) - float(n)).relu()
-    arr = np.asarray(b, dtype=np.float64)
-    if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
-        raise ShapeError(f"notears_h needs square matrices, got {arr.shape}")
-    n = arr.shape[-1]
-    h = np.trace(expm(arr * arr), axis1=-2, axis2=-1) - float(n)
-    h = np.maximum(h, 0.0)
-    return float(h) if h.ndim == 0 else h
+        return h
+    return float(h.data) if h.ndim == 0 else h.data
 
 
 @dataclass

@@ -250,7 +250,7 @@ class CausalGraphSeq:
         if self.intra.shape[-1] != self.intra.shape[-2]:
             raise ShapeError("graphs must be square")
         for name, arr in (("intra", self.intra), ("inter", self.inter)):
-            if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
+            if not np.all((arr >= 0.0) & (arr <= 1.0)):  # NaN fails both comparisons
                 raise ValueError(f"{name} entries must lie in [0, 1]")
         if self.intra.size and np.abs(np.diagonal(self.intra, axis1=-2, axis2=-1)).max() > 0:
             raise ValueError("lag-0 graphs must have zero diagonals")

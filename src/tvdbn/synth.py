@@ -18,7 +18,7 @@ matched-density Monte-Carlo random baseline to calibrate F1 against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -49,8 +49,9 @@ class GroundTruthTvdbn:
         self.boundaries = np.asarray(self.boundaries, dtype=np.int64)
         if self.intra.shape != self.inter.shape or self.intra.ndim != 3:
             raise DataError("truth graph stacks must share shape (R, N, N)")
-        if self.boundaries.shape != (self.intra.shape[0] + 1,):
-            raise DataError("boundaries must have one entry per regime edge")
+        b = self.boundaries
+        if b.shape != (self.intra.shape[0] + 1,) or b[0] != 0 or np.any(np.diff(b) <= 0):
+            raise DataError(f"boundaries must be R + 1 ticks rising strictly from 0, got {b}")
 
     @property
     def num_regimes(self) -> int:
@@ -64,10 +65,14 @@ class GroundTruthTvdbn:
     def length(self) -> int:
         return int(self.boundaries[-1])
 
-    def regime_at(self, t: int) -> int:
-        if t < 0 or t >= self.length:
-            raise DataError(f"tick {t} outside the truth's horizon [0, {self.length})")
-        return int(np.searchsorted(self.boundaries, t, side="right") - 1)
+    def regime_at(self, t: int | np.ndarray) -> int | np.ndarray:
+        """Regime active at tick t: an int for one tick, an int array for an array of ticks."""
+        ticks = np.asarray(t)
+        outside = (ticks < 0) | (ticks >= self.length)
+        if outside.any():
+            raise DataError(f"tick {ticks[outside][0]} outside the truth's horizon [0, {self.length})")
+        regimes = np.searchsorted(self.boundaries, ticks, side="right") - 1
+        return int(regimes) if regimes.ndim == 0 else regimes
 
 
 def topological_order(adjacency: np.ndarray) -> list[int]:
@@ -179,10 +184,11 @@ def simulate_linear_sem(
         if noise.shape != (t_len, n):
             raise DataError(f"noise must be (T, N) = ({t_len}, {n}), got {noise.shape}")
     orders = [topological_order(truth.intra[r]) for r in range(truth.num_regimes)]
+    regimes = truth.regime_at(np.arange(t_len))
     x = np.zeros((t_len, n))
     x[0] = noise[0]
     for t in range(1, t_len):
-        r = truth.regime_at(t)
+        r = regimes[t]
         b0, b1 = truth.intra[r], truth.inter[r]
         drive = b1 @ x[t - 1] + noise[t]
         row = x[t]
@@ -227,14 +233,9 @@ def planar_distance_rows(
     sensor_ids: list[str], seed: int = 0, extent: float = 1000.0
 ) -> list[tuple[str, str, float]]:
     """Random planar sensor coordinates turned into all-pairs distances."""
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(0.0, extent, size=(len(sensor_ids), 2))
-    rows: list[tuple[str, str, float]] = []
-    for i, src in enumerate(sensor_ids):
-        for j, dst in enumerate(sensor_ids):
-            d = float(np.hypot(*(pts[i] - pts[j])))
-            rows.append((src, dst, d))
-    return rows
+    x, y = np.random.default_rng(seed).uniform(0.0, extent, size=(len(sensor_ids), 2)).T
+    dist = np.hypot(x[:, None] - x, y[:, None] - y).tolist()
+    return [(src, dst, d) for src, row in zip(sensor_ids, dist) for dst, d in zip(sensor_ids, row)]
 
 
 # --------------------------------------------------------------------- #
@@ -266,20 +267,23 @@ class RecoveryScore:
 
 
 def structural_hamming_distance(est: np.ndarray, true: np.ndarray) -> int:
-    """Edge insertions + deletions, with a reversed pair counting once."""
+    """Edge insertions + deletions, a reversed pair counting once, summed over any leading axes."""
     est = np.asarray(est, dtype=bool)
     true = np.asarray(true, dtype=bool)
     extra = est & ~true
     missing = true & ~est
-    reversals = int((extra & missing.T).sum())
+    reversals = int((extra & np.swapaxes(missing, -1, -2)).sum())
     return int(extra.sum()) + int(missing.sum()) - reversals
 
 
-def _score_counts(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
-    precision = tp / (tp + fp) if tp + fp > 0 else 1.0
-    recall = tp / (tp + fn) if tp + fn > 0 else 1.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-    return precision, recall, f1
+def _edge_scores(est: np.ndarray, true: np.ndarray, axis) -> tuple[np.ndarray, ...]:
+    """Predicted edges, precision, recall and F1 of boolean graphs; no prediction is precision 1."""
+    tp, fp, fn = ((a & b).sum(axis=axis) for a, b in ((est, true), (est, ~true), (~est, true)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        precision = np.where(tp + fp > 0, tp / (tp + fp), 1.0)
+        recall = np.where(tp + fn > 0, tp / (tp + fn), 1.0)
+        f1 = np.where(precision + recall > 0, 2 * precision * recall / (precision + recall), 0.0)
+    return tp + fp, precision, recall, f1
 
 
 def score_recovery(
@@ -290,58 +294,34 @@ def score_recovery(
     """Compare estimated graph sequences against the active regime's truth.
 
     The graph pair at window step j describes the tick start_index + 1 + j;
-    that tick's regime supplies the reference support. Counts accumulate per
-    (regime, lag) and the headline numbers average the per-regime scores.
+    that tick's regime supplies the reference support. Counts are summed per
+    (regime, lag), keyed in order of first appearance over windows then steps,
+    and the headline numbers average the per-regime scores.
     """
-    if not seqs:
-        raise DataError("no estimated graph sequences to score")
-    counts: dict[tuple[int, int], dict] = {}
-    for seq in seqs:
-        if seq.num_nodes != truth.num_nodes:
-            raise DataError("estimate and truth disagree on node count")
-        for j in range(seq.steps):
-            t_abs = seq.start_index + 1 + j
-            regime = truth.regime_at(t_abs)  # raises when misaligned
-            for lag, est_graph, true_graph in (
-                (0, seq.intra[j], truth.intra[regime]),
-                (1, seq.inter[j], truth.inter[regime]),
-            ):
-                est = est_graph > threshold
-                true = true_graph != 0
-                bucket = counts.setdefault(
-                    (regime, lag), {"tp": 0, "fp": 0, "fn": 0, "shd": 0, "graphs": 0, "edges": 0}
-                )
-                bucket["tp"] += int((est & true).sum())
-                bucket["fp"] += int((est & ~true).sum())
-                bucket["fn"] += int((~est & true).sum())
-                bucket["shd"] += structural_hamming_distance(est, true)
-                bucket["edges"] += int(est.sum())
-                bucket["graphs"] += 1
-
+    if not sum(seq.steps for seq in seqs):
+        raise DataError("no estimated graphs to score")
+    if any(seq.num_nodes != truth.num_nodes for seq in seqs):
+        raise DataError("estimate and truth disagree on node count")
+    # est[g, lag]: graph g's thresholded pair, over windows then steps.
+    est = np.concatenate([np.stack([seq.intra > threshold, seq.inter > threshold], 1) for seq in seqs])
+    ticks = np.concatenate([seq.start_index + 1 + np.arange(seq.steps) for seq in seqs])
+    regimes = truth.regime_at(ticks)  # raises when misaligned
     per_regime: dict[tuple[int, int], LagScore] = {}
-    for key, b in counts.items():
-        precision, recall, f1 = _score_counts(b["tp"], b["fp"], b["fn"])
-        per_regime[key] = LagScore(
-            precision=precision,
-            recall=recall,
-            f1=f1,
-            shd=b["shd"] / b["graphs"],
-            mean_predicted_edges=b["edges"] / b["graphs"],
-            graphs=b["graphs"],
-        )
+    first = np.sort(np.unique(regimes, return_index=True)[1])  # each regime's first graph, in list order
+    for r in regimes[first].tolist():
+        e, t = est[regimes == r], np.stack([truth.intra[r], truth.inter[r]]) != 0
+        edges, precision, recall, f1 = _edge_scores(e, t, axis=(0, 2, 3))
+        for lag in (0, 1):
+            shd = structural_hamming_distance(e[:, lag], t[lag])
+            per_regime[(r, lag)] = LagScore(
+                float(precision[lag]), float(recall[lag]), float(f1[lag]),
+                shd=shd / len(e), mean_predicted_edges=int(edges[lag]) / len(e), graphs=len(e),
+            )
 
     def _average(lag: int) -> LagScore:
-        scores = [s for (r, l), s in per_regime.items() if l == lag]
-        if not scores:
-            raise DataError(f"no graphs were scored for lag {lag}")
-        return LagScore(
-            precision=float(np.mean([s.precision for s in scores])),
-            recall=float(np.mean([s.recall for s in scores])),
-            f1=float(np.mean([s.f1 for s in scores])),
-            shd=float(np.mean([s.shd for s in scores])),
-            mean_predicted_edges=float(np.mean([s.mean_predicted_edges for s in scores])),
-            graphs=int(sum(s.graphs for s in scores)),
-        )
+        scores = (s for (_, l), s in per_regime.items() if l == lag)
+        *means, graphs = zip(*(astuple(s) for s in scores))  # one tuple per LagScore field
+        return LagScore(*(float(np.mean(m)) for m in means), graphs=sum(graphs))
 
     return RecoveryScore(lag0=_average(0), lag1=_average(1), per_regime=per_regime)
 
@@ -366,18 +346,14 @@ def random_recovery_baseline(
         # Flat indices i * n + j of the admissible slots, in row-major order.
         slots = np.flatnonzero(~np.eye(n, dtype=bool)) if lag == 0 else np.arange(n * n)
         budget = max(0, min(int(round(mean_edges)), len(slots)))
-        f1s: list[float] = []
-        for true in (truth.intra if lag == 0 else truth.inter) != 0:  # one (N, N) support per regime
-            for _ in range(draws):
-                est = np.zeros((n, n), dtype=bool)
-                if budget:
-                    est.flat[slots[rng.choice(len(slots), size=budget, replace=False)]] = True
-                tp = int((est & true).sum())
-                fp = int((est & ~true).sum())
-                fn = int((~est & true).sum())
-                _, _, f1 = _score_counts(tp, fp, fn)
-                f1s.append(f1)
-        out[lag] = float(np.mean(f1s))
+        f1s = []
+        for true in ((truth.intra if lag == 0 else truth.inter) != 0).reshape(-1, 1, n * n):
+            est = np.zeros((draws, n * n), dtype=bool)  # one regime's draws, a flat graph per row
+            if budget:
+                for row in est:
+                    row[slots[rng.choice(len(slots), size=budget, replace=False)]] = True
+            f1s.append(_edge_scores(est, true, axis=1)[3])
+        out[lag] = float(np.mean(np.concatenate(f1s)))
     return out
 
 

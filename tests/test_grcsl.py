@@ -926,6 +926,13 @@ def test_graph_seq_validates_ranges_and_diagonal():
     ok = np.zeros((2, 3, 3))
     with pytest.raises(ValueError):
         CausalGraphSeq(intra=ok, inter=ok + 1.5)
+    for bad in (np.nan, np.inf):  # NaN compares false both ways; it is not in [0, 1]
+        with pytest.raises(ValueError):
+            CausalGraphSeq(intra=ok, inter=np.full_like(ok, bad))
+        nan_one = ok.copy()
+        nan_one[1, 0, 2] = bad
+        with pytest.raises(ValueError):
+            CausalGraphSeq(intra=nan_one, inter=ok)
     bad_diag = ok.copy()
     bad_diag[0, 1, 1] = 0.4
     with pytest.raises(ValueError):

@@ -10,6 +10,8 @@ from tvdbn.errors import ConfigError, DataError
 from tvdbn.grcsl import CausalGraphSeq
 from tvdbn.synth import (
     GroundTruthTvdbn,
+    LagScore,
+    RecoveryScore,
     export_truth_edges,
     load_truth,
     planar_distance_rows,
@@ -116,6 +118,36 @@ def test_regime_boundaries_split_the_horizon_evenly():
         truth.regime_at(100)
     with pytest.raises(DataError):
         truth.regime_at(-1)
+
+
+def test_regime_lookup_takes_an_array_of_ticks():
+    truth = sample_tvdbn(n=3, t=100, num_regimes=4, density=0.2, noise_std=0.1)
+    ticks = np.array([[99, 0, 25], [24, 50, 74]])
+    regimes = truth.regime_at(ticks)
+    np.testing.assert_array_equal(regimes, [[3, 0, 1], [0, 2, 2]])
+    assert regimes.tolist() == [[truth.regime_at(int(t)) for t in row] for row in ticks]
+    assert isinstance(truth.regime_at(25), int)
+    assert truth.regime_at(np.arange(0)).shape == (0,)
+    with pytest.raises(DataError, match="tick 100"):
+        truth.regime_at(np.array([3, 100, 7]))
+    with pytest.raises(DataError, match="tick -2"):
+        truth.regime_at([-2, 5])
+
+
+def test_boundaries_must_start_at_zero_and_strictly_increase(tmp_path):
+    graphs = np.zeros((3, 2, 2))
+    for boundaries in ([0, 10, 5, 20], [3, 10, 20, 30], [0, 10, 10, 20]):
+        with pytest.raises(DataError, match="boundaries"):
+            GroundTruthTvdbn(intra=graphs, inter=graphs, boundaries=boundaries, noise_std=0.1)
+    # A truth file on disk is checked the same way when it is read back.
+    path = tmp_path / "truth.npz"
+    save_truth(str(path), GroundTruthTvdbn(graphs, graphs, np.array([0, 5, 10, 20]), noise_std=0.1))
+    with np.load(str(path)) as blob:
+        bad = {k: blob[k] for k in blob.files}
+    bad["boundaries"] = np.array([0, 10, 5, 20])
+    np.savez(str(path), **bad)
+    with pytest.raises(DataError, match="boundaries"):
+        load_truth(str(path))
 
 
 # ------------------------------------------------------------------ #
@@ -344,6 +376,69 @@ def test_threshold_binarizes_estimates():
     assert score_recovery([seq], truth, threshold=0.4).lag0.recall == 1.0
 
 
+def reference_score(seqs, truth, threshold=0.5):
+    """The per-(window, step, lag) loop that score_recovery's array form replaced."""
+
+    def counts(tp, fp, fn):
+        precision = tp / (tp + fp) if tp + fp > 0 else 1.0
+        recall = tp / (tp + fn) if tp + fn > 0 else 1.0
+        f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
+        return precision, recall, f1
+
+    buckets = {}
+    for seq in seqs:
+        for j in range(seq.steps):
+            regime = truth.regime_at(seq.start_index + 1 + j)
+            for lag, est_graph, true_graph in (
+                (0, seq.intra[j], truth.intra[regime]),
+                (1, seq.inter[j], truth.inter[regime]),
+            ):
+                est, true = est_graph > threshold, true_graph != 0
+                b = buckets.setdefault((regime, lag), dict.fromkeys(("tp", "fp", "fn", "shd", "n", "e"), 0))
+                b["tp"] += int((est & true).sum())
+                b["fp"] += int((est & ~true).sum())
+                b["fn"] += int((~est & true).sum())
+                b["shd"] += structural_hamming_distance(est, true)
+                b["e"] += int(est.sum())
+                b["n"] += 1
+    per_regime = {
+        key: LagScore(*counts(b["tp"], b["fp"], b["fn"]), b["shd"] / b["n"], b["e"] / b["n"], b["n"])
+        for key, b in buckets.items()
+    }
+    heads = []
+    for lag in (0, 1):
+        scores = [s for (_, l), s in per_regime.items() if l == lag]
+        heads.append(LagScore(
+            precision=float(np.mean([s.precision for s in scores])),
+            recall=float(np.mean([s.recall for s in scores])),
+            f1=float(np.mean([s.f1 for s in scores])),
+            shd=float(np.mean([s.shd for s in scores])),
+            mean_predicted_edges=float(np.mean([s.mean_predicted_edges for s in scores])),
+            graphs=int(sum(s.graphs for s in scores)),
+        ))
+    return RecoveryScore(lag0=heads[0], lag1=heads[1], per_regime=per_regime)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_array_scoring_equals_the_per_graph_loop(seed):
+    # Truths of one to five regimes; windows out of chronological order, and on
+    # odd seeds mixed step counts, empty sequences included.
+    rng = np.random.default_rng(seed)
+    n, t, regimes = int(rng.integers(3, 9)), 120, int(rng.integers(1, 6))
+    truth = sample_tvdbn(n=n, t=t, num_regimes=regimes, density=0.3, noise_std=0.1, seed=seed)
+    seqs = []
+    for start in rng.permutation(np.arange(0, t - 12, int(rng.integers(1, 5)))):
+        steps = int(rng.integers(0, 12)) if seed % 2 else 11
+        intra, inter = rng.random((steps, n, n)), rng.random((steps, n, n))
+        intra[:, np.arange(n), np.arange(n)] = 0.0
+        seqs.append(seq_from(intra, inter, start_index=int(start)))
+    for threshold in (0.3, 0.5, 0.9):
+        got, want = score_recovery(seqs, truth, threshold), reference_score(seqs, truth, threshold)
+        assert got == want
+        # repr also pins the per_regime key order and plain floats over numpy scalars
+        assert repr(got) == repr(want)
+
+
 def test_random_baseline_sits_near_the_density():
     # At an edge budget matching the truth's density, the expected F1 of a
     # uniform random graph is close to the density itself.
@@ -361,6 +456,15 @@ def test_random_baseline_is_pinned_at_a_fixed_truth_and_seed():
     truth = sample_tvdbn(n=6, t=60, num_regimes=2, density=0.3, noise_std=0.1, seed=4)
     base = random_recovery_baseline(truth, {0: 4.4, 1: 9.0}, draws=25, seed=3)
     assert base == {0: 0.1442857142857143, 1: 0.26152173913043475}
+
+
+def test_random_baseline_zero_budget_draws_nothing_from_the_stream():
+    # A lag-0 budget of 0 makes no rng.choice call, so lag 1 scores exactly as it
+    # does alone; values of the per-draw loop this one replaced.
+    truth = sample_tvdbn(n=6, t=60, num_regimes=2, density=0.3, noise_std=0.1, seed=4)
+    base = random_recovery_baseline(truth, {0: 0.0, 1: 9.0}, draws=25, seed=3)
+    assert base == {0: 0.0, 1: 0.22793478260869565}
+    assert random_recovery_baseline(truth, {1: 9.0}, draws=25, seed=3) == {1: base[1]}
 
 
 def test_random_baseline_zero_budget_scores_zero():
