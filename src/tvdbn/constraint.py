@@ -296,6 +296,7 @@ def train_grcsl(
             best_s = s_eval
             best_params = copy.deepcopy(params)
             best_intra, best_inter = intra, inter
+        del intra, inter  # a stale pair must not live through the next eval epoch next to the best
         if s_eval < cfg.xi:
             converged = True
             break

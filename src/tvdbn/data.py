@@ -21,7 +21,8 @@ import csv
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -234,11 +235,17 @@ def load_speed_table(path: str) -> SpeedSeries:
             except ValueError:
                 raise DataError(f"{where}: non-numeric cell") from None
 
-    # Every row's cells go into one growing buffer: no per-row array outlives its row.
-    flat = np.fromiter(cells(), dtype=np.float64)
+    # Every row's cells go into one buffer, sized once from the file's line feeds (every data
+    # row but perhaps the last ends in one) and zero-padded: no buffer grows and leaves copies.
+    with open(path, "rb") as fh:
+        feeds = sum(block.count(b"\n") for block in iter(partial(fh.read, 1 << 20), b""))
+    cells_read = cells()
+    flat = np.fromiter(chain(cells_read, repeat(0.0)), dtype=np.float64, count=feeds * len(sensor_ids))
+    if next(cells_read, None) is not None:
+        raise DataError(f"{path}: more rows than line feeds; lines must end in \\n or \\r\\n")
     if not timestamps:
         raise DataError(f"{path}: no data rows")
-    table = flat.reshape(len(timestamps), len(sensor_ids))
+    table = flat.reshape(feeds, len(sensor_ids))[: len(timestamps)]
     return SpeedSeries(sensor_ids=sensor_ids, timestamps=timestamps, values=table, mask=table != 0.0)
 
 

@@ -378,9 +378,12 @@ def gru_step(c: Tensor, h0: Tensor, cells: Sequence[GruCell]) -> Tensor:
     is (L, S, ..., P, d_in) and `h0` is (L, ..., P, H); the result is
     (L, S, ..., P, H). One tape op: each lag's (..., P) rows are split into
     PARTS partitions, and each partition runs through every step as one task
-    on 2-D rows (`_map_rows`). The op keeps only its inputs, the states and
-    each step's gate block [r | z | h~] per partition, which the backward
-    frees as it passes them.
+    on 2-D rows (`_map_rows`). A task's gate products land gate-major in one
+    (3, rows, H) block [r, z, h~], so every elementwise op runs on contiguous
+    memory; its biases are tiled to that shape once and its temporaries live
+    in one scratch array, so no step allocates a temporary. The op keeps
+    only its inputs, the states and each step's gate block per partition,
+    which the backward frees as it passes them.
     """
     lags, steps, hid = len(cells), c.shape[1], h0.shape[-1]
     if c.shape[0] != lags or h0.shape[0] != lags or c.shape[2:-1] != h0.shape[1:-1]:
@@ -389,30 +392,31 @@ def gru_step(c: Tensor, h0: Tensor, cells: Sequence[GruCell]) -> Tensor:
     params = [p for cell in cells for p in cell.parameters()]
     track = _tracking(c, h0, *params)
     c3, h02 = c.data.reshape(lags, steps, -1, c.shape[-1]), h0.data.reshape(lags, -1, hid)
-    w_c = [np.concatenate([cell.w_cr.data, cell.w_cz.data, cell.w_ch.data], axis=1) for cell in cells]
-    w_h = [np.concatenate([cell.w_hr.data, cell.w_hz.data], axis=1) for cell in cells]
-    w_hh_b = [(cell.w_hh.data, cell.b_r.data, cell.b_z.data, cell.b_h.data) for cell in cells]
+    # Gate-major weights for the forward's products; side by side, (d_in, 3H) and (H, 2H), for the backward's.
+    w_c3 = [np.stack([cell.w_cr.data, cell.w_cz.data, cell.w_ch.data]) for cell in cells]
+    w_h2 = [np.stack([cell.w_hr.data, cell.w_hz.data]) for cell in cells]
+    w_c, w_h = ([np.concatenate(w, axis=1) for w in stacks] for stacks in (w_c3, w_h2))
+    biases = [np.stack([cell.b_r.data, cell.b_z.data, cell.b_h.data])[:, None] for cell in cells]
     states, rows = np.empty((lags, steps) + h02.shape[1:]), h02.shape[1]
 
     def forward(lag: int, k: int) -> list:  # partition k's gate blocks
         part = _part(rows, k)
-        (w_hh, b_r, b_z, b_h), h, gates = w_hh_b[lag], h02[lag, part], []
+        h, w_hh, gates = h02[lag, part], cells[lag].w_hh.data, []
+        bias = np.repeat(biases[lag], h.shape[0], axis=1)  # (3, rows, H)
+        a_h = np.empty((2,) + h.shape)  # h [w_hr, w_hz]; then r * h and its product with w_hh
         for j in range(steps):
             if track or not gates:
-                gates.append(np.empty((3,) + h.shape))  # r, z and h~, each one contiguous block
+                gates.append(np.empty((3,) + h.shape))
             r, z, h_tilde = gate = gates[-1]
-            a_cr, a_cz, a_ch = np.split(c3[lag, j, part] @ w_c[lag], 3, axis=1)
-            a_hr, a_hz = np.split(h @ w_h[lag], 2, axis=1)
-            np.add(a_cr, a_hr, out=r)
-            r += b_r
-            np.add(a_cz, a_hz, out=z)
-            z += b_z
+            np.matmul(c3[lag, j, part], w_c3[lag], out=gate)
+            gate[:2] += np.matmul(h, w_h2[lag], out=a_h)
+            gate[:2] += bias[:2]
             _stable_sigmoid(gate[:2], out=gate[:2])
-            np.add(a_ch, (r * h) @ w_hh, out=h_tilde)
-            h_tilde += b_h
+            h_tilde += np.matmul(np.multiply(r, h, out=a_h[0]), w_hh, out=a_h[1])
+            h_tilde += bias[2]
             np.tanh(h_tilde, out=h_tilde)
             h = np.multiply(z, h, out=states[lag, j, part])
-            h += (1.0 - z) * h_tilde
+            h += np.multiply(np.subtract(1.0, z, out=a_h[0]), h_tilde, out=a_h[0])
         return gates if track else []
 
     gates = _map_rows(forward, lags)
@@ -426,32 +430,32 @@ def gru_step(c: Tensor, h0: Tensor, cells: Sequence[GruCell]) -> Tensor:
         d_h0 = np.empty(h02.shape) if h0.requires_grad else None
 
         def backward(lag: int, k: int) -> tuple:  # partition k's parameter gradients
-            # Steps in reverse, popping gate blocks; the pre-activation gradients [r | z | h~]
-            # share one buffer, and the state's gradient becomes the carry in place.
+            # Steps in reverse, popping gate blocks. The pre-activation gradients are computed
+            # gate-major in `d`, then copied once into the (rows, 3H) buffer [r | z | h~] that
+            # every product and sum reads; the state's gradient becomes the carry in place.
             part = _part(rows, k)
-            w_hh, h_0, blocks = w_hh_b[lag][0], h02[lag, part], gates[lag][k]
+            w_hh, h_0, blocks = cells[lag].w_hh.data, h02[lag, part], gates[lag][k]
+            scratch = np.empty((7,) + h_0.shape)
+            d, one_minus, tmp, d_rh = scratch[:3], scratch[3:5], scratch[5], scratch[6]
             d_rzh = np.empty(h_0.shape[:-1] + (3 * hid,))
-            d_r, d_z, d_h = np.split(d_rzh, 3, axis=1)
-            d_rz = d_rzh[:, : 2 * hid]
+            d_rz, d_h = d_rzh[:, : 2 * hid], d_rzh[:, 2 * hid :]
             carry = d_h0[lag, part] if d_h0 is not None else np.empty(h_0.shape)
-            d_rh = np.empty(h_0.shape)
             g_wc, g_wh, g_whh, g_b = 0.0, 0.0, 0.0, 0.0
             for j in reversed(range(steps)):
                 g = grad[lag, j, part] if j == steps - 1 else np.add(grad[lag, j, part], carry, out=carry)
                 h_prev = states[lag, j - 1, part] if j else h_0
-                r, z, h_tilde = blocks.pop()
-                np.multiply(g, 1.0 - z, out=d_h)
-                d_h *= 1.0 - h_tilde * h_tilde
-                np.multiply(g, h_prev - h_tilde, out=d_z)
-                d_z *= z
-                d_z *= 1.0 - z
-                np.matmul(d_h, w_hh.T, out=d_rh)
-                np.multiply(d_rh, h_prev, out=d_r)
-                d_r *= r
-                d_r *= 1.0 - r
+                r, z, h_tilde = gate = blocks.pop()
+                np.subtract(1.0, gate[:2], out=one_minus)
+                np.multiply(g, one_minus[1], out=d[2])
+                d[2] *= np.subtract(1.0, np.multiply(h_tilde, h_tilde, out=tmp), out=tmp)
+                np.multiply(g, np.subtract(h_prev, h_tilde, out=tmp), out=d[1])
+                np.multiply(np.matmul(d[2], w_hh.T, out=d_rh), h_prev, out=d[0])
+                d[:2] *= gate[:2]
+                d[:2] *= one_minus
+                d_rzh.reshape(-1, 3, hid)[:] = d.swapaxes(0, 1)
                 g_wc = g_wc + c3[lag, j, part].T @ d_rzh
                 g_wh = g_wh + h_prev.T @ d_rz
-                g_whh = g_whh + (r * h_prev).T @ d_h
+                g_whh = g_whh + np.multiply(r, h_prev, out=tmp).T @ d_h
                 g_b = g_b + d_rzh.sum(axis=0)
                 if d_c is not None:
                     np.matmul(d_rzh, w_c[lag].T, out=d_c[lag, j, part])
@@ -498,9 +502,11 @@ def graph_head(
     `mask_diag` zeroes lag 0's diagonal. One tape op: each lag's (..., N*N)
     rows are split into PARTS partitions, and each partition's logits at
     every step are one task on 2-D rows (`_map_rows`); the noise, 1/tau, the
-    sigmoid and the mask then act on both lags at once. The op keeps only
-    its input and the graphs, and the backward recomputes the two ReLU
-    layers.
+    sigmoid and the mask then act on both lags at once. A task writes its
+    ReLU layers (and, backward, their gradients) into one scratch array
+    reused at every step, and adds b1 and b2 tiled to its rows once, so no
+    step allocates a (rows, H) temporary. The op keeps only its input and
+    the graphs, and the backward recomputes the two ReLU layers.
     """
     lags = len(heads)
     if min(head.tau for head in heads) <= 0:
@@ -514,18 +520,25 @@ def graph_head(
     graph = np.empty(h.shape[:-2] + (n, n))
     inv_tau = np.array([1.0 / head.tau for head in heads]).reshape((lags,) + (1,) * (graph.ndim - 1))
 
-    def hidden(lag: int, j: int, part: slice) -> tuple[np.ndarray, np.ndarray]:
-        w1, b1, w2, b2 = weights[lag][:4]
-        y1 = h3[lag, j, part] @ w1
-        y1 += b1
-        y2 = np.maximum(y1, 0.0, out=y1) @ w2
-        y2 += b2
-        return y1, np.maximum(y2, 0.0, out=y2)
+    def buffers(lag: int, part: slice, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """`count` (rows, H) scratch arrays of partition `part`, and b1 and b2 tiled to (2, rows, H)."""
+        shape = (part.stop - part.start, h3.shape[-1])
+        return np.empty((count,) + shape), np.repeat(np.stack(weights[lag][1:4:2])[:, None], shape[0], axis=1)
+
+    def hidden(lag: int, j: int, part: slice, y: Sequence[np.ndarray], b: np.ndarray) -> None:  # ReLUs into y
+        w1, _, w2 = weights[lag][:3]
+        for x, w, y_l, b_l in ((h3[lag, j, part], w1, y[0], b[0]), (y[0], w2, y[1], b[1])):
+            np.matmul(x, w, out=y_l)
+            y_l += b_l
+            np.maximum(y_l, 0.0, out=y_l)
 
     def forward(lag: int, k: int) -> None:  # partition k's logits, written into `graph`
         part, (w3, b3), logits = _part(rows, k), weights[lag][4:], graph.reshape(lags, steps, rows, 1)
+        y, b = buffers(lag, part, 2)
         for j in range(steps):
-            np.add(hidden(lag, j, part)[1] @ w3, b3, out=logits[lag, j, part])
+            hidden(lag, j, part, y, b)
+            logit = np.matmul(y[1], w3, out=logits[lag, j, part])
+            logit += b3
 
     _map_rows(forward, lags)
     if noise is not None:
@@ -544,13 +557,15 @@ def graph_head(
 
         def backward(lag: int, k: int) -> list:  # partition k's parameter gradients
             part, (w1, _, w2, _, w3, _), sums = _part(rows, k), weights[lag], [0.0] * 6
+            (y1, y2, d_y1, d_y2), b = buffers(lag, part, 4)
+            active = np.empty(y1.shape, dtype=bool)
             for j in range(steps):
                 d_logit = d_logits[lag, j, part]
-                y1, y2 = hidden(lag, j, part)
-                d_y2 = d_logit @ w3.T
-                d_y2 *= y2 > 0.0
-                d_y1 = d_y2 @ w2.T
-                d_y1 *= y1 > 0.0
+                hidden(lag, j, part, (y1, y2), b)
+                np.matmul(d_logit, w3.T, out=d_y2)
+                d_y2 *= np.greater(y2, 0.0, out=active)
+                np.matmul(d_y2, w2.T, out=d_y1)
+                d_y1 *= np.greater(y1, 0.0, out=active)
                 grads = (
                     h3[lag, j, part].T @ d_y1, d_y1.sum(axis=0),
                     y1.T @ d_y2, d_y2.sum(axis=0),

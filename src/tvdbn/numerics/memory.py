@@ -7,11 +7,13 @@ trimmed past 128 KiB), so every step would fault its tape in again page by
 page. Importing this module raises both thresholds once, so freed tape pages
 stay in the process for the next step to reuse, and keeps every thread on
 one malloc arena. The structure learner's two pool threads make every GRU
-and graph-head buffer; with an arena each, every thread kept free pages of
-its own, and structure-train peak RSS was 161.2 MB against 146.5 MB with
-one arena (medians of 4 alternating `perfbench/run.py --seconds 30` runs
-each, 2-core box). Where the process has no ``mallopt`` (a C library other
-than glibc, such as macOS's) nothing changes.
+and graph-head buffer; with an arena each, every thread keeps free pages of
+its own. Even with kernels that allocate their scratch once per task,
+structure-train peak RSS was 163.3 MB with an arena each against 148.5 MB
+with one (+10%), at 161 against 150 train windows/s, inside either side's
+spread (medians of 5 alternating `perfbench/run.py --seconds 30` pairs,
+2-core box). Where the process has no ``mallopt`` (a C library other than
+glibc, such as macOS's) nothing changes.
 """
 
 from __future__ import annotations

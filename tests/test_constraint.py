@@ -476,6 +476,28 @@ def test_training_keeps_one_step_graph_at_a_time(monkeypatch):
     assert all(ref() is None for ref in live)
 
 
+def test_an_eval_epoch_holds_only_the_best_earlier_stacks(monkeypatch):
+    """Each eval epoch starts with the best earlier pair alive and every other earlier pair freed."""
+    s_values = iter([3.0, 1.0, 2.0, 4.0, 0.5])  # S per outer iteration: iteration 2 stays best until 5
+    pairs = []  # (S, weak references to the stacks) of every eval epoch so far
+
+    def eval_epoch(values, *args):
+        best = min(s for s, _ in pairs) if pairs else None
+        for s, refs in pairs:
+            assert all((ref() is not None) == (s == best) for ref in refs), f"stacks of S={s}"
+        s, shape = next(s_values), (values.shape[0], values.shape[1] - 1, values.shape[2], values.shape[2])
+        intra, inter = np.zeros(shape), np.zeros(shape)
+        pairs.append((s, [weakref.ref(intra), weakref.ref(inter)]))
+        return 1.0, s, intra, inter
+
+    monkeypatch.setattr(constraint, "_eval_epoch", eval_epoch)
+    cfg = GrcslTrainConfig(inner_epochs=0, max_outer_iters=5, xi=1e-300)
+    result = train_grcsl(tiny_windows(), None, tiny_dims(), cfg)
+    assert len(pairs) == 5 and result.final_s == 0.5
+    assert pairs[-1][1][0]() is result.intra and pairs[-1][1][1]() is result.inter
+    assert all(ref() is None for _, refs in pairs[:-1] for ref in refs)
+
+
 def test_three_training_steps_peak_about_as_high_as_one():
     windows = tiny_windows()
     cfg = GrcslTrainConfig(inner_epochs=1, max_outer_iters=1, xi=1e-300, batch_size=6)

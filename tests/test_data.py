@@ -88,6 +88,29 @@ class TestSpeedTable:
         with pytest.raises(DataError, match="line 4: expected 5-minute spacing"):
             load_speed_table(path)
 
+    @pytest.mark.parametrize("end", ["\n", "\r\n"])
+    def test_blank_lines_and_a_missing_final_newline_keep_every_row(self, tmp_path, end):
+        # The table is sized from the line feeds: blank lines only pad it, and
+        # a last row without a line feed still fits.
+        lines = ["timestamp,a,b", "", "2012-03-01 00:00:00,1.0,2.0", "", "", "2012-03-01 00:05:00,3.0,0.0"]
+        for text in (end.join(lines), end.join(lines) + end + end):
+            got = load_speed_table(write(tmp_path, "s.csv", text))
+            np.testing.assert_array_equal(got.values, [[1.0, 2.0], [3.0, 0.0]])
+            np.testing.assert_array_equal(got.mask, [[True, True], [True, False]])
+            np.testing.assert_array_equal(got.timestamps - got.timestamps[0], [0, 300])
+
+    def test_header_only_and_carriage_return_tables_are_refused(self, tmp_path):
+        for text in ("timestamp,a\n", "timestamp,a"):
+            with pytest.raises(DataError, match="no data rows"):
+                load_speed_table(write(tmp_path, "s.csv", text))
+        with pytest.raises(DataError, match="more rows than line feeds"):
+            load_speed_table(write(tmp_path, "s.csv", "timestamp,a\r2012-03-01 00:00:00,1.0\r"))
+
+    def test_errors_past_blank_lines_name_the_line_without_a_final_newline(self, tmp_path):
+        text = "timestamp,a\n\n2012-03-01 00:00:00,1.0\n\n2012-03-01 00:05:00,x"
+        with pytest.raises(DataError, match="line 5: non-numeric cell"):
+            load_speed_table(write(tmp_path, "s.csv", text))
+
     def test_rejects_ragged_row(self, tmp_path):
         path = write(
             tmp_path,

@@ -689,6 +689,198 @@ def test_pooled_and_inline_lag_maps_give_the_same_bits(monkeypatch, b, n):
         np.testing.assert_array_equal(value, inline[key], err_msg=key)
 
 
+# The row-major GRU and graph-head kernels that the gate-major ones replaced, kept
+# as the reference they must reproduce bit for bit: the gate products land in
+# (rows, 3H) and (rows, 2H) arrays whose column slices the gate arithmetic reads,
+# and every step makes fresh temporaries. Same partitions, same operation order.
+
+
+def row_major_gru_step(c, h0, cells):
+    lags, steps, hid = len(cells), c.shape[1], h0.shape[-1]
+    params = [p for cell in cells for p in cell.parameters()]
+    c3, h02 = c.data.reshape(lags, steps, -1, c.shape[-1]), h0.data.reshape(lags, -1, hid)
+    w_c = [np.concatenate([cell.w_cr.data, cell.w_cz.data, cell.w_ch.data], axis=1) for cell in cells]
+    w_h = [np.concatenate([cell.w_hr.data, cell.w_hz.data], axis=1) for cell in cells]
+    w_hh_b = [(cell.w_hh.data, cell.b_r.data, cell.b_z.data, cell.b_h.data) for cell in cells]
+    states, rows = np.empty((lags, steps) + h02.shape[1:]), h02.shape[1]
+
+    def forward(lag, k):
+        part = grcsl._part(rows, k)
+        (w_hh, b_r, b_z, b_h), h, gates = w_hh_b[lag], h02[lag, part], []
+        for j in range(steps):
+            gates.append(np.empty((3,) + h.shape))
+            r, z, h_tilde = gate = gates[-1]
+            a_cr, a_cz, a_ch = np.split(c3[lag, j, part] @ w_c[lag], 3, axis=1)
+            a_hr, a_hz = np.split(h @ w_h[lag], 2, axis=1)
+            np.add(a_cr, a_hr, out=r)
+            r += b_r
+            np.add(a_cz, a_hz, out=z)
+            z += b_z
+            tensor_module._stable_sigmoid(gate[:2], out=gate[:2])
+            np.add(a_ch, (r * h) @ w_hh, out=h_tilde)
+            h_tilde += b_h
+            np.tanh(h_tilde, out=h_tilde)
+            h = np.multiply(z, h, out=states[lag, j, part])
+            h += (1.0 - z) * h_tilde
+        return gates
+
+    gates = grcsl._map_rows(forward, lags)
+
+    def backward_fn(grad):
+        grad = grad.reshape(states.shape)
+        d_c, d_h0 = np.empty(c3.shape), np.empty(h02.shape)
+
+        def backward(lag, k):
+            part = grcsl._part(rows, k)
+            w_hh, h_0, blocks = w_hh_b[lag][0], h02[lag, part], gates[lag][k]
+            d_rzh = np.empty(h_0.shape[:-1] + (3 * hid,))
+            d_r, d_z, d_h = np.split(d_rzh, 3, axis=1)
+            d_rz, carry, d_rh = d_rzh[:, : 2 * hid], d_h0[lag, part], np.empty(h_0.shape)
+            g_wc, g_wh, g_whh, g_b = 0.0, 0.0, 0.0, 0.0
+            for j in reversed(range(steps)):
+                g = grad[lag, j, part] if j == steps - 1 else np.add(grad[lag, j, part], carry, out=carry)
+                h_prev = states[lag, j - 1, part] if j else h_0
+                r, z, h_tilde = blocks.pop()
+                np.multiply(g, 1.0 - z, out=d_h)
+                d_h *= 1.0 - h_tilde * h_tilde
+                np.multiply(g, h_prev - h_tilde, out=d_z)
+                d_z *= z
+                d_z *= 1.0 - z
+                np.matmul(d_h, w_hh.T, out=d_rh)
+                np.multiply(d_rh, h_prev, out=d_r)
+                d_r *= r
+                d_r *= 1.0 - r
+                g_wc = g_wc + c3[lag, j, part].T @ d_rzh
+                g_wh = g_wh + h_prev.T @ d_rz
+                g_whh = g_whh + (r * h_prev).T @ d_h
+                g_b = g_b + d_rzh.sum(axis=0)
+                np.matmul(d_rzh, w_c[lag].T, out=d_c[lag, j, part])
+                np.multiply(g, z, out=carry)
+                d_rh *= r
+                carry += d_rh
+                carry += np.matmul(d_rz, w_h[lag].T, out=d_rh)
+            return g_wc, g_wh, g_whh, g_b
+
+        for cell, parts in zip(cells, grcsl._map_rows(backward, lags)):
+            g_wc, g_wh, g_whh, g_b = (sum(grads) for grads in zip(*parts))
+            per_gate = zip(np.split(g_wc, 3, axis=1), [*np.split(g_wh, 2, axis=1), g_whh], np.split(g_b, 3))
+            for param, grad_p in zip(cell.parameters(), (grad_p for gate in per_gate for grad_p in gate)):
+                param._accum(grad_p)
+        c._accum(d_c.reshape(c.shape))
+        h0._accum(d_h0.reshape(h0.shape))
+
+    return tensor_module._from_op(states.reshape((lags, steps) + h0.shape[1:]), (c, h0, *params), backward_fn)
+
+
+def row_major_graph_head(h, heads, n, noise, mask_diag):
+    lags, params = len(heads), [p for head in heads for p in head.parameters()]
+    weights = [[p.data for p in head.parameters()] for head in heads]
+    h3 = h.data.reshape(lags, h.shape[1], -1, h.shape[-1])
+    steps, rows = h3.shape[1:3]
+    graph = np.empty(h.shape[:-2] + (n, n))
+    inv_tau = np.array([1.0 / head.tau for head in heads]).reshape((lags,) + (1,) * (graph.ndim - 1))
+
+    def hidden(lag, j, part):
+        w1, b1, w2, b2 = weights[lag][:4]
+        y1 = h3[lag, j, part] @ w1
+        y1 += b1
+        y2 = np.maximum(y1, 0.0, out=y1) @ w2
+        y2 += b2
+        return y1, np.maximum(y2, 0.0, out=y2)
+
+    def forward(lag, k):
+        part, (w3, b3), logits = grcsl._part(rows, k), weights[lag][4:], graph.reshape(lags, steps, rows, 1)
+        for j in range(steps):
+            np.add(hidden(lag, j, part)[1] @ w3, b3, out=logits[lag, j, part])
+
+    grcsl._map_rows(forward, lags)
+    graph += noise
+    graph *= inv_tau
+    tensor_module._stable_sigmoid(graph, out=graph)
+    if mask_diag:
+        graph[0] *= 1.0 - np.eye(n)
+
+    def backward_fn(g):
+        d_h = np.empty(h3.shape)
+        d_logits = (g * graph * (1.0 - graph) * inv_tau).reshape(lags, steps, rows, 1)
+
+        def backward(lag, k):
+            part, (w1, _, w2, _, w3, _), sums = grcsl._part(rows, k), weights[lag], [0.0] * 6
+            for j in range(steps):
+                d_logit = d_logits[lag, j, part]
+                y1, y2 = hidden(lag, j, part)
+                d_y2 = d_logit @ w3.T
+                d_y2 *= y2 > 0.0
+                d_y1 = d_y2 @ w2.T
+                d_y1 *= y1 > 0.0
+                grads = (
+                    h3[lag, j, part].T @ d_y1, d_y1.sum(axis=0),
+                    y1.T @ d_y2, d_y2.sum(axis=0),
+                    y2.T @ d_logit, d_logit.sum(axis=0),
+                )
+                sums = [total + grad for total, grad in zip(sums, grads)]
+                np.matmul(d_y1, w1.T, out=d_h[lag, j, part])
+            return sums
+
+        for head, parts in zip(heads, grcsl._map_rows(backward, lags)):
+            for param, grad in zip(head.parameters(), (sum(grads) for grads in zip(*parts))):
+                param._accum(grad)
+        h._accum(d_h.reshape(h.shape))
+
+    return tensor_module._from_op(graph, (h, *params), backward_fn)
+
+
+def recurrence_bits(gru, head, b, n, hidden, steps=5, d_in=4, track=True):
+    """States, graphs and all input and parameter gradients of gru then head, random non-zero biases and h0.
+
+    Without `track`, the states and graphs of an untracked pass only.
+    """
+    rng = np.random.default_rng(7)
+    cells = [GruCell.init(rng, d_in, hidden) for _ in range(2)]
+    heads = [GraphHead.init(rng, hidden, tau) for tau in (0.2, 0.5)]
+    for p in [cell.b_r for cell in cells] + [cell.b_z for cell in cells] + [cell.b_h for cell in cells] + [
+        p for hd in heads for p in (hd.b1, hd.b2, hd.b3)
+    ]:
+        p.data[...] = rng.normal(size=p.shape)
+    c = Tensor(rng.normal(size=(2, steps, b, n * n, d_in)), requires_grad=True)
+    h0 = Tensor(rng.uniform(-1.0, 1.0, size=(2, b, n * n, hidden)), requires_grad=True)
+    noise = gumbel_difference(rng, (2, steps, b, n, n))
+    if not track:
+        with no_grad():
+            states = gru(c, h0, cells)
+            return {"states": states.data, "graphs": head(states, heads, n, noise, True).data}
+    states = gru(c, h0, cells)
+    graphs = head(states, heads, n, noise, True)
+    graphs.backward(rng.normal(size=graphs.shape))
+    params = [p for module in cells + heads for p in module.parameters()]
+    names = ["states", "graphs", "c", "h0", *(f"param{k}" for k in range(len(params)))]
+    return dict(zip(names, [states.data, graphs.data, c.grad, h0.grad, *(p.grad for p in params)]))
+
+
+@pytest.mark.parametrize("b, n, hidden", [(32, 10, 32), (7, 5, 32), (16, 4, 6)])
+def test_gate_major_kernels_match_the_row_major_reference_bit_for_bit(b, n, hidden):
+    got = recurrence_bits(gru_step, graph_head, b, n, hidden)
+    want = recurrence_bits(row_major_gru_step, row_major_graph_head, b, n, hidden)
+    for name, value in want.items():
+        assert np.abs(value).max() > 0.0, name
+        np.testing.assert_array_equal(got[name], value, err_msg=name)
+    for name, value in recurrence_bits(gru_step, graph_head, b, n, hidden, track=False).items():
+        np.testing.assert_array_equal(value, want[name], err_msg=f"untracked {name}")
+
+
+def test_gate_major_kernels_match_the_row_major_reference_on_one_row_partitions():
+    # B * N^2 = 4 < 2 * PARTS rows per lag: every partition is one row or none.
+    # numpy's matmul takes its vector path for a one-row product, and a
+    # gate-major (1, d) @ (d, H) product there may round its last bit unlike
+    # the row-major (1, d) @ (d, 3H) one, so this shape agrees to 1e-15, not
+    # bit for bit.
+    assert 1 * 2 * 2 < 2 * grcsl.PARTS
+    got = recurrence_bits(gru_step, graph_head, 1, 2, 5)
+    want = recurrence_bits(row_major_gru_step, row_major_graph_head, 1, 2, 5)
+    for name, value in want.items():
+        np.testing.assert_allclose(got[name], value, rtol=1e-15, atol=1e-15, err_msg=name)
+
+
 def test_run_returns_after_every_task_even_when_one_raises():
     # Task 1 raises first in time; the error raised is task 0's, the first in task order.
     finished = []
