@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from tvdbn.constraint import notears_h
-from tvdbn.grcsl import GraphHead, graph_head
+from tvdbn.grcsl import GraphHeads, graph_head
 from tvdbn.numerics import Tensor
 from tvdbn.verification import gradient_suite
 
@@ -39,17 +39,16 @@ for report in gradient_suite():
 
 # 4. Gumbel-Sigmoid sampling: zero logits give a fair near-binary coin in
 #    train mode; eval mode is the deterministic sigmoid instead.
-head = GraphHead(
-    w1=Tensor(np.zeros((4, 4))), b1=Tensor(np.zeros(4)),
-    w2=Tensor(np.zeros((4, 4))), b2=Tensor(np.zeros(4)),
-    w3=Tensor(np.zeros((4, 1))), b3=Tensor(np.zeros(1)),
-    tau=0.2,
+head = GraphHeads(  # one lag's head, every weight zero
+    w1=Tensor(np.zeros((1, 4, 4))), b1=Tensor(np.zeros((1, 4))),
+    w2=Tensor(np.zeros((1, 4, 4))), b2=Tensor(np.zeros((1, 4))),
+    w3=Tensor(np.zeros((1, 4, 1))), b3=Tensor(np.zeros((1, 1))),
 )
 hidden = Tensor(np.zeros((1, 1, 2000, 9, 4)))  # one lag, one step of 2000 windows
 gumbel = -np.log(-np.log(np.random.default_rng(0).random((2, 1, 1, 2000, 3, 3))))
-draws = graph_head(hidden, [head], n=3, noise=gumbel[0] - gumbel[1]).data[0, 0]
+draws = graph_head(hidden, head, n=3, tau=0.2, noise=gumbel[0] - gumbel[1]).data[0, 0]
 off_diag = draws[:, ~np.eye(3, dtype=bool)]
 print(f"\ntrain-mode draws at zero logits: mean {off_diag.mean():.3f} (fair coin)")
 print(f"fraction within 0.05 of {{0,1}}: {np.mean((off_diag < 0.05) | (off_diag > 0.95)):.2f}")
-eval_graph = graph_head(Tensor(np.zeros((1, 1, 1, 9, 4))), [head], n=3).data
+eval_graph = graph_head(Tensor(np.zeros((1, 1, 1, 9, 4))), head, n=3, tau=0.2).data
 print(f"eval-mode edge value at zero logits: {eval_graph[0, 0, 0, 0, 1]:.3f} (plain sigmoid)")

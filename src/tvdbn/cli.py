@@ -37,7 +37,6 @@ from . import checkpoint as ckpt
 from .constraint import GrcslTrainConfig, save_history, train_grcsl
 from .data import (
     NormStats,
-    PriorGraph,
     SpeedSeries,
     WindowSet,
     build_distance_graph,
@@ -49,6 +48,7 @@ from .data import (
     save_manifest,
     save_speed_table,
     split_chronological,
+    write_table,
     zscore_fit_apply,
     apply_zscore,
     invert_zscore,
@@ -244,12 +244,13 @@ def _load_series(cfg: RunConfig) -> SpeedSeries:
     return load_speed_table(cfg.speed_csv)
 
 
-def _load_prior(cfg: RunConfig, sensor_ids: list[str]) -> PriorGraph | None:
+def _load_prior(cfg: RunConfig, sensor_ids: list[str]) -> np.ndarray | None:
+    """The distance prior's (N, N) weights; None when neither the prior branch nor the distance source uses them."""
     if not cfg.use_prior and cfg.graph_source != "distance":
         return None
     _require(cfg, "dist_csv")
     rows = load_distance_rows(cfg.dist_csv, sensor_ids)
-    return build_distance_graph(rows, sensor_ids, kappa=cfg.kappa)
+    return build_distance_graph(rows, sensor_ids, kappa=cfg.kappa).weights
 
 
 def _split_windows(
@@ -314,7 +315,7 @@ def _graph_stacks(
     cfg: RunConfig,
     split: str,
     windows: WindowSet,
-    prior: PriorGraph | None,
+    prior: np.ndarray | None,
     params: GrcslParams | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-window graph stacks (W, T_in - 1, N, N) of one split for the forecaster.
@@ -325,9 +326,8 @@ def _graph_stacks(
     if cfg.graph_source == "grcsl":
         if params is None:
             raise ConfigError("graph_source=grcsl needs a structure checkpoint")
-        prior_w = prior.weights if prior is not None else None
         path = _graph_path(cfg, split)
-        key = ckpt.graph_key(params, windows.values, windows.tod, prior_w, cfg.structure_batch)
+        key = ckpt.graph_key(params, windows.values, windows.tod, prior, cfg.structure_batch)
         w, t_in, n, _ = windows.values.shape
         try:
             stored_key, intra, inter = ckpt.load_graphs(path)
@@ -336,13 +336,13 @@ def _graph_stacks(
             log.info("%s holds other graphs; regenerating the %s split", path, split)
         except DataError as exc:
             log.info("%s; generating the %s split", exc, split)
-        intra, inter = graph_stacks(windows.values, windows.tod, prior_w, params, cfg.structure_batch)
+        intra, inter = graph_stacks(windows.values, windows.tod, prior, params, cfg.structure_batch)
         ckpt.save_graphs(path, key, intra, inter)
         return intra, inter
     if cfg.graph_source == "distance":
         if prior is None:
             raise ConfigError("graph_source=distance needs a distance file")
-        intra0, inter0 = prior.weights.copy(), prior.weights
+        intra0, inter0 = prior.copy(), prior
         np.fill_diagonal(intra0, 0.0)
     elif cfg.graph_source == "static-dbn-file":
         _require(cfg, "static_graph_file")
@@ -398,10 +398,7 @@ def cmd_synth(cfg: RunConfig) -> int:
     dist_path = os.path.join(cfg.out_dir, "dist.csv")
     save_speed_table(speed_path, series)
     rows = planar_distance_rows(series.sensor_ids, seed=cfg.seed + 1)
-    with open(dist_path, "w", newline="") as fh:
-        fh.write("from,to,dist\n")
-        for src, dst, d in rows:
-            fh.write(f"{src},{dst},{d:.6f}\n")
+    write_table(dist_path, ["from", "to", "dist"], ((src, dst, f"{d:.6f}") for src, dst, d in rows))
     save_truth(os.path.join(cfg.out_dir, "truth.npz"), truth)
     export_truth_edges(
         os.path.join(cfg.out_dir, "truth_edges.csv"), truth, series.sensor_ids, cfg.synth_start_ts
@@ -420,11 +417,10 @@ def cmd_train_structure(cfg: RunConfig) -> int:
     prior = _load_prior(cfg, series.sensor_ids)
     stats, sets, raw = _split_windows(cfg, series)
     train = sets["train"]
-    prior_w = prior.weights if prior is not None else None
-    result = train_grcsl(train, prior_w, cfg.grcsl_dims(), cfg.grcsl_train_config())
+    result = train_grcsl(train, prior, cfg.grcsl_dims(), cfg.grcsl_train_config())
     ckpt.save_grcsl(_structure_ckpt_path(cfg), result.params)
     # The eval epoch already generated the training split's graphs.
-    key = ckpt.graph_key(result.params, train.values, train.tod, prior_w, cfg.structure_batch)
+    key = ckpt.graph_key(result.params, train.values, train.tod, prior, cfg.structure_batch)
     ckpt.save_graphs(_graph_path(cfg, "train"), key, result.intra, result.inter)
     save_history(os.path.join(cfg.out_dir, "history.csv"), result.history)
     _write_manifest(cfg, stats, raw)
@@ -468,7 +464,7 @@ def cmd_train_forecast(cfg: RunConfig) -> int:
     result = curriculum_train(
         splits["train"],
         splits["val"],
-        prior.weights if prior is not None and cfg.use_prior else None,
+        prior if cfg.use_prior else None,
         cfg.dgcpm_dims(),
         stats,
         cfg.dgcpm_train_config(),
@@ -501,7 +497,7 @@ def _predict_test(cfg: RunConfig):
     split = SplitArrays.from_windows(windows, intra, inter)
     preds = dgcpm_predict(
         split,
-        prior.weights if prior is not None and cfg.use_prior else None,
+        prior if cfg.use_prior else None,
         f_params,
         stats,
         batch_size=cfg.forecast_batch,

@@ -1,6 +1,7 @@
 """Loading, normalizing, and windowing of sensor speed tables.
 
-File formats (every CSV is read by `read_table` and written by `write_table`):
+File formats (every CSV is read by `read_table` and written by `write_table`,
+but for `forecast_history.csv`, which the CLI writes line by line):
 
 * speed table: CSV with header ``timestamp,<id1>,...,<idN>``; one row per
   5-minute tick, timestamps ISO-8601; a literal ``0.0`` cell means the

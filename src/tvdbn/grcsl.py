@@ -107,45 +107,41 @@ class AttnParams(Params):
 
 
 @dataclass
-class GruCell(Params):
-    """One lag's recurrent cell over pairwise features."""
+class GruCells(Params):
+    """Every lag's recurrent cell over pairwise features, stacked on a leading lag axis L.
 
-    w_cr: Tensor
-    w_hr: Tensor
-    b_r: Tensor
-    w_cz: Tensor
-    w_hz: Tensor
-    b_z: Tensor
-    w_ch: Tensor
+    The gates are [r, z, h~]: `w_c` (L, 3, d_in, H) holds their input
+    weights, `w_h` (L, 2, H, H) the recurrent weights of r and z, `w_hh`
+    (L, H, H) h~'s weights on r * h, and `b` (L, 3, H) their biases.
+    """
+
+    w_c: Tensor
+    w_h: Tensor
     w_hh: Tensor
-    b_h: Tensor
+    b: Tensor
 
     @classmethod
-    def init(cls, rng: np.random.Generator, d_in: int, hidden: int) -> "GruCell":
-        def inp():
-            return Tensor(glorot_uniform(rng, d_in, hidden), requires_grad=True)
-
-        def rec():
-            return Tensor(glorot_uniform(rng, hidden, hidden), requires_grad=True)
-
-        def bias():
-            return Tensor(np.zeros(hidden), requires_grad=True)
-
+    def init(cls, rng: np.random.Generator, lags: int, d_in: int, hidden: int) -> "GruCells":
+        # Lag by lag, the input and recurrent weights of r, z and h~ in turn: w_cr, w_hr, ..., w_ch, w_hh.
+        draws = [[glorot_uniform(rng, fan_in, hidden) for fan_in in (d_in, hidden) * 3] for _ in range(lags)]
         return cls(
-            w_cr=inp(), w_hr=rec(), b_r=bias(),
-            w_cz=inp(), w_hz=rec(), b_z=bias(),
-            w_ch=inp(), w_hh=rec(), b_h=bias(),
+            w_c=Tensor(np.array([lag[0::2] for lag in draws]), requires_grad=True),
+            w_h=Tensor(np.array([lag[1:4:2] for lag in draws]), requires_grad=True),
+            w_hh=Tensor(np.array([lag[5] for lag in draws]), requires_grad=True),
+            b=Tensor(np.zeros((lags, 3, hidden)), requires_grad=True),
         )
 
 
 @dataclass
-class GraphHead(Params):
-    """Three stacked 1x1 convolutions mapping hidden state to an edge logit.
+class GraphHeads(Params):
+    """Every lag's three stacked 1x1 convolutions mapping hidden state to an edge logit.
 
-    Acting per node pair, a 1x1 convolution over the unflattened hidden map
-    is exactly a shared affine map over the channel axis, which is how it is
-    implemented here. The final bias starts at -1 so initial graphs lean
-    sparse: sigmoid(-1 / tau) is small at low temperature.
+    Each weight has a leading lag axis L: `w1` and `w2` are (L, H, H), `b1`
+    and `b2` (L, H), `w3` (L, H, 1) and `b3` (L, 1). Acting per node pair, a
+    1x1 convolution over the unflattened hidden map is exactly a shared
+    affine map over the channel axis, which is how it is implemented here.
+    The final bias starts at -1 so initial graphs lean sparse:
+    sigmoid(-1 / tau) is small at low temperature.
     """
 
     w1: Tensor
@@ -154,20 +150,16 @@ class GraphHead(Params):
     b2: Tensor
     w3: Tensor
     b3: Tensor
-    tau: float
 
     @classmethod
-    def init(cls, rng: np.random.Generator, hidden: int, tau: float) -> "GraphHead":
-        if tau <= 0:
-            raise ConfigError(f"temperature must be positive, got {tau}")
+    def init(cls, rng: np.random.Generator, lags: int, hidden: int) -> "GraphHeads":
+        # Lag by lag: w1, w2, w3.
+        draws = [[glorot_uniform(rng, hidden, width) for width in (hidden, hidden, 1)] for _ in range(lags)]
+        w1, w2, w3 = (Tensor(np.array(w), requires_grad=True) for w in zip(*draws))
         return cls(
-            w1=Tensor(glorot_uniform(rng, hidden, hidden), requires_grad=True),
-            b1=Tensor(np.zeros(hidden), requires_grad=True),
-            w2=Tensor(glorot_uniform(rng, hidden, hidden), requires_grad=True),
-            b2=Tensor(np.zeros(hidden), requires_grad=True),
-            w3=Tensor(glorot_uniform(rng, hidden, 1), requires_grad=True),
-            b3=Tensor(np.full(1, -1.0), requires_grad=True),
-            tau=tau,
+            w1=w1, b1=Tensor(np.zeros((lags, hidden)), requires_grad=True),
+            w2=w2, b2=Tensor(np.zeros((lags, hidden)), requires_grad=True),
+            w3=w3, b3=Tensor(np.full((lags, 1), -1.0), requires_grad=True),
         )
 
 
@@ -200,10 +192,8 @@ class GrcslParams(Params):
 
     dims: GrcslDims
     attn: AttnParams
-    gru_intra: GruCell
-    gru_inter: GruCell
-    head_intra: GraphHead
-    head_inter: GraphHead
+    gru: GruCells
+    head: GraphHeads
     sem: SemParams
     feature_gconv: GconvParams | None = None  # prior branch, absent when use_prior is off
 
@@ -214,10 +204,8 @@ class GrcslParams(Params):
         return cls(
             dims=dims,
             attn=AttnParams.init(rng, dims.d_feat, dims.d_att, dims.heads),
-            gru_intra=GruCell.init(rng, dims.heads, dims.h_r),
-            gru_inter=GruCell.init(rng, dims.heads, dims.h_r),
-            head_intra=GraphHead.init(rng, dims.h_r, dims.tau),
-            head_inter=GraphHead.init(rng, dims.h_r, dims.tau),
+            gru=GruCells.init(rng, LAGS, dims.heads, dims.h_r),
+            head=GraphHeads.init(rng, LAGS, dims.h_r),
             sem=SemParams.init(rng, dims.sem_width, dims.h_m),
             feature_gconv=feature,
         )
@@ -369,12 +357,13 @@ def msdot(q: Tensor, keys: Sequence[Tensor], attn: AttnParams) -> Tensor:
     return _from_op(out, (q, *keys, attn.w_q, attn.w_k), backward_fn)
 
 
-def gru_step(c: Tensor, h0: Tensor, cells: Sequence[GruCell]) -> Tensor:
+def gru_step(c: Tensor, h0: Tensor, cells: GruCells) -> Tensor:
     """Each lag's recurrence over a window: the stacks of states after every step.
 
-    Lag l runs cells[l]: r = sigmoid(c w_cr + h w_hr + b_r),
-    z = sigmoid(c w_cz + h w_hz + b_z), h~ = tanh(c w_ch + (r * h) w_hh + b_h),
-    and the next state is z * h + (1 - z) * h~, starting from h = h0[l]. `c`
+    Lag l runs slice l of the cells: r = sigmoid(c w_c[l, 0] + h w_h[l, 0] + b[l, 0]),
+    z = sigmoid(c w_c[l, 1] + h w_h[l, 1] + b[l, 1]),
+    h~ = tanh(c w_c[l, 2] + (r * h) w_hh[l] + b[l, 2]), and the next state
+    is z * h + (1 - z) * h~, starting from h = h0[l]. `c`
     is (L, S, ..., P, d_in) and `h0` is (L, ..., P, H); the result is
     (L, S, ..., P, H). One tape op: each lag's (..., P) rows are split into
     PARTS partitions, and each partition runs through every step as one task
@@ -385,24 +374,20 @@ def gru_step(c: Tensor, h0: Tensor, cells: Sequence[GruCell]) -> Tensor:
     only its inputs, the states and each step's gate block per partition,
     which the backward frees as it passes them.
     """
-    lags, steps, hid = len(cells), c.shape[1], h0.shape[-1]
+    lags, steps, hid = cells.w_c.shape[0], c.shape[1], h0.shape[-1]
     if c.shape[0] != lags or h0.shape[0] != lags or c.shape[2:-1] != h0.shape[1:-1]:
         raise ShapeError(f"gru_step needs ({lags}, S, ..., P, d) and ({lags}, ..., P, H), "
                          f"got {c.shape} and {h0.shape}")
-    params = [p for cell in cells for p in cell.parameters()]
+    params = cells.parameters()
     track = _tracking(c, h0, *params)
     c3, h02 = c.data.reshape(lags, steps, -1, c.shape[-1]), h0.data.reshape(lags, -1, hid)
-    # Gate-major weights for the forward's products; side by side, (d_in, 3H) and (H, 2H), for the backward's.
-    w_c3 = [np.stack([cell.w_cr.data, cell.w_cz.data, cell.w_ch.data]) for cell in cells]
-    w_h2 = [np.stack([cell.w_hr.data, cell.w_hz.data]) for cell in cells]
-    w_c, w_h = ([np.concatenate(w, axis=1) for w in stacks] for stacks in (w_c3, w_h2))
-    biases = [np.stack([cell.b_r.data, cell.b_z.data, cell.b_h.data])[:, None] for cell in cells]
+    w_c3, w_h2, w_hh, biases = (p.data for p in params)
     states, rows = np.empty((lags, steps) + h02.shape[1:]), h02.shape[1]
 
     def forward(lag: int, k: int) -> list:  # partition k's gate blocks
         part = _part(rows, k)
-        h, w_hh, gates = h02[lag, part], cells[lag].w_hh.data, []
-        bias = np.repeat(biases[lag], h.shape[0], axis=1)  # (3, rows, H)
+        h, gates = h02[lag, part], []
+        bias = np.repeat(biases[lag][:, None], h.shape[0], axis=1)  # (3, rows, H)
         a_h = np.empty((2,) + h.shape)  # h [w_hr, w_hz]; then r * h and its product with w_hh
         for j in range(steps):
             if track or not gates:
@@ -412,7 +397,7 @@ def gru_step(c: Tensor, h0: Tensor, cells: Sequence[GruCell]) -> Tensor:
             gate[:2] += np.matmul(h, w_h2[lag], out=a_h)
             gate[:2] += bias[:2]
             _stable_sigmoid(gate[:2], out=gate[:2])
-            h_tilde += np.matmul(np.multiply(r, h, out=a_h[0]), w_hh, out=a_h[1])
+            h_tilde += np.matmul(np.multiply(r, h, out=a_h[0]), w_hh[lag], out=a_h[1])
             h_tilde += bias[2]
             np.tanh(h_tilde, out=h_tilde)
             h = np.multiply(z, h, out=states[lag, j, part])
@@ -428,13 +413,15 @@ def gru_step(c: Tensor, h0: Tensor, cells: Sequence[GruCell]) -> Tensor:
         grad = grad.reshape(states.shape)
         d_c = np.empty(c3.shape) if c.requires_grad else None
         d_h0 = np.empty(h02.shape) if h0.requires_grad else None
+        # Each lag's weights side by side, (d_in, 3H) and (H, 2H), the gate layout of the (rows, 3H) buffer below.
+        w_c, w_h = ([np.concatenate(w, axis=1) for w in stack] for stack in (w_c3, w_h2))
 
         def backward(lag: int, k: int) -> tuple:  # partition k's parameter gradients
             # Steps in reverse, popping gate blocks. The pre-activation gradients are computed
             # gate-major in `d`, then copied once into the (rows, 3H) buffer [r | z | h~] that
             # every product and sum reads; the state's gradient becomes the carry in place.
             part = _part(rows, k)
-            w_hh, h_0, blocks = cells[lag].w_hh.data, h02[lag, part], gates[lag][k]
+            h_0, blocks = h02[lag, part], gates[lag][k]
             scratch = np.empty((7,) + h_0.shape)
             d, one_minus, tmp, d_rh = scratch[:3], scratch[3:5], scratch[5], scratch[6]
             d_rzh = np.empty(h_0.shape[:-1] + (3 * hid,))
@@ -449,7 +436,7 @@ def gru_step(c: Tensor, h0: Tensor, cells: Sequence[GruCell]) -> Tensor:
                 np.multiply(g, one_minus[1], out=d[2])
                 d[2] *= np.subtract(1.0, np.multiply(h_tilde, h_tilde, out=tmp), out=tmp)
                 np.multiply(g, np.subtract(h_prev, h_tilde, out=tmp), out=d[1])
-                np.multiply(np.matmul(d[2], w_hh.T, out=d_rh), h_prev, out=d[0])
+                np.multiply(np.matmul(d[2], w_hh[lag].T, out=d_rh), h_prev, out=d[0])
                 d[:2] *= gate[:2]
                 d[:2] *= one_minus
                 d_rzh.reshape(-1, 3, hid)[:] = d.swapaxes(0, 1)
@@ -466,13 +453,13 @@ def gru_step(c: Tensor, h0: Tensor, cells: Sequence[GruCell]) -> Tensor:
                     carry += np.matmul(d_rz, w_h[lag].T, out=d_rh)
             return g_wc, g_wh, g_whh, g_b
 
-        for cell, parts in zip(cells, _map_rows(backward, lags)):
-            g_wc, g_wh, g_whh, g_b = (sum(grads) for grads in zip(*parts))
-            # Gate by gate (r, z, h~): the input weights', recurrent weights' and bias's gradients.
-            per_gate = zip(np.split(g_wc, 3, axis=1), [*np.split(g_wh, 2, axis=1), g_whh], np.split(g_b, 3))
-            for param, grad_p in zip(cell.parameters(), (grad_p for gate in per_gate for grad_p in gate)):
-                if param.requires_grad:
-                    param._accum(grad_p)
+        sums = [[sum(grads) for grads in zip(*parts)] for parts in _map_rows(backward, lags)]
+        g_wc, g_wh, g_whh, g_b = (np.stack(grads) for grads in zip(*sums))
+        # Back from side by side to gate-major, as the cells store them.
+        g_wc, g_wh = (g.reshape(lags, -1, g.shape[-1] // hid, hid).swapaxes(1, 2) for g in (g_wc, g_wh))
+        for param, grad in zip(params, (g_wc, g_wh, g_whh, g_b.reshape(lags, 3, hid))):
+            if param.requires_grad:
+                param._accum(grad)
         if d_c is not None:
             c._accum(d_c.reshape(c.shape))
         if d_h0 is not None:
@@ -488,37 +475,37 @@ def _gumbel(u: np.ndarray) -> np.ndarray:
 
 def graph_head(
     h: Tensor,
-    heads: Sequence[GraphHead],
+    heads: GraphHeads,
     n: int,
+    tau: float,
     noise: np.ndarray | None = None,
-    mask_diag: bool = False,
 ) -> Tensor:
     """Map each lag's stack of pairwise hidden states (L, S, ..., N*N, H) to graphs (L, S, ..., N, N).
 
-    Lag l runs heads[l]. Without `noise` (evaluation) an edge is
+    Lag l runs slice l of the heads. Without `noise` (evaluation) an edge is
     sigmoid(logit / tau). In training `noise` holds one difference of two
     standard Gumbel samples per edge, of the result's shape, and the edge is
     sigmoid((logit + noise) / tau), a reparameterized near-binary sample.
-    `mask_diag` zeroes lag 0's diagonal. One tape op: each lag's (..., N*N)
+    Lag 0's diagonal is zeroed. One tape op: each lag's (..., N*N)
     rows are split into PARTS partitions, and each partition's logits at
     every step are one task on 2-D rows (`_map_rows`); the noise, 1/tau, the
-    sigmoid and the mask then act on both lags at once. A task writes its
+    sigmoid and the mask then act on all lags at once. A task writes its
     ReLU layers (and, backward, their gradients) into one scratch array
     reused at every step, and adds b1 and b2 tiled to its rows once, so no
     step allocates a (rows, H) temporary. The op keeps only its input and
     the graphs, and the backward recomputes the two ReLU layers.
     """
-    lags = len(heads)
-    if min(head.tau for head in heads) <= 0:
-        raise ConfigError(f"temperature must be positive, got {[head.tau for head in heads]}")
+    lags = heads.w1.shape[0]
+    if tau <= 0:
+        raise ConfigError(f"temperature must be positive, got {tau}")
     if h.ndim < 4 or h.shape[0] != lags or h.shape[-2] != n * n:
         raise ShapeError(f"graph_head needs ({lags}, S, ..., {n * n}, H) hidden states, got {h.shape}")
-    params = [p for head in heads for p in head.parameters()]
-    weights = [[p.data for p in head.parameters()] for head in heads]
+    params = heads.parameters()
+    weights = [[p.data[lag] for p in params] for lag in range(lags)]  # per lag: w1, b1, w2, b2, w3, b3
     h3 = h.data.reshape(lags, h.shape[1], -1, h.shape[-1])
     steps, rows = h3.shape[1:3]
     graph = np.empty(h.shape[:-2] + (n, n))
-    inv_tau = np.array([1.0 / head.tau for head in heads]).reshape((lags,) + (1,) * (graph.ndim - 1))
+    inv_tau = 1.0 / tau
 
     def buffers(lag: int, part: slice, count: int) -> tuple[np.ndarray, np.ndarray]:
         """`count` (rows, H) scratch arrays of partition `part`, and b1 and b2 tiled to (2, rows, H)."""
@@ -545,8 +532,7 @@ def graph_head(
         graph += noise
     graph *= inv_tau
     _stable_sigmoid(graph, out=graph)
-    if mask_diag:
-        graph[0] *= 1.0 - np.eye(n)
+    graph[0] *= 1.0 - np.eye(n)
     if not _tracking(h, *params):
         return Tensor(graph)
 
@@ -576,10 +562,10 @@ def graph_head(
                     np.matmul(d_y1, w1.T, out=d_h[lag, j, part])
             return sums
 
-        for head, parts in zip(heads, _map_rows(backward, lags)):
-            for param, grad in zip(head.parameters(), (sum(grads) for grads in zip(*parts))):
-                if param.requires_grad:
-                    param._accum(grad)
+        sums = [[sum(grads) for grads in zip(*parts)] for parts in _map_rows(backward, lags)]
+        for param, grads in zip(params, zip(*sums)):
+            if param.requires_grad:
+                param._accum(np.stack(grads))
         if d_h is not None:
             h._accum(d_h.reshape(h.shape))
 
@@ -664,8 +650,8 @@ def grcsl_forward_batch(
         g = _gumbel(rng.random((t_in - 1, LAGS, 2, b, n, n)))  # (step, lag, sample, B, N, N)
         noise = (g[:, :, 0] - g[:, :, 1]).swapaxes(0, 1)
     h0 = Tensor(np.broadcast_to(np.zeros((b, n * n, dims.h_r)), (LAGS, b, n * n, dims.h_r)))
-    h = gru_step(c, h0, (params.gru_intra, params.gru_inter))
-    graphs = graph_head(h, (params.head_intra, params.head_inter), n, noise, mask_diag=True)
+    h = gru_step(c, h0, params.gru)
+    graphs = graph_head(h, params.head, n, dims.tau, noise)
     intra, inter = graphs[0], graphs[1]
     x_hat = sem_reconstruct(readings[:-1], readings[1:], intra, inter, params.sem)
     return GrcslForward(readings=readings, intra=intra, inter=inter, reconstructions=x_hat)

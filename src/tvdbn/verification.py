@@ -17,10 +17,10 @@ from .dgcpm import DgcpmDims, DgcpmParams, dgcpm_forward_batch, masked_mae_loss
 from .graphops import GconvParams, dygconv, gconv_spatial, gconv_spectral
 from .grcsl import (
     AttnParams,
-    GraphHead,
+    GraphHeads,
     GrcslDims,
     GrcslParams,
-    GruCell,
+    GruCells,
     SemParams,
     graph_head,
     grcsl_forward_batch,
@@ -60,27 +60,28 @@ def _check_gru_step(rng: np.random.Generator) -> GradReport:
     c = rng.standard_normal((2, 3, 2, 5, 3))  # two lags, three steps of a (2, 5) batch of pairs
     h = rng.standard_normal((2, 2, 5, 4))
     shapes = [(3, 4), (4, 4), (4,)] * 3
-    arrays = [rng.standard_normal(s) * 0.5 for _ in range(2) for s in shapes]
+    # Each lag's w_cr, w_hr, b_r, w_cz, w_hz, b_z, w_ch, w_hh, b_h, then stacked as GruCells holds them.
+    lags = [[rng.standard_normal(s) * 0.5 for s in shapes] for _ in range(2)]
+    cells = [np.array([lag[i] for lag in lags]) for i in (slice(0, 9, 3), slice(1, 5, 3), 7, slice(2, 9, 3))]
 
     def op(c_t, h_t, *cell_arrays):
-        return gru_step(c_t, h_t, [GruCell(*cell_arrays[:9]), GruCell(*cell_arrays[9:])])
+        return gru_step(c_t, h_t, GruCells(*cell_arrays))
 
-    return grad_check(op, [c, h, *arrays], name="gru_step")
+    return grad_check(op, [c, h, *cells], name="gru_step")
 
 
 def _graph_head_case(rng: np.random.Generator, n: int, hid: int) -> list[np.ndarray]:
-    """Hidden states of two lags (two steps of one window each), then each lag's head weights."""
+    """Hidden states of two lags (two steps of one window each), then the heads' weights stacked over the lags."""
     shapes = [(hid, hid), (hid,), (hid, hid), (hid,), (hid, 1), (1,)]
-    heads = [rng.standard_normal(s) * (0.5 if len(s) == 2 else 0.2) for _ in range(2) for s in shapes]
-    return [rng.standard_normal((2, 2, 1, n * n, hid)), *heads]
+    lags = [[rng.standard_normal(s) * (0.5 if len(s) == 2 else 0.2) for s in shapes] for _ in range(2)]
+    return [rng.standard_normal((2, 2, 1, n * n, hid)), *map(np.array, zip(*lags))]
 
 
 def _check_graph_head(rng: np.random.Generator) -> GradReport:
     n, hid = 3, 4
 
     def op(h_t, *arrays):
-        heads = [GraphHead(*arrays[:6], tau=0.5), GraphHead(*arrays[6:], tau=0.5)]
-        return graph_head(h_t, heads, n, mask_diag=True)
+        return graph_head(h_t, GraphHeads(*arrays), n, tau=0.5)
 
     return grad_check(op, _graph_head_case(rng, n, hid), name="graph_head_logits")
 
@@ -90,8 +91,7 @@ def _check_graph_head_train(rng: np.random.Generator) -> GradReport:
     noise = rng.logistic(size=(2, 2, 1, n, n))  # a difference of two standard Gumbels is logistic
 
     def op(h_t, *arrays):
-        heads = [GraphHead(*arrays[:6], tau=0.5), GraphHead(*arrays[6:], tau=0.5)]
-        return graph_head(h_t, heads, n, noise)
+        return graph_head(h_t, GraphHeads(*arrays), n, tau=0.5, noise=noise)
 
     return grad_check(op, _graph_head_case(rng, n, hid), name="graph_head_train")
 

@@ -38,7 +38,7 @@ from tvdbn.dgcpm import (
     node_mean_baseline,
 )
 from tvdbn.graphops import GconvParams, dygconv, gconv_spatial, gconv_spectral
-from tvdbn.grcsl import CausalGraphSeq, GrcslDims, GruCell, graph_stacks, gru_step
+from tvdbn.grcsl import CausalGraphSeq, GrcslDims, GruCells, graph_stacks, gru_step
 from tvdbn.metrics import evaluate
 from tvdbn.numerics import Tensor
 from tvdbn.synth import (
@@ -466,7 +466,8 @@ def test_07_operators_match_naive_loop_nest_references():
         arrays = [[rng.standard_normal(s) for s in shapes] for _ in range(2)]  # one cell per lag
         c = rng.standard_normal((2, steps, pairs, d_c))
         hidden = rng.standard_normal((2, pairs, d_h))
-        cells = [GruCell(*[Tensor(a) for a in lag]) for lag in arrays]
+        gates = (slice(0, 9, 3), slice(1, 5, 3), 7, slice(2, 9, 3))  # GruCells' w_c, w_h, w_hh and b
+        cells = GruCells(*(Tensor(np.array([lag[i] for lag in arrays])) for i in gates))
         got = gru_step(Tensor(c), Tensor(hidden), cells).data
         for lag in range(2):
             h = hidden[lag]

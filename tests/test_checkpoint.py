@@ -76,16 +76,18 @@ def test_a_version_1_file_is_rejected_by_its_version(tmp_path, rng):
 
 def test_parameter_keys_of_default_models():
     grcsl = GrcslParams.init(np.random.default_rng(0), GrcslDims())
-    gru = ["w_cr", "w_hr", "b_r", "w_cz", "w_hz", "b_z", "w_ch", "w_hh", "b_h"]
-    head = ["w1", "b1", "w2", "b2", "w3", "b3"]
     assert [name for name, _ in grcsl.named_parameters()] == [
         "attn.w_q", "attn.w_k",
-        *(f"gru_intra.{n}" for n in gru), *(f"gru_inter.{n}" for n in gru),
-        *(f"head_intra.{n}" for n in head), *(f"head_inter.{n}" for n in head),
+        "gru.w_c", "gru.w_h", "gru.w_hh", "gru.b",
+        "head.w1", "head.b1", "head.w2", "head.b2", "head.w3", "head.b3",
         "sem.w_intra", "sem.w_inter", "sem.w1", "sem.b1", "sem.w2", "sem.b2",
         "feature_gconv.theta0", "feature_gconv.theta1", "feature_gconv.theta2",
     ]
     assert grcsl.attn.w_q.shape == (4, 10, 16)
+    assert [p.shape for p in grcsl.gru.parameters() + grcsl.head.parameters()] == [
+        (2, 3, 4, 32), (2, 2, 32, 32), (2, 32, 32), (2, 3, 32),
+        (2, 32, 32), (2, 32), (2, 32, 32), (2, 32), (2, 32, 1), (2, 1),
+    ]
     dgcpm = DgcpmParams.init(np.random.default_rng(0), DgcpmDims())
     assert [name for name, _ in dgcpm.named_parameters()] == [
         "dy_inter.theta0", "dy_inter.theta1", "dy_inter.theta2",
@@ -157,7 +159,7 @@ def test_graph_key_covers_every_input_of_the_generator(rng):
     retuned = copy.deepcopy(params)
     retuned.dims = dataclasses.replace(params.dims, tau=0.25)
     nudged = copy.deepcopy(params)
-    nudged.head_inter.w3.data.flat[0] += 1e-12
+    nudged.head.w3.data[1].flat[0] += 1e-12
     moved = values.copy()
     moved[-1, -1, -1, 0] += 1e-12
     variants = [

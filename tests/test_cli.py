@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 from tvdbn import cli
-from tvdbn.checkpoint import load_graphs, save_graphs
+from tvdbn.checkpoint import load_graphs, load_grcsl, save_graphs
 from tvdbn.cli import RunConfig, build_parser, main, parse_config_file, resolve_config
 from tvdbn.data import load_speed_table, make_windows, save_speed_table, split_chronological
 from tvdbn.dgcpm import FORECAST_CSV_HEADER
-from tvdbn.errors import ConfigError
+from tvdbn.errors import ConfigError, DataError
 from tvdbn.grcsl import EDGE_CSV_HEADER, graph_stacks
 from tvdbn.synth import to_speed_series
 
@@ -507,6 +507,54 @@ def test_constant_graph_sources_are_read_only_views_of_one_pair(pipeline, source
         assert stack.strides[:2] == (0, 0)
         assert not stack.flags.writeable
     assert not np.diagonal(intra, axis1=-2, axis2=-1).any()
+
+
+def test_export_split_picks_the_windows_that_export_graphs_writes(pipeline, tmp_path, caplog):
+    out = tmp_path / "run"
+    shutil.copytree(pipeline, out)
+    (out / "graphs-test.npz").unlink()
+    flags = [
+        "--config", str(out / "run.cfg"), "--out-dir", str(out),
+        "--speed-csv", str(out / "speed.csv"), "--dist-csv", str(out / "dist.csv"),
+    ]
+    test_split = split_chronological(load_speed_table(str(out / "speed.csv")))[2]
+    test_starts = make_windows(test_split, t_in=6, t_out=3, stride=3).start_ts
+    assert generated_by(["export-graphs", *flags, "--export-split", "test"]) == len(test_starts)
+    with open(out / "graphs.csv", newline="") as fh:
+        starts = {int(row[0]) for row in list(csv.reader(fh))[1:]}
+    assert starts and starts <= set(test_starts.tolist())
+    assert generated_by(["predict", *flags]) == 0  # it reads the graphs-test.npz that export-graphs wrote
+    caplog.clear()
+    assert main(["export-graphs", *flags, "--export-split", "bogus"]) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+    assert len(errors) == 1 and "export_split" in errors[0] and "'bogus'" in errors[0], errors
+
+
+def test_a_structure_checkpoint_in_the_per_lag_layout_is_refused(pipeline, tmp_path, caplog):
+    # The layout before the lag-stacked weights: per lag, one GRU cell of
+    # nine per-gate tensors (gru_intra, gru_inter) and one head (head_intra, head_inter).
+    with np.load(pipeline / "grcsl.npz") as blob:
+        entries = {key: blob[key] for key in blob.files if not key.startswith(("param/gru.", "param/head."))}
+    gru = ["w_cr", "w_hr", "b_r", "w_cz", "w_hz", "b_z", "w_ch", "w_hh", "b_h"]
+    head = ["w1", "b1", "w2", "b2", "w3", "b3"]
+    old = [f"{part}_{lag}.{name}" for lag in ("intra", "inter") for part, names in (("gru", gru), ("head", head))
+           for name in names]
+    entries.update((f"param/{key}", np.zeros(1)) for key in old)
+    path = tmp_path / "grcsl.npz"
+    np.savez(path, **entries)
+    with pytest.raises(DataError, match="parameter keys disagree") as err:
+        load_grcsl(str(path))
+    new = ["gru.w_c", "gru.w_h", "gru.w_hh", "gru.b", *(f"head.{name}" for name in head)]
+    assert f"missing {sorted(new)}" in str(err.value)
+    assert f"unexpected {sorted(old)}" in str(err.value)
+    flags = [
+        "--config", str(pipeline / "run.cfg"), "--out-dir", str(tmp_path),
+        "--speed-csv", str(pipeline / "speed.csv"), "--dist-csv", str(pipeline / "dist.csv"),
+    ]
+    caplog.clear()
+    assert main(["export-graphs", *flags, "--structure-checkpoint", str(path)]) == 2
+    assert any("parameter keys disagree" in r.getMessage() for r in caplog.records if r.levelno == logging.ERROR)
+    assert not (tmp_path / "graphs.csv").exists()
 
 
 def test_truncated_checkpoint_is_a_data_error(pipeline, tmp_path):

@@ -21,10 +21,10 @@ from tvdbn.errors import ConfigError, ShapeError
 from tvdbn.grcsl import (
     AttnParams,
     CausalGraphSeq,
-    GraphHead,
+    GraphHeads,
     GrcslDims,
     GrcslParams,
-    GruCell,
+    GruCells,
     export_graph_edges,
     extract_features,
     SemParams,
@@ -49,13 +49,13 @@ def small_dims(**overrides):
     return GrcslDims(**base)
 
 
-def zero_logit_head(hidden, tau=0.2):
-    """Head whose output logit is identically zero."""
-    z = lambda *shape: Tensor(np.zeros(shape), requires_grad=True)
-    return GraphHead(
+def zero_logit_head(hidden):
+    """One lag's head whose output logit is identically zero."""
+    z = lambda *shape: Tensor(np.zeros((1,) + shape), requires_grad=True)
+    return GraphHeads(
         w1=z(hidden, hidden), b1=z(hidden),
         w2=z(hidden, hidden), b2=z(hidden),
-        w3=z(hidden, 1), b3=z(1), tau=tau,
+        w3=z(hidden, 1), b3=z(1),
     )
 
 
@@ -130,38 +130,59 @@ def test_msdot_is_asymmetric_between_query_and_key():
 # ------------------------------------------------------------------ #
 
 
-def naive_gru(c, h, cell):
+def naive_gru(c, h, cells, lag=0):
+    w_c, w_h, w_hh, b = (p.data[lag] for p in cells.parameters())
     sig = lambda v: 1.0 / (1.0 + np.exp(-v))
-    r = sig(c @ cell.w_cr.data + h @ cell.w_hr.data + cell.b_r.data)
-    z = sig(c @ cell.w_cz.data + h @ cell.w_hz.data + cell.b_z.data)
-    h_tilde = np.tanh(c @ cell.w_ch.data + (r * h) @ cell.w_hh.data + cell.b_h.data)
+    r = sig(c @ w_c[0] + h @ w_h[0] + b[0])
+    z = sig(c @ w_c[1] + h @ w_h[1] + b[1])
+    h_tilde = np.tanh(c @ w_c[2] + (r * h) @ w_hh + b[2])
     return z * h + (1.0 - z) * h_tilde
 
 
 def test_gru_step_matches_naive_numpy(rng):
-    cell = GruCell.init(rng, d_in=3, hidden=5)
-    c = rng.normal(size=(3, 4, 7, 3))
-    h = rng.normal(size=(4, 7, 5))
-    out = gru_step(Tensor(c[None]), Tensor(h[None]), [cell])
-    assert out.shape == (1, 3, 4, 7, 5)
-    for j in range(3):
-        h = naive_gru(c[j], h, cell)
-        np.testing.assert_allclose(out.data[0, j], h, atol=1e-12)
+    cells = GruCells.init(rng, lags=2, d_in=3, hidden=5)
+    c = rng.normal(size=(2, 3, 4, 7, 3))
+    h0 = rng.normal(size=(2, 4, 7, 5))
+    out = gru_step(Tensor(c), Tensor(h0), cells)
+    assert out.shape == (2, 3, 4, 7, 5)
+    for lag in range(2):
+        h = h0[lag]
+        for j in range(3):
+            h = naive_gru(c[lag, j], h, cells, lag)
+            np.testing.assert_allclose(out.data[lag, j], h, atol=1e-12)
+
+
+def test_lag_stacked_cells_and_heads_keep_the_per_lag_init():
+    # Every lag's cell, drawn w_cr, w_hr, w_cz, w_hz, w_ch, w_hh, then every
+    # lag's head, drawn w1, w2, w3: the order that fixes every trained model's bits.
+    rng = np.random.default_rng(0)
+    cells, heads = GruCells.init(rng, lags=2, d_in=3, hidden=4), GraphHeads.init(rng, lags=2, hidden=4)
+    ref = np.random.default_rng(0)
+    for lag in range(2):
+        w_cr, w_hr, w_cz, w_hz, w_ch, w_hh = (glorot_uniform(ref, fan_in, 4) for fan_in in (3, 4) * 3)
+        np.testing.assert_array_equal(cells.w_c.data[lag], np.stack([w_cr, w_cz, w_ch]))
+        np.testing.assert_array_equal(cells.w_h.data[lag], np.stack([w_hr, w_hz]))
+        np.testing.assert_array_equal(cells.w_hh.data[lag], w_hh)
+    for lag in range(2):
+        for w, width in ((heads.w1, 4), (heads.w2, 4), (heads.w3, 1)):
+            np.testing.assert_array_equal(w.data[lag], glorot_uniform(ref, 4, width))
+    assert not cells.b.data.any() and not heads.b1.data.any() and not heads.b2.data.any()
+    np.testing.assert_array_equal(heads.b3.data, -1.0)
 
 
 def test_gru_zero_state_zero_input_is_fixed_point(rng):
     # Fresh cells have zero biases, so gates sit at 1/2 and the candidate at 0.
-    cell = GruCell.init(rng, d_in=3, hidden=4)
-    out = gru_step(Tensor(np.zeros((1, 3, 2, 3))), Tensor(np.zeros((1, 2, 4))), [cell])
+    cells = GruCells.init(rng, lags=1, d_in=3, hidden=4)
+    out = gru_step(Tensor(np.zeros((1, 3, 2, 3))), Tensor(np.zeros((1, 2, 4))), cells)
     np.testing.assert_allclose(out.data, 0.0, atol=1e-15)
 
 
 def test_gru_saturated_update_gate_copies_previous_state(rng):
-    cell = GruCell.init(rng, d_in=3, hidden=4)
-    cell.b_z = Tensor(np.full(4, 50.0), requires_grad=True)  # z -> 1
+    cells = GruCells.init(rng, lags=1, d_in=3, hidden=4)
+    cells.b.data[0, 1] = 50.0  # z -> 1
     c = rng.normal(size=(3, 2, 3))
     h = rng.normal(size=(2, 4))
-    out = gru_step(Tensor(c[None]), Tensor(h[None]), [cell])
+    out = gru_step(Tensor(c[None]), Tensor(h[None]), cells)
     np.testing.assert_allclose(out.data[0], np.broadcast_to(h, (3, 2, 4)), atol=1e-8)
 
 
@@ -169,15 +190,16 @@ def test_gru_saturated_update_gate_copies_previous_state(rng):
 # kernels' operation order: the references the kernels must reproduce.
 
 
-def composed_gru_step(c, h_prev, cell):
-    """One GRU update of `h_prev` (..., P, H) under features `c` (..., P, d_in)."""
+def composed_gru_step(c, h_prev, cells, lag):
+    """One GRU update of `h_prev` (..., P, H) under features `c` (..., P, d_in) by lag `lag`'s cell."""
     hid = h_prev.shape[-1]
+    w_c, w_h, w_hh, b = (p[lag] for p in cells.parameters())
     c2, h2 = c.reshape(-1, c.shape[-1]), h_prev.reshape(-1, hid)
-    a_c = c2 @ concat([cell.w_cr, cell.w_cz, cell.w_ch], axis=1)
-    a_h = h2 @ concat([cell.w_hr, cell.w_hz], axis=1)
-    r = (a_c[:, :hid] + a_h[:, :hid] + cell.b_r).sigmoid()
-    z = (a_c[:, hid : 2 * hid] + a_h[:, hid:] + cell.b_z).sigmoid()
-    h_tilde = (a_c[:, 2 * hid :] + (r * h2) @ cell.w_hh + cell.b_h).tanh()
+    a_c = c2 @ concat([w_c[0], w_c[1], w_c[2]], axis=1)
+    a_h = h2 @ concat([w_h[0], w_h[1]], axis=1)
+    r = (a_c[:, :hid] + a_h[:, :hid] + b[0]).sigmoid()
+    z = (a_c[:, hid : 2 * hid] + a_h[:, hid:] + b[1]).sigmoid()
+    h_tilde = (a_c[:, 2 * hid :] + (r * h2) @ w_hh + b[2]).tanh()
     return (z * h2 + (1.0 - z) * h_tilde).reshape(h_prev.shape)
 
 
@@ -191,16 +213,17 @@ def composed_msdot(q, k, attn):
     return scores.transpose(tuple(range(nd - 3)) + (nd - 2, nd - 1, nd - 3))
 
 
-def composed_graph_head(h, head, n, noise=None, mask_diag=False):
-    """One step's graphs (..., N, N) from hidden states (..., N*N, H); `noise` as in graph_head."""
+def composed_graph_head(h, heads, lag, n, tau, noise=None):
+    """Lag `lag`'s graphs (..., N, N) of one step from hidden states (..., N*N, H); `noise` as in graph_head."""
+    w1, b1, w2, b2, w3, b3 = (p[lag] for p in heads.parameters())
     h2 = h.reshape(-1, h.shape[-1])
-    y = (h2 @ head.w1 + head.b1).relu()
-    y = (y @ head.w2 + head.b2).relu()
-    logits = (y @ head.w3 + head.b3).reshape(h.shape[:-2] + (n, n))
+    y = (h2 @ w1 + b1).relu()
+    y = (y @ w2 + b2).relu()
+    logits = (y @ w3 + b3).reshape(h.shape[:-2] + (n, n))
     if noise is not None:
         logits = logits + Tensor(noise)
-    graph = (logits * (1.0 / head.tau)).sigmoid()
-    if mask_diag:
+    graph = (logits * (1.0 / tau)).sigmoid()
+    if lag == 0:
         graph = graph * Tensor(1.0 - np.eye(n))
     return graph
 
@@ -214,18 +237,18 @@ def stack_steps(outs):
     return concat([out.reshape((1,) + out.shape) for out in outs], axis=0)
 
 
-def composed_gru(c, h0, cell):
+def composed_gru(c, h0, cells, lag):
     states, h = [], h0
     for j in range(c.shape[0]):
-        h = composed_gru_step(c[j], h, cell)
+        h = composed_gru_step(c[j], h, cells, lag)
         states.append(h)
     return stack_steps(states)
 
 
-def composed_head(h, head, n, noise=None, mask_diag=False):
+def composed_head(h, heads, lag, n, tau, noise=None):
     step_noise = [None] * h.shape[0] if noise is None else noise
     return stack_steps(
-        [composed_graph_head(h[j], head, n, step_noise[j], mask_diag) for j in range(h.shape[0])]
+        [composed_graph_head(h[j], heads, lag, n, tau, step_noise[j]) for j in range(h.shape[0])]
     )
 
 
@@ -241,10 +264,6 @@ def assert_same_value_and_grads(fused, reference, names):
     np.testing.assert_allclose(fused[0], reference[0], rtol=0, atol=1e-12)
     for name, got, want in zip(names, fused[1], reference[1]):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=name)
-
-
-def lag_names(names, lags=2):
-    return [f"lag{lag}.{name}" for lag in range(lags) for name in names]
 
 
 def test_msdot_kernel_matches_composed_reference(rng):
@@ -271,28 +290,25 @@ def test_gru_step_kernel_matches_composed_reference(rng, lead):
     # the composed per-step body run one lag at a time. (3, 25) is B = 3,
     # N = 5: 75 rows per lag, which the row partitions do not split evenly.
     steps, d_in, hidden = 4, 3, 5
-    shapes = [(d_in, hidden), (hidden, hidden), (hidden,)] * 3
-    arrays = [rng.normal(size=s) * 0.5 for _ in range(2) for s in shapes]
+    shapes = [(2, 3, d_in, hidden), (2, 2, hidden, hidden), (2, hidden, hidden), (2, 3, hidden)]
+    arrays = [rng.normal(size=s) * 0.5 for s in shapes]
     c = rng.normal(size=(2, steps) + lead + (d_in,))
     h0 = rng.normal(size=(2,) + lead + (hidden,))
     seed_grad = rng.normal(size=(2, steps) + lead + (hidden,))
-    names = ["c", "h0", *lag_names(name for name, _ in GruCell(*map(Tensor, arrays[:9])).named_parameters())]
 
     def composed(c_t, h_t, cells):
-        return stack_steps([composed_gru(c_t[lag], h_t[lag], cell) for lag, cell in enumerate(cells)])
+        return stack_steps([composed_gru(c_t[lag], h_t[lag], cells, lag) for lag in range(2)])
 
     runs = [
-        run_with_grads(
-            lambda c_t, h_t, *w: op(c_t, h_t, [GruCell(*w[:9]), GruCell(*w[9:])]), [c, h0, *arrays], seed_grad
-        )
+        run_with_grads(lambda c_t, h_t, *w: op(c_t, h_t, GruCells(*w)), [c, h0, *arrays], seed_grad)
         for op in (gru_step, composed)
     ]
-    assert_same_value_and_grads(*runs, names)
+    assert_same_value_and_grads(*runs, ["c", "h0", "w_c", "w_h", "w_hh", "b"])
     assert all(np.abs(grad).max() > 0.0 for grad in runs[0][1])
 
 
 def test_gru_step_rejects_mismatched_pair_axes(rng):
-    cells = [GruCell.init(rng, d_in=3, hidden=4) for _ in range(2)]
+    cells = GruCells.init(rng, lags=2, d_in=3, hidden=4)
     with pytest.raises(ShapeError):
         gru_step(Tensor(np.zeros((2, 2, 5, 3))), Tensor(np.zeros((2, 6, 4))), cells)
     with pytest.raises(ShapeError):  # one lag axis entry per cell, on both inputs
@@ -306,10 +322,10 @@ def test_gru_step_rejects_mismatched_pair_axes(rng):
 def test_gru_state_stays_in_unit_box(seed):
     # |h'| <= z|h| + (1-z)|tanh| <= max(|h|, 1): the unit box is invariant.
     rng = np.random.default_rng(seed)
-    cell = GruCell.init(rng, d_in=2, hidden=3)
+    cells = GruCells.init(rng, lags=1, d_in=2, hidden=3)
     c = rng.normal(0.0, 3.0, size=(4, 5, 2))
     h = rng.uniform(-1.0, 1.0, size=(5, 3))
-    out = gru_step(Tensor(c[None]), Tensor(h[None]), [cell])
+    out = gru_step(Tensor(c[None]), Tensor(h[None]), cells)
     assert np.all(np.abs(out.data) <= 1.0 + 1e-12)
 
 
@@ -320,53 +336,44 @@ def test_gru_state_stays_in_unit_box(seed):
 
 @pytest.mark.parametrize("lead, n", [((), 3), ((2,), 3), ((3,), 5)], ids=["lead0", "lead1", "lead2"])
 @pytest.mark.parametrize("train", [False, True])
-@pytest.mark.parametrize("mask_diag", [False, True])
-def test_graph_head_kernel_matches_composed_reference(rng, lead, n, train, mask_diag):
-    # Both lags, each with its own head, temperature and noise, against the
-    # composed per-step body run one lag at a time; the mask is lag 0's only.
+def test_graph_head_kernel_matches_composed_reference(rng, lead, n, train):
+    # Both lags, each with its own head and noise, against the composed
+    # per-step body run one lag at a time; the mask is lag 0's only.
     # B = 3, N = 5 gives 75 rows per lag, which the row partitions do not split evenly.
-    steps, hidden, taus = 3, 4, (0.7, 0.4)
+    steps, hidden, tau = 3, 4, 0.7
     shapes = [(hidden, hidden), (hidden,), (hidden, hidden), (hidden,), (hidden, 1), (1,)]
-    arrays = [rng.normal(size=s) * 0.5 for _ in range(2) for s in shapes]
+    arrays = [rng.normal(size=(2,) + s) * 0.5 for s in shapes]
     h = rng.normal(size=(2, steps) + lead + (n * n, hidden))
     seed_grad = rng.normal(size=(2, steps) + lead + (n, n))
     noise = gumbel_difference(rng, (2, steps) + lead + (n, n)) if train else None
 
     def kernel(h_t, heads):
-        return graph_head(h_t, heads, n, noise, mask_diag=mask_diag)
+        return graph_head(h_t, heads, n, tau, noise)
 
     def composed(h_t, heads):
         lag_noise = [None, None] if noise is None else noise
-        return stack_steps([
-            composed_head(h_t[lag], head, n, lag_noise[lag], mask_diag and lag == 0)
-            for lag, head in enumerate(heads)
-        ])
+        return stack_steps([composed_head(h_t[lag], heads, lag, n, tau, lag_noise[lag]) for lag in range(2)])
 
-    def apply(fn):
-        def op(h_t, *w):
-            return fn(h_t, [GraphHead(*w[6 * lag : 6 * lag + 6], tau=taus[lag]) for lag in range(2)])
-
-        return run_with_grads(op, [h, *arrays], seed_grad)
-
-    fused, reference = apply(kernel), apply(composed)
-    assert_same_value_and_grads(fused, reference, ["h", *lag_names(["w1", "b1", "w2", "b2", "w3", "b3"])])
-    if mask_diag:
-        np.testing.assert_array_equal(np.diagonal(fused[0][0], axis1=-2, axis2=-1), 0.0)
+    fused, reference = (
+        run_with_grads(lambda h_t, *w: fn(h_t, GraphHeads(*w)), [h, *arrays], seed_grad) for fn in (kernel, composed)
+    )
+    assert_same_value_and_grads(fused, reference, ["h", "w1", "b1", "w2", "b2", "w3", "b3"])
+    np.testing.assert_array_equal(np.diagonal(fused[0][0], axis1=-2, axis2=-1), 0.0)
     assert np.all(np.diagonal(fused[0][1], axis1=-2, axis2=-1) > 0.0)  # lag 1 keeps its self-loops
 
 
 def test_kernels_record_nothing_without_grad(rng):
     attn = AttnParams.init(rng, d_in=2, d_att=2, heads=1)
-    cell = GruCell.init(rng, d_in=2, hidden=3)
-    head = GraphHead.init(rng, hidden=3, tau=0.2)
+    cells = GruCells.init(rng, lags=1, d_in=2, hidden=3)
+    head = GraphHeads.init(rng, lags=1, hidden=3)
     c = Tensor(rng.normal(size=(1, 2, 4, 2)), requires_grad=True)
     h = Tensor(rng.normal(size=(1, 2, 4, 3)), requires_grad=True)
     with no_grad():
         outs = [
             msdot(c[0], [c[0]], attn),
-            gru_step(c, h[:, 0], [cell]),
-            graph_head(h, [head], n=2),
-            graph_head(h, [head], n=2, noise=np.zeros((1, 2, 2, 2)), mask_diag=True),
+            gru_step(c, h[:, 0], cells),
+            graph_head(h, head, n=2, tau=0.2),
+            graph_head(h, head, n=2, tau=0.2, noise=np.zeros((1, 2, 2, 2))),
         ]
     for out in outs:
         assert out._parents == () and out._backward is None and not out.requires_grad
@@ -425,35 +432,44 @@ def test_train_step_memory_stays_bounded(rng):
     assert peak <= 30e6, f"one training step peaked at {peak / 1e6:.1f} MB"
 
 
+def off_lag0_diagonal(graphs):
+    """Every edge of (L, ..., N, N) graphs but lag 0's self-loops, which graph_head zeroes."""
+    n = graphs.shape[-1]
+    return np.concatenate([graphs[0][..., ~np.eye(n, dtype=bool)].ravel(), graphs[1:].ravel()])
+
+
 def test_graph_head_eval_mode_is_deterministic_sigmoid(rng):
-    head = GraphHead.init(rng, hidden=6, tau=0.2)
-    h = Tensor(rng.normal(size=(1, 2, 9, 6)))
-    g1 = graph_head(h, [head], n=3)
-    g2 = graph_head(h, [head], n=3)
-    assert g1.shape == (1, 2, 3, 3)
+    head = GraphHeads.init(rng, lags=2, hidden=6)
+    h = Tensor(rng.normal(size=(2, 2, 9, 6)))
+    g1 = graph_head(h, head, n=3, tau=0.2)
+    g2 = graph_head(h, head, n=3, tau=0.2)
+    assert g1.shape == (2, 2, 3, 3)
     np.testing.assert_array_equal(g1.data, g2.data)
-    assert np.all((g1.data > 0.0) & (g1.data < 1.0))
+    edges = off_lag0_diagonal(g1.data)
+    assert np.all((edges > 0.0) & (edges < 1.0))
 
 
 def test_graph_head_fresh_init_leans_sparse(rng):
     # Final bias -1 at tau = 0.2 puts near-zero-hidden edges at sigmoid(-5).
-    head = GraphHead.init(rng, hidden=6, tau=0.2)
-    h = Tensor(np.zeros((1, 1, 4, 6)))
-    g = graph_head(h, [head], n=2)
-    np.testing.assert_allclose(g.data, 1.0 / (1.0 + np.exp(5.0)), rtol=1e-12)
+    head = GraphHeads.init(rng, lags=2, hidden=6)
+    h = Tensor(np.zeros((2, 1, 4, 6)))
+    g = graph_head(h, head, n=2, tau=0.2)
+    np.testing.assert_allclose(off_lag0_diagonal(g.data), 1.0 / (1.0 + np.exp(5.0)), rtol=1e-12)
 
 
 def test_graph_head_train_mode_is_symmetric_around_half_at_zero_logit():
     # logit 0: the Gumbel difference is logistic and symmetric, so the
-    # sampled edge mean converges to 1/2 (SE ~ 0.0016 at 1e5 draws).
+    # sampled edge mean converges to 1/2 (SE ~ 0.0022 at the 5e4 draws off
+    # the diagonal, which this one lag-0 head zeroes).
     head = zero_logit_head(hidden=1)
     h = Tensor(np.zeros((1, 1, 25000, 4, 1)))
     noise = gumbel_difference(np.random.default_rng(42), (1, 1, 25000, 2, 2))
-    g = graph_head(h, [head], n=2, noise=noise)
+    g = graph_head(h, head, n=2, tau=0.2, noise=noise)
     assert g.data.shape == (1, 1, 25000, 2, 2)
-    assert abs(g.data.mean() - 0.5) < 0.01
+    edges = off_lag0_diagonal(g.data)
+    assert abs(edges.mean() - 0.5) < 0.01
     # near-binary at low temperature: mass piles up near the ends
-    assert ((g.data < 0.1) | (g.data > 0.9)).mean() > 0.7
+    assert ((edges < 0.1) | (edges > 0.9)).mean() > 0.7
 
 
 def test_train_mode_forward_requires_rng(rng):
@@ -463,30 +479,23 @@ def test_train_mode_forward_requires_rng(rng):
         grcsl_forward_batch(values, tod, None, params, train=True)
 
 
-def test_graph_head_masks_diagonal_when_asked(rng):
-    head = GraphHead.init(rng, hidden=3, tau=0.2)
-    h = Tensor(rng.normal(size=(1, 1, 2, 9, 3)))
-    g = graph_head(h, [head], n=3, mask_diag=True)
-    np.testing.assert_array_equal(np.diagonal(g.data, axis1=-2, axis2=-1), 0.0)
-
-
 def test_graph_head_rejects_states_without_a_step_axis_or_pairs(rng):
-    head = GraphHead.init(rng, hidden=3, tau=0.2)
+    head = GraphHeads.init(rng, lags=1, hidden=3)
     with pytest.raises(ShapeError):
-        graph_head(Tensor(np.zeros((1, 9, 3))), [head], n=3)
+        graph_head(Tensor(np.zeros((1, 9, 3))), head, n=3, tau=0.2)
     with pytest.raises(ShapeError):
-        graph_head(Tensor(np.zeros((1, 2, 8, 3))), [head], n=3)
+        graph_head(Tensor(np.zeros((1, 2, 8, 3))), head, n=3, tau=0.2)
     with pytest.raises(ShapeError):  # one lag axis entry per head
-        graph_head(Tensor(np.zeros((2, 2, 9, 3))), [head], n=3)
+        graph_head(Tensor(np.zeros((2, 2, 9, 3))), head, n=3, tau=0.2)
 
 
 def test_graph_head_rejects_non_positive_temperature(rng):
     with pytest.raises(ConfigError):
-        GraphHead.init(rng, hidden=3, tau=0.0)
-    head = GraphHead.init(rng, hidden=3, tau=0.2)
-    head.tau = -1.0
-    with pytest.raises(ConfigError):
-        graph_head(Tensor(np.zeros((1, 1, 4, 3))), [head], n=2)
+        GrcslParams.init(rng, small_dims(tau=0.0))
+    head = GraphHeads.init(rng, lags=1, hidden=3)
+    for tau in (0.0, -1.0):
+        with pytest.raises(ConfigError):
+            graph_head(Tensor(np.zeros((1, 1, 4, 3))), head, n=2, tau=tau)
 
 
 # ------------------------------------------------------------------ #
@@ -551,12 +560,12 @@ def test_forward_pairs_rows_row_major_and_lag_one_with_the_previous_tick(rng, mo
     params = GrcslParams.init(rng, small_dims(heads=1, d_att=1))
     pick = np.array([[[1.0], [0.0]]])  # (heads, d_feat, d_att): the reading, not the time of day
     params.attn = AttnParams(w_q=Tensor(pick), w_k=Tensor(pick))
-    seen = {id(params.gru_intra): [], id(params.gru_inter): []}
+    seen = {0: [], 1: []}
     window_op = grcsl.gru_step
 
     def recording_op(c, h0, cells):
-        for lag, cell in enumerate(cells):
-            seen[id(cell)].append(c.data[lag].copy())
+        for lag in range(cells.w_c.shape[0]):
+            seen[lag].append(c.data[lag].copy())
         return window_op(c, h0, cells)
 
     monkeypatch.setattr(grcsl, "gru_step", recording_op)
@@ -564,8 +573,8 @@ def test_forward_pairs_rows_row_major_and_lag_one_with_the_previous_tick(rng, mo
     values, tod = window_inputs(rng, b=b, t_in=t_in, n=n)
     grcsl_forward_batch(values, tod, None, params)
     x = values[..., 0]  # (B, T_in, N)
-    for lag, cell in ((0, params.gru_intra), (1, params.gru_inter)):
-        (feats,) = seen[id(cell)]  # one call for both lags, over the whole window
+    for lag in (0, 1):
+        (feats,) = seen[lag]  # one call for both lags, over the whole window
         assert feats.shape == (t_in - 1, b, n * n, 1)
         for j, c in enumerate(feats):
             t = j + 1  # 0-based tick of window step j + 2
@@ -593,11 +602,11 @@ def loop_forward(values, tod, prior, params, train=False, rng=None):
     for t in range(1, t_in):
         c0 = composed_msdot(xs[t], xs[t], params.attn).reshape(b, n * n, heads)
         c1 = composed_msdot(xs[t], xs[t - 1], params.attn).reshape(b, n * n, heads)
-        h_intra = composed_gru_step(c0, h_intra, params.gru_intra)
-        h_inter = composed_gru_step(c1, h_inter, params.gru_inter)
+        h_intra = composed_gru_step(c0, h_intra, params.gru, 0)
+        h_inter = composed_gru_step(c1, h_inter, params.gru, 1)
         noise = [gumbel_difference(rng, (b, n, n)) if train else None for _ in range(2)]
-        intra.append(composed_graph_head(h_intra, params.head_intra, n, noise[0], mask_diag=True))
-        inter.append(composed_graph_head(h_inter, params.head_inter, n, noise[1]))
+        intra.append(composed_graph_head(h_intra, params.head, 0, n, params.dims.tau, noise[0]))
+        inter.append(composed_graph_head(h_inter, params.head, 1, n, params.dims.tau, noise[1]))
         recons.append(sem_reconstruct(readings[t - 1], readings[t], intra[-1], inter[-1], params.sem))
     return readings, intra, inter, recons
 
@@ -696,12 +705,12 @@ def test_pooled_and_inline_lag_maps_give_the_same_bits(monkeypatch, b, n):
 
 
 def row_major_gru_step(c, h0, cells):
-    lags, steps, hid = len(cells), c.shape[1], h0.shape[-1]
-    params = [p for cell in cells for p in cell.parameters()]
+    lags, steps, hid = cells.w_c.shape[0], c.shape[1], h0.shape[-1]
+    params = cells.parameters()
     c3, h02 = c.data.reshape(lags, steps, -1, c.shape[-1]), h0.data.reshape(lags, -1, hid)
-    w_c = [np.concatenate([cell.w_cr.data, cell.w_cz.data, cell.w_ch.data], axis=1) for cell in cells]
-    w_h = [np.concatenate([cell.w_hr.data, cell.w_hz.data], axis=1) for cell in cells]
-    w_hh_b = [(cell.w_hh.data, cell.b_r.data, cell.b_z.data, cell.b_h.data) for cell in cells]
+    w_c = [np.concatenate([w_cr, w_cz, w_ch], axis=1) for w_cr, w_cz, w_ch in cells.w_c.data]
+    w_h = [np.concatenate([w_hr, w_hz], axis=1) for w_hr, w_hz in cells.w_h.data]
+    w_hh_b = [(w_hh, b_r, b_z, b_h) for w_hh, (b_r, b_z, b_h) in zip(cells.w_hh.data, cells.b.data)]
     states, rows = np.empty((lags, steps) + h02.shape[1:]), h02.shape[1]
 
     def forward(lag, k):
@@ -761,24 +770,24 @@ def row_major_gru_step(c, h0, cells):
                 carry += np.matmul(d_rz, w_h[lag].T, out=d_rh)
             return g_wc, g_wh, g_whh, g_b
 
-        for cell, parts in zip(cells, grcsl._map_rows(backward, lags)):
-            g_wc, g_wh, g_whh, g_b = (sum(grads) for grads in zip(*parts))
-            per_gate = zip(np.split(g_wc, 3, axis=1), [*np.split(g_wh, 2, axis=1), g_whh], np.split(g_b, 3))
-            for param, grad_p in zip(cell.parameters(), (grad_p for gate in per_gate for grad_p in gate)):
-                param._accum(grad_p)
+        sums = [[sum(grads) for grads in zip(*parts)] for parts in grcsl._map_rows(backward, lags)]
+        g_wc, g_wh, g_whh, g_b = (np.stack(grads) for grads in zip(*sums))
+        per_gate = [np.stack(np.split(g_wc, 3, axis=2), axis=1), np.stack(np.split(g_wh, 2, axis=2), axis=1)]
+        for param, grad in zip(params, per_gate + [g_whh, np.stack(np.split(g_b, 3, axis=1), axis=1)]):
+            param._accum(grad)
         c._accum(d_c.reshape(c.shape))
         h0._accum(d_h0.reshape(h0.shape))
 
     return tensor_module._from_op(states.reshape((lags, steps) + h0.shape[1:]), (c, h0, *params), backward_fn)
 
 
-def row_major_graph_head(h, heads, n, noise, mask_diag):
-    lags, params = len(heads), [p for head in heads for p in head.parameters()]
-    weights = [[p.data for p in head.parameters()] for head in heads]
+def row_major_graph_head(h, heads, n, tau, noise):
+    lags, params = heads.w1.shape[0], heads.parameters()
+    weights = [[p.data[lag] for p in params] for lag in range(lags)]
     h3 = h.data.reshape(lags, h.shape[1], -1, h.shape[-1])
     steps, rows = h3.shape[1:3]
     graph = np.empty(h.shape[:-2] + (n, n))
-    inv_tau = np.array([1.0 / head.tau for head in heads]).reshape((lags,) + (1,) * (graph.ndim - 1))
+    inv_tau = 1.0 / tau
 
     def hidden(lag, j, part):
         w1, b1, w2, b2 = weights[lag][:4]
@@ -797,8 +806,7 @@ def row_major_graph_head(h, heads, n, noise, mask_diag):
     graph += noise
     graph *= inv_tau
     tensor_module._stable_sigmoid(graph, out=graph)
-    if mask_diag:
-        graph[0] *= 1.0 - np.eye(n)
+    graph[0] *= 1.0 - np.eye(n)
 
     def backward_fn(g):
         d_h = np.empty(h3.shape)
@@ -822,9 +830,9 @@ def row_major_graph_head(h, heads, n, noise, mask_diag):
                 np.matmul(d_y1, w1.T, out=d_h[lag, j, part])
             return sums
 
-        for head, parts in zip(heads, grcsl._map_rows(backward, lags)):
-            for param, grad in zip(head.parameters(), (sum(grads) for grads in zip(*parts))):
-                param._accum(grad)
+        sums = [[sum(grads) for grads in zip(*parts)] for parts in grcsl._map_rows(backward, lags)]
+        for param, grads in zip(params, zip(*sums)):
+            param._accum(np.stack(grads))
         h._accum(d_h.reshape(h.shape))
 
     return tensor_module._from_op(graph, (h, *params), backward_fn)
@@ -836,11 +844,9 @@ def recurrence_bits(gru, head, b, n, hidden, steps=5, d_in=4, track=True):
     Without `track`, the states and graphs of an untracked pass only.
     """
     rng = np.random.default_rng(7)
-    cells = [GruCell.init(rng, d_in, hidden) for _ in range(2)]
-    heads = [GraphHead.init(rng, hidden, tau) for tau in (0.2, 0.5)]
-    for p in [cell.b_r for cell in cells] + [cell.b_z for cell in cells] + [cell.b_h for cell in cells] + [
-        p for hd in heads for p in (hd.b1, hd.b2, hd.b3)
-    ]:
+    cells = GruCells.init(rng, 2, d_in, hidden)
+    heads = GraphHeads.init(rng, 2, hidden)
+    for p in (cells.b, heads.b1, heads.b2, heads.b3):
         p.data[...] = rng.normal(size=p.shape)
     c = Tensor(rng.normal(size=(2, steps, b, n * n, d_in)), requires_grad=True)
     h0 = Tensor(rng.uniform(-1.0, 1.0, size=(2, b, n * n, hidden)), requires_grad=True)
@@ -848,13 +854,13 @@ def recurrence_bits(gru, head, b, n, hidden, steps=5, d_in=4, track=True):
     if not track:
         with no_grad():
             states = gru(c, h0, cells)
-            return {"states": states.data, "graphs": head(states, heads, n, noise, True).data}
+            return {"states": states.data, "graphs": head(states, heads, n, 0.3, noise).data}
     states = gru(c, h0, cells)
-    graphs = head(states, heads, n, noise, True)
+    graphs = head(states, heads, n, 0.3, noise)
     graphs.backward(rng.normal(size=graphs.shape))
-    params = [p for module in cells + heads for p in module.parameters()]
-    names = ["states", "graphs", "c", "h0", *(f"param{k}" for k in range(len(params)))]
-    return dict(zip(names, [states.data, graphs.data, c.grad, h0.grad, *(p.grad for p in params)]))
+    params = [*cells.named_parameters("gru."), *heads.named_parameters("head.")]
+    names = ["states", "graphs", "c", "h0", *(name for name, _ in params)]
+    return dict(zip(names, [states.data, graphs.data, c.grad, h0.grad, *(p.grad for _, p in params)]))
 
 
 @pytest.mark.parametrize("b, n, hidden", [(32, 10, 32), (7, 5, 32), (16, 4, 6)])
