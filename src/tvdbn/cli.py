@@ -259,10 +259,13 @@ def _split_windows(
     """Normalization stats, the windows of each split, and each split's raw series."""
     raw = dict(zip(("train", "val", "test"), split_chronological(series, cfg.train_ratio, cfg.val_ratio)))
     stats, _ = zscore_fit_apply(raw["train"])
-    sets = {
-        name: make_windows(apply_zscore(stats, part), cfg.t_in, cfg.t_out, cfg.stride)
-        for name, part in raw.items()
-    }
+    keys = {"train": "train_ratio", "val": "val_ratio", "test": "1 - train_ratio - val_ratio"}
+    sets = {}
+    for name, part in raw.items():
+        try:
+            sets[name] = make_windows(apply_zscore(stats, part), cfg.t_in, cfg.t_out, cfg.stride)
+        except DataError as exc:
+            raise DataError(f"{name} split ({keys[name]}): {exc}") from None
     return stats, sets, raw
 
 
@@ -298,11 +301,13 @@ def _static_graphs_from_file(path: str, sensor_ids: list[str]) -> tuple[np.ndarr
         if target is None:
             raise DataError(f"{where}: lag must be 0 or 1, got {lag!r}")
         try:
-            # Aggregation needs non-negative strengths in [0, 1].
-            w = min(abs(float(weight)), 1.0)
+            w = float(weight)
         except ValueError:
             raise DataError(f"{where}: non-numeric weight {weight!r}") from None
-        target[index[dst], index[src]] = max(target[index[dst], index[src]], w)
+        if not np.isfinite(w):
+            raise DataError(f"{where}: non-finite weight {weight!r}")
+        # Aggregation needs non-negative strengths in [0, 1].
+        target[index[dst], index[src]] = max(target[index[dst], index[src]], min(abs(w), 1.0))
     np.fill_diagonal(graphs["0"], 0.0)
     return graphs["0"], graphs["1"]
 

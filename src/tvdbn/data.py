@@ -210,7 +210,8 @@ def load_speed_table(path: str) -> SpeedSeries:
     """Parse a speed CSV into a SpeedSeries, masking literal-0.0 cells.
 
     Raises DataError naming the offending line for ragged rows, non-numeric
-    cells, non-monotone timestamps, or spacing other than 5 minutes.
+    cells, non-monotone timestamps, or spacing other than 5 minutes, and
+    naming the sensor and timestamp of a non-finite reading.
     """
     rows = read_table(path)
     _, header = next(rows)
@@ -247,6 +248,10 @@ def load_speed_table(path: str) -> SpeedSeries:
     if not timestamps:
         raise DataError(f"{path}: no data rows")
     table = flat.reshape(feeds, len(sensor_ids))[: len(timestamps)]
+    if not np.isfinite(table).all():
+        row, col = np.argwhere(~np.isfinite(table))[0]
+        stamp = (_EPOCH + timedelta(seconds=timestamps[row])).isoformat(sep=" ")
+        raise DataError(f"{path}: non-finite reading for sensor {sensor_ids[col]!r} at {stamp}")
     return SpeedSeries(sensor_ids=sensor_ids, timestamps=timestamps, values=table, mask=table != 0.0)
 
 
@@ -275,9 +280,12 @@ def load_distance_rows(path: str, sensor_ids: list[str]) -> list[tuple[str, str,
         if src not in known or dst not in known:
             raise DataError(f"{where}: unknown sensor {src if src not in known else dst!r}")
         try:
-            out.append((src, dst, float(dist)))
+            d = float(dist)
         except ValueError:
             raise DataError(f"{where}: non-numeric distance") from None
+        if not np.isfinite(d):
+            raise DataError(f"{where}: non-finite distance {dist!r}")
+        out.append((src, dst, d))
     return out
 
 

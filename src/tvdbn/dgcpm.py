@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import NormStats, SpeedSeries, WindowSet, invert_zscore, write_table
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, NumericalError, ShapeError
 from .graphops import GconvParams, dygconv, gconv_spectral
 from .numerics import Adam, Params, Tensor, concat, glorot_uniform, no_grad, peak_rss_mb
 
@@ -296,6 +296,10 @@ def curriculum_train(
             "epoch %d: horizon=%d train_loss=%.6g val_mae=%.6g %.2f s, peak RSS %.0f MB",
             epoch + 1, horizon, row["train_loss"], val_mae, row["seconds"], row["peak_rss_mb"],
         )
+        if not (np.isfinite(row["train_loss"]) and np.isfinite(val_mae)):
+            raise NumericalError(
+                f"epoch {epoch + 1}: train loss {row['train_loss']} or validation MAE {val_mae} is not finite"
+            )
         if val_mae < best_mae:
             best_mae = val_mae
             best_params = copy.deepcopy(params)

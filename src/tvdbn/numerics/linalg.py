@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ShapeError
-from .tensor import Tensor, _from_op, _tracking
+from .tensor import Tensor, _lift, _record
 
 # Direct series below this 1-norm; above it, scale down to ~0.5 and square.
 _DIRECT_NORM = 4.0
@@ -55,15 +55,8 @@ def trace_expm(m: Tensor) -> Tensor:
     The output drops the trailing two axes (a scalar per batch element).
     Gradient: d trace(expm(M)) / dM = expm(M)^T, reusing the forward expm.
     """
-    if not isinstance(m, Tensor):
-        m = Tensor(m)
+    m = _lift(m)
     e = expm(m.data)
-    out_data = np.trace(e, axis1=-2, axis2=-1)
-    if not _tracking(m):
-        return Tensor(out_data)
-    e_t = np.swapaxes(e, -1, -2)
-
-    def backward_fn(g: np.ndarray) -> None:
-        m._accum(g[..., None, None] * e_t)
-
-    return _from_op(np.asarray(out_data, dtype=np.float64), (m,), backward_fn)
+    return _record(
+        np.trace(e, axis1=-2, axis2=-1), (m,), (lambda g: g[..., None, None] * np.swapaxes(e, -1, -2),)
+    )

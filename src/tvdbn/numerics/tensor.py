@@ -132,78 +132,40 @@ class Tensor:
             node._backward, node._parents, node.grad = _released, (), None
 
     # ------------------------------------------------------------------ #
-    # operations
+    # operations: each gives its value and one gradient rule per input
     # ------------------------------------------------------------------ #
 
     def __add__(self, other) -> "Tensor":
         other = _lift(other)
-        out_data = self.data + other.data
-        if not _tracking(self, other):
-            return Tensor(out_data)
-
-        def backward_fn(g: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accum(g)
-            if other.requires_grad:
-                other._accum(g)
-
-        return _from_op(out_data, (self, other), backward_fn)
+        return _record(self.data + other.data, (self, other), (_same, _same))
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Tensor":
         other = _lift(other)
-        out_data = self.data - other.data
-        if not _tracking(self, other):
-            return Tensor(out_data)
-
-        def backward_fn(g: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accum(g)
-            if other.requires_grad:
-                other._accum(-g)
-
-        return _from_op(out_data, (self, other), backward_fn)
+        return _record(self.data - other.data, (self, other), (_same, np.negative))
 
     def __rsub__(self, other) -> "Tensor":
         return _lift(other).__sub__(self)
 
     def __mul__(self, other) -> "Tensor":
         other = _lift(other)
-        out_data = self.data * other.data
-        if not _tracking(self, other):
-            return Tensor(out_data)
-
-        def backward_fn(g: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accum(g * other.data)
-            if other.requires_grad:
-                other._accum(g * self.data)
-
-        return _from_op(out_data, (self, other), backward_fn)
+        rules = (lambda g: g * other.data, lambda g: g * self.data)
+        return _record(self.data * other.data, (self, other), rules)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Tensor":
         other = _lift(other)
-        out_data = self.data / other.data
-        if not _tracking(self, other):
-            return Tensor(out_data)
-
-        def backward_fn(g: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accum(g / other.data)
-            if other.requires_grad:
-                other._accum(-g * self.data / (other.data * other.data))
-
-        return _from_op(out_data, (self, other), backward_fn)
+        rules = (lambda g: g / other.data, lambda g: -g * self.data / (other.data * other.data))
+        return _record(self.data / other.data, (self, other), rules)
 
     def __matmul__(self, other) -> "Tensor":
         other = _lift(other)
         a_vec = self.data.ndim == 1
         b_vec = other.data.ndim == 1
-        # Promote 1-D operands to matrices so the transpose-based backward
-        # rule applies uniformly, then strip the synthetic axes again.
+        # Promote 1-D operands to matrices so the transpose-based gradient
+        # rules apply uniformly, then strip the synthetic axes again.
         a = self.data[None, :] if a_vec else self.data
         b = other.data[:, None] if b_vec else other.data
         out_data = np.matmul(a, b)
@@ -211,110 +173,55 @@ class Tensor:
             out_data = out_data[..., 0]
         if a_vec:
             out_data = out_data[..., 0] if b_vec else out_data[..., 0, :]
-        if not _tracking(self, other):
-            return Tensor(out_data)
 
-        def backward_fn(g: np.ndarray) -> None:
-            gp = g
-            if b_vec:
-                gp = gp[..., None]
-            if a_vec:
-                gp = gp[..., None, :]
-            if self.requires_grad:
-                ga = np.matmul(gp, np.swapaxes(b, -1, -2))
-                if a_vec:
-                    ga = ga[..., 0, :]
-                self._accum(ga)
-            if other.requires_grad:
-                gb = np.matmul(np.swapaxes(a, -1, -2), gp)
-                if b_vec:
-                    gb = gb[..., 0]
-                other._accum(gb)
+        def promoted(g: np.ndarray) -> np.ndarray:
+            g = g[..., None] if b_vec else g
+            return g[..., None, :] if a_vec else g
 
-        return _from_op(out_data, (self, other), backward_fn)
+        def grad_a(g: np.ndarray) -> np.ndarray:
+            ga = np.matmul(promoted(g), np.swapaxes(b, -1, -2))
+            return ga[..., 0, :] if a_vec else ga
+
+        def grad_b(g: np.ndarray) -> np.ndarray:
+            gb = np.matmul(np.swapaxes(a, -1, -2), promoted(g))
+            return gb[..., 0] if b_vec else gb
+
+        return _record(out_data, (self, other), (grad_a, grad_b))
 
     def relu(self) -> "Tensor":
-        out_data = np.maximum(self.data, 0.0)
-        if not _tracking(self):
-            return Tensor(out_data)
-        active = self.data > 0.0
-
-        def backward_fn(g: np.ndarray) -> None:
-            self._accum(g * active)
-
-        return _from_op(out_data, (self,), backward_fn)
+        return _record(np.maximum(self.data, 0.0), (self,), (lambda g: g * (self.data > 0.0),))
 
     def sigmoid(self) -> "Tensor":
-        out_data = _stable_sigmoid(self.data)
-        if not _tracking(self):
-            return Tensor(out_data)
-
-        def backward_fn(g: np.ndarray) -> None:
-            self._accum(g * out_data * (1.0 - out_data))
-
-        return _from_op(out_data, (self,), backward_fn)
+        out = _stable_sigmoid(self.data)
+        return _record(out, (self,), (lambda g: g * out * (1.0 - out),))
 
     def tanh(self) -> "Tensor":
-        out_data = np.tanh(self.data)
-        if not _tracking(self):
-            return Tensor(out_data)
-
-        def backward_fn(g: np.ndarray) -> None:
-            self._accum(g * (1.0 - out_data * out_data))
-
-        return _from_op(out_data, (self,), backward_fn)
+        out = np.tanh(self.data)
+        return _record(out, (self,), (lambda g: g * (1.0 - out * out),))
 
     def abs(self) -> "Tensor":
-        out_data = np.abs(self.data)
-        if not _tracking(self):
-            return Tensor(out_data)
-        sign = np.sign(self.data)
-
-        def backward_fn(g: np.ndarray) -> None:
-            self._accum(g * sign)
-
-        return _from_op(out_data, (self,), backward_fn)
+        return _record(np.abs(self.data), (self,), (lambda g: g * np.sign(self.data),))
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out_data = self.data.sum(axis=axis, keepdims=keepdims)
-        if not _tracking(self):
-            return Tensor(out_data)
-        shape = self.data.shape
-
-        def backward_fn(g: np.ndarray) -> None:
-            gg = g
+        def rule(g: np.ndarray) -> np.ndarray:
+            shape = self.data.shape
             if axis is not None and not keepdims:
                 axes = axis if isinstance(axis, tuple) else (axis,)
-                axes = tuple(a % len(shape) for a in axes)
-                gg = np.expand_dims(gg, axes)
-            self._accum(np.broadcast_to(gg, shape))
+                g = np.expand_dims(g, tuple(a % len(shape) for a in axes))
+            return np.broadcast_to(g, shape)
 
-        return _from_op(out_data, (self,), backward_fn)
+        return _record(self.data.sum(axis=axis, keepdims=keepdims), (self,), (rule,))
 
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        out_data = self.data.reshape(shape)
-        if not _tracking(self):
-            return Tensor(out_data)
-        orig = self.data.shape
-
-        def backward_fn(g: np.ndarray) -> None:
-            self._accum(g.reshape(orig))
-
-        return _from_op(out_data, (self,), backward_fn)
+        return _record(self.data.reshape(shape), (self,), (lambda g: g.reshape(self.data.shape),))
 
     def transpose(self, axes: Sequence[int]) -> "Tensor":
         axes = tuple(axes)
-        out_data = self.data.transpose(axes)
-        if not _tracking(self):
-            return Tensor(out_data)
-        inverse = tuple(np.argsort(axes))
-
-        def backward_fn(g: np.ndarray) -> None:
-            self._accum(g.transpose(inverse))
-
-        return _from_op(out_data, (self,), backward_fn)
+        return _record(
+            self.data.transpose(axes), (self,), (lambda g: g.transpose(tuple(np.argsort(axes))),)
+        )
 
     def swap_last(self) -> "Tensor":
         """Transpose the trailing two axes, keeping any batch axes in place."""
@@ -325,19 +232,15 @@ class Tensor:
     def __getitem__(self, index) -> "Tensor":
         """Basic indexing only (ints, slices and tuples of them); the result views the data.
 
-        The backward writes the slice's gradient into zeros of this tensor's
-        shape. Iteration falls back on indexing, so it walks the axis-0 slices.
+        Iteration falls back on indexing, so it walks the axis-0 slices.
         """
-        out_data = self.data[index]
-        if not _tracking(self):
-            return Tensor(out_data)
 
-        def backward_fn(g: np.ndarray) -> None:
+        def rule(g: np.ndarray) -> np.ndarray:
             full = np.zeros_like(self.data)
             full[index] = g
-            self._accum(full)
+            return full
 
-        return _from_op(out_data, (self,), backward_fn)
+        return _record(self.data[index], (self,), (rule,))
 
 
 class Params:
@@ -391,6 +294,27 @@ def _from_op(
     return out
 
 
+def _record(data: np.ndarray, parents: tuple[Tensor, ...], rules: Sequence[Callable]) -> Tensor:
+    """Result of a composed op: `rules[i]` maps the output gradient to `parents[i]`'s.
+
+    Nothing is recorded unless some parent requires grad. The backward pass
+    runs the rule of each parent that does, in parent order.
+    """
+    if not _tracking(*parents):
+        return Tensor(data)
+
+    def backward_fn(g: np.ndarray) -> None:
+        for parent, rule in zip(parents, rules):
+            if parent.requires_grad:
+                parent._accum(rule(g))
+
+    return _from_op(data, parents, backward_fn)
+
+
+def _same(g: np.ndarray) -> np.ndarray:
+    return g
+
+
 def _stable_sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Logistic function as 0.5 * (1 + tanh(x / 2)): branch-free, finite everywhere."""
     out = np.multiply(x, 0.5, out=out)
@@ -403,19 +327,11 @@ def _stable_sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     """Concatenate tensors along `axis`, differentiable in every input."""
     tensors = [_lift(t) for t in tensors]
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    if not _tracking(*tensors):
-        return Tensor(out_data)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum(sizes)[:-1]
-
-    def backward_fn(g: np.ndarray) -> None:
-        pieces = np.split(g, offsets, axis=axis)
-        for t, piece in zip(tensors, pieces):
-            if t.requires_grad:
-                t._accum(piece)
-
-    return _from_op(out_data, tuple(tensors), backward_fn)
+    offsets = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
+    # Each rule hands on a view of g: BLAS rounds products over a strided
+    # operand differently from a contiguous copy's.
+    rules = [lambda g, i=i: np.split(g, offsets, axis=axis)[i] for i in range(len(tensors))]
+    return _record(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), rules)
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape=None) -> np.ndarray:

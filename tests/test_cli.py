@@ -179,6 +179,9 @@ def test_data_errors_exit_two(tmp_path, caplog):
         (None, "cannot read"),
         ("0,2,0,s000,s001,abc", "line 2: non-numeric weight 'abc'"),
         ("0,2,2,s000,s001,0.5", "line 2: lag must be 0 or 1, got '2'"),
+        # nan would silently drop the edge and inf would become weight 1.
+        ("0,2,1,s000,s001,nan", "line 2: non-finite weight 'nan'"),
+        ("0,2,0,s000,s001,inf", "line 2: non-finite weight 'inf'"),
     ]
     for row, message in cases:
         if row is not None:
@@ -197,6 +200,12 @@ def test_data_errors_exit_two(tmp_path, caplog):
     assert main(prior) == 2
     errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
     assert len(errors) == 1 and "dist.csv line 4: unknown sensor 'zzz'" in errors[0], errors
+    # An empty validation split is a legal ratio, but no stage can window it.
+    caplog.clear()
+    assert main(["train-structure", "--speed-csv", str(speed), "--out-dir", str(tmp_path),
+                 "--use-prior", "false", "--val-ratio", "0"]) == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+    assert len(errors) == 1 and "val split (val_ratio): series of length 0 shorter" in errors[0], errors
 
 
 def test_gradcheck_exits_zero_and_prints_reports(capsys):

@@ -129,6 +129,18 @@ class TestSpeedTable:
         with pytest.raises(DataError, match="line 2"):
             load_speed_table(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_rejects_a_non_finite_reading_naming_sensor_and_time(self, tmp_path, cell):
+        # Left in, a nan cell would load as an observed reading and make the
+        # z-score statistics NaN.
+        path = write(
+            tmp_path,
+            "s.csv",
+            f"timestamp,a,b\n2012-03-01 00:00:00,1.0,2.0\n2012-03-01 00:05:00,3.0,{cell}\n",
+        )
+        with pytest.raises(DataError, match=r"s\.csv: non-finite reading for sensor 'b' at 2012-03-01 00:05:00"):
+            load_speed_table(path)
+
     def test_rejects_non_monotone_timestamps(self, tmp_path):
         path = write(
             tmp_path,
@@ -207,6 +219,13 @@ class TestDistanceGraph:
             load_distance_rows(path, ["a", "b"])
         with pytest.raises(DataError, match="zzz"):
             build_distance_graph([("b", "a", 2.0), ("a", "zzz", 1.0)], ["a", "b"])
+
+    @pytest.mark.parametrize("dist", ["nan", "inf"])
+    def test_non_finite_distance_rejected(self, tmp_path, dist):
+        # A nan distance would make sigma NaN and silently zero every prior weight.
+        path = write(tmp_path, "d.csv", f"from,to,dist\na,b,1.0\nb,c,{dist}\na,c,3.0\n")
+        with pytest.raises(DataError, match=rf"d\.csv line 3: non-finite distance '{dist}'"):
+            load_distance_rows(path, ["a", "b", "c"])
 
     def test_header_enforced(self, tmp_path):
         path = write(tmp_path, "d.csv", "src,dst,w\na,b,1.0\n")

@@ -27,7 +27,7 @@ from tvdbn.dgcpm import (
     node_mean_baseline,
     predict,
 )
-from tvdbn.errors import ConfigError, ShapeError
+from tvdbn.errors import ConfigError, NumericalError, ShapeError
 from tvdbn.graphops import dygconv, gconv_spectral
 from tvdbn.numerics import Tensor, no_grad
 from tvdbn.synth import sample_tvdbn, simulate_linear_sem, to_speed_series
@@ -251,6 +251,15 @@ def test_training_reduces_train_loss():
     cfg = DgcpmTrainConfig(max_epochs=10, curriculum_step=1, patience=50, seed=0)
     result = curriculum_train(split, split, None, small_dims(use_prior=False), stats, cfg)
     assert result.history[-1]["train_loss"] < result.history[0]["train_loss"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
+def test_a_diverging_run_fails_naming_the_epoch_instead_of_returning_its_initial_weights():
+    split, stats, _, _ = build_split(t=200)
+    assert split.values.shape[0] >= 40
+    cfg = DgcpmTrainConfig(max_epochs=3, lr=1e300, seed=0)
+    with pytest.raises(NumericalError, match="epoch 1: .* is not finite"):
+        curriculum_train(split, split, None, small_dims(use_prior=False), stats, cfg)
 
 
 def test_training_is_reproducible():

@@ -37,7 +37,6 @@ from tvdbn.grcsl import (
     sem_reconstruct,
 )
 from tvdbn.numerics import Adam, Tensor, concat, glorot_uniform, no_grad
-from tvdbn.numerics import linalg as linalg_module
 from tvdbn.numerics import tensor as tensor_module
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -960,7 +959,7 @@ def test_lag_workers_never_touch_the_tape(rng, monkeypatch):
 
         return run([functools.partial(recorded, task) for task in tasks])
 
-    for module in (tensor_module, linalg_module, grcsl):
+    for module in (tensor_module, grcsl):
         monkeypatch.setattr(module, "_from_op", recording_from_op)
     monkeypatch.setattr(Tensor, "_accum", recording_accum)
     monkeypatch.setattr(grcsl, "_run", recording_run)

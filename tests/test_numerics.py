@@ -183,6 +183,49 @@ class TestEngineSemantics:
         assert x.grad is not None
 
 
+# Every op that records through the shared recorder: the op and its input shapes.
+RECORDED_OPS = {
+    "add": (lambda x, y: x + y, [(3, 4), (4,)]),
+    "sub": (lambda x, y: x - y, [(3, 4), (3, 1)]),
+    "mul": (lambda x, y: x * y, [(2, 3, 4), (3, 4)]),
+    "truediv": (lambda x, y: x / y, [(3, 4), (4,)]),
+    "matmul": (lambda x, y: x @ y, [(2, 3, 4), (4, 5)]),
+    "matmul_vector_lhs": (lambda x, y: x @ y, [(4,), (4, 5)]),
+    "matmul_vector_rhs": (lambda x, y: x @ y, [(3, 4), (4,)]),
+    "relu": (Tensor.relu, [(3, 4)]),
+    "sigmoid": (Tensor.sigmoid, [(3, 4)]),
+    "tanh": (Tensor.tanh, [(3, 4)]),
+    "abs": (Tensor.abs, [(3, 4)]),
+    "sum": (lambda x: x.sum(axis=1), [(2, 3, 4)]),
+    "sum_all": (lambda x: x.sum(), [(2, 3)]),
+    "sum_keepdims": (lambda x: x.sum(axis=(0, -1), keepdims=True), [(2, 3, 4)]),
+    "reshape": (lambda x: x.reshape(4, 3), [(2, 6)]),
+    "transpose": (lambda x: x.transpose((2, 0, 1)), [(2, 3, 4)]),
+    "getitem": (lambda x: x[1:, ::2], [(3, 4)]),
+    "concat": (lambda *xs: concat(xs, axis=-1), [(2, 3), (2, 2), (2, 1)]),
+    "trace_expm": (trace_expm, [(2, 3, 3)]),
+}
+
+
+@pytest.mark.parametrize("name", list(RECORDED_OPS))
+def test_recorded_op_tapes_and_differentiates_only_tracked_inputs(name, rng):
+    op, shapes = RECORDED_OPS[name]
+    # Magnitudes in [0.5, 1.5]: away from relu's and abs's kinks and from zero denominators.
+    arrays = [rng.uniform(0.5, 1.5, s) * rng.choice([-1.0, 1.0], s) for s in shapes]
+    out = op(*[Tensor(a) for a in arrays])
+    assert out._parents == () and out._backward is None and not out.requires_grad
+    weights = rng.standard_normal(out.shape)  # a non-uniform seed exposes permuted gradients
+    expected = finite_difference(lambda *xs: op(*xs) * weights, arrays)
+    for tracked in range(len(arrays)):
+        inputs = [Tensor(a, requires_grad=i == tracked) for i, a in enumerate(arrays)]
+        op(*inputs).backward(weights)
+        for i, t in enumerate(inputs):
+            if i == tracked:
+                np.testing.assert_allclose(t.grad, expected[i], rtol=1e-6, atol=1e-8)
+            else:
+                assert t.grad is None
+
+
 class TestGraphRelease:
     """backward() frees the graph it walks, and a freed graph cannot be walked again."""
 
