@@ -10,16 +10,18 @@ Commands:
 * ``train-forecast``: train the forecaster on top of a frozen structure
   checkpoint;
 * ``predict``: forecast the test split and write per-cell rows;
-* ``evaluate``: score forecasts (freshly computed or from a forecast CSV)
-  and write text and CSV reports;
+* ``evaluate``: score the forecast CSV ``forecast_csv``, by default the
+  ``forecasts.csv`` that ``predict`` wrote to ``out_dir``, and write text and
+  CSV reports;
 * ``gradcheck``: run the analytic-vs-numeric gradient suite.
 
 Configuration is a flat ``key=value`` file (``#`` starts a comment line);
 any key can be overridden by the matching ``--key`` flag. Unknown config
 keys are rejected. The environment variable ``TVDBN_SEED`` overrides the
-seed for every command. Logs go to stderr; machine-readable output goes to
-files and stdout. Exit codes: 0 success, 1 usage or configuration error,
-2 data error, 3 numerical failure.
+seed for every command, and ``TVDBN_LOG`` sets the log level: DEBUG, INFO
+(the default), WARNING, ERROR or CRITICAL. Logs go to stderr;
+machine-readable output goes to files and stdout. Exit codes: 0 success,
+1 usage or configuration error, 2 data error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ from .dgcpm import (
     predict as dgcpm_predict,
 )
 from .errors import ConfigError, DataError, NumericalError, ShapeError, TvdbnError
-from .grcsl import EDGE_CSV_HEADER, GrcslDims, GrcslParams, export_graph_edges, graph_stacks
+from .grcsl import EDGE_CSV_HEADER, GrcslDims, export_graph_edges, graph_stacks
 from .metrics import evaluate as evaluate_metrics, render_report, write_report_csv
 from .synth import (
     export_truth_edges,
@@ -239,11 +241,6 @@ def _require(cfg: RunConfig, *keys: str) -> None:
             raise ConfigError(f"configuration key {key!r} is required for this command")
 
 
-def _load_series(cfg: RunConfig) -> SpeedSeries:
-    _require(cfg, "speed_csv")
-    return load_speed_table(cfg.speed_csv)
-
-
 def _load_prior(cfg: RunConfig, sensor_ids: list[str]) -> np.ndarray | None:
     """The distance prior's (N, N) weights; None when neither the prior branch nor the distance source uses them."""
     if not cfg.use_prior and cfg.graph_source != "distance":
@@ -253,20 +250,24 @@ def _load_prior(cfg: RunConfig, sensor_ids: list[str]) -> np.ndarray | None:
     return build_distance_graph(rows, sensor_ids, kappa=cfg.kappa).weights
 
 
-def _split_windows(
-    cfg: RunConfig, series: SpeedSeries
-) -> tuple[NormStats, dict[str, WindowSet], dict[str, SpeedSeries]]:
-    """Normalization stats, the windows of each split, and each split's raw series."""
-    raw = dict(zip(("train", "val", "test"), split_chronological(series, cfg.train_ratio, cfg.val_ratio)))
+_RATIO_KEYS = {"train": "train_ratio", "val": "val_ratio", "test": "1 - train_ratio - val_ratio"}
+
+
+def _load_inputs(
+    cfg: RunConfig, *splits: str
+) -> tuple[dict[str, WindowSet], np.ndarray | None, NormStats, dict[str, SpeedSeries]]:
+    """The windows of the named splits, the prior, the train split's z-score stats and every split's raw series."""
+    series = load_speed_table(cfg.speed_csv)
+    prior = _load_prior(cfg, series.sensor_ids)
+    raw = dict(zip(_RATIO_KEYS, split_chronological(series, cfg.train_ratio, cfg.val_ratio)))
     stats, _ = zscore_fit_apply(raw["train"])
-    keys = {"train": "train_ratio", "val": "val_ratio", "test": "1 - train_ratio - val_ratio"}
     sets = {}
-    for name, part in raw.items():
+    for name in splits:
         try:
-            sets[name] = make_windows(apply_zscore(stats, part), cfg.t_in, cfg.t_out, cfg.stride)
+            sets[name] = make_windows(apply_zscore(stats, raw[name]), cfg.t_in, cfg.t_out, cfg.stride)
         except DataError as exc:
-            raise DataError(f"{name} split ({keys[name]}): {exc}") from None
-    return stats, sets, raw
+            raise DataError(f"{name} split ({_RATIO_KEYS[name]}): {exc}") from None
+    return sets, prior, stats, raw
 
 
 def _make_out_dirs(cfg: RunConfig, *files: str) -> None:
@@ -317,33 +318,31 @@ def _graph_path(cfg: RunConfig, split: str) -> str:
 
 
 def _graph_stacks(
-    cfg: RunConfig,
-    split: str,
-    windows: WindowSet,
-    prior: np.ndarray | None,
-    params: GrcslParams | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-window graph stacks (W, T_in - 1, N, N) of one split for the forecaster.
+    cfg: RunConfig, sets: dict[str, WindowSet], prior: np.ndarray | None
+) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Per-window graph stacks (W, T_in - 1, N, N) of each split in `sets`, for the forecaster.
 
     Learned graphs come from the split's graph file when its key matches
     them; otherwise they are generated and the file is (re)written.
     """
+    stacks = {}
     if cfg.graph_source == "grcsl":
-        if params is None:
-            raise ConfigError("graph_source=grcsl needs a structure checkpoint")
-        path = _graph_path(cfg, split)
-        key = ckpt.graph_key(params, windows.values, windows.tod, prior, cfg.structure_batch)
-        w, t_in, n, _ = windows.values.shape
-        try:
-            stored_key, intra, inter = ckpt.load_graphs(path)
-            if stored_key == key and intra.shape == inter.shape == (w, t_in - 1, n, n):
-                return intra, inter
-            log.info("%s holds other graphs; regenerating the %s split", path, split)
-        except DataError as exc:
-            log.info("%s; generating the %s split", exc, split)
-        intra, inter = graph_stacks(windows.values, windows.tod, prior, params, cfg.structure_batch)
-        ckpt.save_graphs(path, key, intra, inter)
-        return intra, inter
+        params = ckpt.load_grcsl(_structure_ckpt_path(cfg))
+        for split, windows in sets.items():
+            path = _graph_path(cfg, split)
+            key = ckpt.graph_key(params, windows.values, windows.tod, prior, cfg.structure_batch)
+            w, t_in, n, _ = windows.values.shape
+            try:
+                stored_key, intra, inter = ckpt.load_graphs(path)
+                if stored_key == key and intra.shape == inter.shape == (w, t_in - 1, n, n):
+                    stacks[split] = intra, inter
+                    continue
+                log.info("%s holds other graphs; regenerating the %s split", path, split)
+            except DataError as exc:
+                log.info("%s; generating the %s split", exc, split)
+            stacks[split] = graph_stacks(windows.values, windows.tod, prior, params, cfg.structure_batch)
+            ckpt.save_graphs(path, key, *stacks[split])
+        return stacks
     if cfg.graph_source == "distance":
         if prior is None:
             raise ConfigError("graph_source=distance needs a distance file")
@@ -351,12 +350,22 @@ def _graph_stacks(
         np.fill_diagonal(intra0, 0.0)
     elif cfg.graph_source == "static-dbn-file":
         _require(cfg, "static_graph_file")
-        intra0, inter0 = _static_graphs_from_file(cfg.static_graph_file, windows.sensor_ids)
+        sensor_ids = next(iter(sets.values())).sensor_ids
+        intra0, inter0 = _static_graphs_from_file(cfg.static_graph_file, sensor_ids)
     else:
         raise ConfigError(f"unknown graph_source {cfg.graph_source!r}")
     # One constant pair serves every window and step: read-only views, no copies.
-    shape = (len(windows), cfg.t_in - 1) + intra0.shape
-    return np.broadcast_to(intra0, shape), np.broadcast_to(inter0, shape)
+    for split, windows in sets.items():
+        shape = (len(windows), cfg.t_in - 1) + intra0.shape
+        stacks[split] = np.broadcast_to(intra0, shape), np.broadcast_to(inter0, shape)
+    return stacks
+
+
+def _forecast_splits(
+    cfg: RunConfig, sets: dict[str, WindowSet], prior: np.ndarray | None
+) -> dict[str, SplitArrays]:
+    stacks = _graph_stacks(cfg, sets, prior)
+    return {split: SplitArrays.from_windows(windows, *stacks[split]) for split, windows in sets.items()}
 
 
 def _write_manifest(cfg: RunConfig, stats: NormStats, raw: dict[str, SpeedSeries]) -> None:
@@ -418,9 +427,7 @@ def cmd_synth(cfg: RunConfig) -> int:
 def cmd_train_structure(cfg: RunConfig) -> int:
     _require(cfg, "speed_csv", "out_dir")
     _make_out_dirs(cfg, _structure_ckpt_path(cfg))
-    series = _load_series(cfg)
-    prior = _load_prior(cfg, series.sensor_ids)
-    stats, sets, raw = _split_windows(cfg, series)
+    sets, prior, stats, raw = _load_inputs(cfg, "train")
     train = sets["train"]
     result = train_grcsl(train, prior, cfg.grcsl_dims(), cfg.grcsl_train_config())
     ckpt.save_grcsl(_structure_ckpt_path(cfg), result.params)
@@ -429,24 +436,19 @@ def cmd_train_structure(cfg: RunConfig) -> int:
     ckpt.save_graphs(_graph_path(cfg, "train"), key, result.intra, result.inter)
     save_history(os.path.join(cfg.out_dir, "history.csv"), result.history)
     _write_manifest(cfg, stats, raw)
-    if result.converged:
+    if result.converged:  # train_grcsl logs the warning when it did not converge
         log.info("structure training converged: S=%.3e", result.final_s)
-    else:
-        log.warning("structure training did not converge: %s", result.warning)
     return 0
 
 
 def cmd_export_graphs(cfg: RunConfig) -> int:
     _require(cfg, "speed_csv", "out_dir")
-    _make_out_dirs(cfg)
-    series = _load_series(cfg)
-    prior = _load_prior(cfg, series.sensor_ids)
-    _, sets, _ = _split_windows(cfg, series)
-    if cfg.export_split not in sets:
+    if cfg.export_split not in _RATIO_KEYS:
         raise ConfigError(f"export_split must be one of train/val/test, got {cfg.export_split!r}")
+    _make_out_dirs(cfg)
+    sets, prior, _, _ = _load_inputs(cfg, cfg.export_split)
     windows = sets[cfg.export_split]
-    params = ckpt.load_grcsl(_structure_ckpt_path(cfg)) if cfg.graph_source == "grcsl" else None
-    intra, inter = _graph_stacks(cfg, cfg.export_split, windows, prior, params)
+    intra, inter = _graph_stacks(cfg, sets, prior)[cfg.export_split]
     path = os.path.join(cfg.out_dir, "graphs.csv")
     edge_count = export_graph_edges(
         path, intra, inter, windows.start_ts, windows.sensor_ids, cfg.graph_threshold
@@ -458,14 +460,8 @@ def cmd_export_graphs(cfg: RunConfig) -> int:
 def cmd_train_forecast(cfg: RunConfig) -> int:
     _require(cfg, "speed_csv", "out_dir")
     _make_out_dirs(cfg, _forecast_ckpt_path(cfg))
-    series = _load_series(cfg)
-    prior = _load_prior(cfg, series.sensor_ids)
-    stats, sets, raw = _split_windows(cfg, series)
-    params = ckpt.load_grcsl(_structure_ckpt_path(cfg)) if cfg.graph_source == "grcsl" else None
-    splits = {}
-    for name in ("train", "val"):
-        intra, inter = _graph_stacks(cfg, name, sets[name], prior, params)
-        splits[name] = SplitArrays.from_windows(sets[name], intra, inter)
+    sets, prior, stats, raw = _load_inputs(cfg, "train", "val")
+    splits = _forecast_splits(cfg, sets, prior)
     result = curriculum_train(
         splits["train"],
         splits["val"],
@@ -491,32 +487,16 @@ def cmd_train_forecast(cfg: RunConfig) -> int:
     return 0
 
 
-def _predict_test(cfg: RunConfig):
-    series = _load_series(cfg)
-    prior = _load_prior(cfg, series.sensor_ids)
-    stats, sets, _ = _split_windows(cfg, series)
-    g_params = ckpt.load_grcsl(_structure_ckpt_path(cfg)) if cfg.graph_source == "grcsl" else None
-    f_params = ckpt.load_dgcpm(_forecast_ckpt_path(cfg))
-    windows = sets["test"]
-    intra, inter = _graph_stacks(cfg, "test", windows, prior, g_params)
-    split = SplitArrays.from_windows(windows, intra, inter)
-    preds = dgcpm_predict(
-        split,
-        prior if cfg.use_prior else None,
-        f_params,
-        stats,
-        batch_size=cfg.forecast_batch,
-    )
-    actual_norm = split.target[..., 0]
-    valid = split.target_mask[..., 0]
-    actuals = np.where(valid, invert_zscore(stats, actual_norm), 0.0)
-    return windows, preds, actuals, valid
-
-
 def cmd_predict(cfg: RunConfig) -> int:
     _require(cfg, "speed_csv", "out_dir")
     _make_out_dirs(cfg)
-    windows, preds, actuals, valid = _predict_test(cfg)
+    sets, prior, stats, _ = _load_inputs(cfg, "test")
+    f_params = ckpt.load_dgcpm(_forecast_ckpt_path(cfg))
+    windows = sets["test"]
+    split = _forecast_splits(cfg, sets, prior)["test"]
+    preds = dgcpm_predict(split, prior if cfg.use_prior else None, f_params, stats, cfg.forecast_batch)
+    valid = split.target_mask[..., 0]
+    actuals = np.where(valid, invert_zscore(stats, split.target[..., 0]), 0.0)
     path = os.path.join(cfg.out_dir, "forecasts.csv")
     export_forecasts(path, windows.start_ts.tolist(), preds, actuals, valid, windows.sensor_ids)
     log.info("wrote %d window forecasts to %s", preds.shape[0], path)
@@ -555,10 +535,7 @@ def _load_forecast_csv(path: str):
 def cmd_evaluate(cfg: RunConfig) -> int:
     _require(cfg, "out_dir")
     _make_out_dirs(cfg)
-    if cfg.forecast_csv:
-        preds, actuals, valid = _load_forecast_csv(cfg.forecast_csv)
-    else:
-        _, preds, actuals, valid = _predict_test(cfg)
+    preds, actuals, valid = _load_forecast_csv(cfg.forecast_csv or os.path.join(cfg.out_dir, "forecasts.csv"))
     horizons = [h for h in cfg.horizon_list() if h <= preds.shape[1]]
     if not horizons:
         raise ConfigError(
@@ -617,11 +594,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=os.environ.get("TVDBN_LOG", "INFO").upper(),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    level = os.environ.get("TVDBN_LOG", "INFO").upper()
+    if not isinstance(logging.getLevelName(level), int):  # a name it does not know comes back as a str
+        print(f"TVDBN_LOG must be DEBUG, INFO, WARNING, ERROR or CRITICAL, got {level!r}", file=sys.stderr)
+        return 1
+    logging.basicConfig(stream=sys.stderr, level=level, format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -1,14 +1,18 @@
 """Command-line interface tests: config resolution, exit codes, the pipeline."""
 
+import ast
 import csv
 import logging
 import os
 import shutil
+import subprocess
+import sys
+from collections import defaultdict
 
 import numpy as np
 import pytest
 
-from tvdbn import cli
+from tvdbn import checkpoint, cli
 from tvdbn.checkpoint import load_graphs, load_grcsl, save_graphs
 from tvdbn.cli import RunConfig, build_parser, main, parse_config_file, resolve_config
 from tvdbn.data import load_speed_table, make_windows, save_speed_table, split_chronological
@@ -200,12 +204,48 @@ def test_data_errors_exit_two(tmp_path, caplog):
     assert main(prior) == 2
     errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
     assert len(errors) == 1 and "dist.csv line 4: unknown sensor 'zzz'" in errors[0], errors
-    # An empty validation split is a legal ratio, but no stage can window it.
+    # An empty validation split is a legal ratio: structure training never reads it, forecaster training must.
+    empty_val = ["--speed-csv", str(speed), "--out-dir", str(tmp_path), "--use-prior", "false", "--val-ratio", "0",
+                 "--t-in", "3", "--t-out", "1", "--h-r", "2", "--inner-epochs", "1", "--max-outer-iters", "1"]
+    assert main(["train-structure", *empty_val]) == 0
+    assert (tmp_path / "grcsl.npz").is_file()
     caplog.clear()
-    assert main(["train-structure", "--speed-csv", str(speed), "--out-dir", str(tmp_path),
-                 "--use-prior", "false", "--val-ratio", "0"]) == 2
+    assert main(["train-forecast", *empty_val]) == 2
     errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
     assert len(errors) == 1 and "val split (val_ratio): series of length 0 shorter" in errors[0], errors
+
+
+def test_evaluate_without_forecasts_names_the_file_it_reads(tmp_path, caplog):
+    assert main(["evaluate", "--out-dir", str(tmp_path)]) == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+    assert len(errors) == 1 and str(tmp_path / "forecasts.csv") in errors[0], errors
+
+
+def test_an_unknown_log_level_is_a_usage_error_not_a_traceback():
+    # In a fresh process: pytest's own log handlers make basicConfig skip its level check here.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "TVDBN_LOG": "verbose",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "tvdbn", "gradcheck"], capture_output=True, text=True, env=env)
+    assert proc.returncode == 1 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and "TVDBN_LOG" in lines[0] and "'VERBOSE'" in lines[0], proc.stderr
+    assert all(level in lines[0] for level in ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")), lines
+
+
+def test_each_cli_input_is_read_in_one_function():
+    """The series, its windows, the structure checkpoint and the forecast CSV each have one reader in `cli`."""
+    callers = defaultdict(set)
+    with open(cli.__file__) as fh:
+        tree = ast.parse(fh.read())
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call):
+                    callee = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+                    callers[callee].add(fn.name)
+    for name in ("load_speed_table", "make_windows", "load_grcsl", "_load_forecast_csv"):
+        assert len(callers[name]) == 1, (name, sorted(callers[name]))
 
 
 def test_gradcheck_exits_zero_and_prints_reports(capsys):
@@ -413,7 +453,7 @@ def test_pipeline_bytes_do_not_depend_on_the_graph_store(pipeline, tmp_path):
         "export-graphs": counts["train"],
         "train-forecast": counts["train"] + counts["val"],
         "predict": counts["test"],
-        "evaluate": counts["test"],
+        "evaluate": 0,
     }
     for name in ARTIFACTS:
         assert (out / name).read_bytes() == (pipeline / name).read_bytes(), name
@@ -434,6 +474,60 @@ def test_evaluate_reads_back_exported_forecasts(pipeline, tmp_path, capsys):
     with open(pipeline / "report.csv", newline="") as fh:
         base = {r[0]: r for r in csv.reader(fh)}
     assert rows["overall"][1] == base["overall"][1]
+
+
+def test_evaluate_scores_what_predict_wrote_and_reads_nothing_else(pipeline, tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    out.mkdir()
+    shutil.copy(pipeline / "forecasts.csv", out)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("evaluate reads only the forecast CSV")
+
+    monkeypatch.setattr(cli, "load_speed_table", refuse)
+    monkeypatch.setattr(checkpoint, "load_grcsl", refuse)
+    monkeypatch.setattr(checkpoint, "load_dgcpm", refuse)
+    assert main(["evaluate", "--out-dir", str(out), "--horizons", "1,2,3"]) == 0  # the TINY config's horizons
+    assert (out / "report.csv").read_bytes() == (pipeline / "report.csv").read_bytes()
+
+
+def test_each_stage_windows_only_the_splits_it_reads(pipeline, tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    shutil.copytree(pipeline, out)
+    flags = [
+        "--config", str(out / "run.cfg"), "--out-dir", str(out),
+        "--speed-csv", str(out / "speed.csv"), "--dist-csv", str(out / "dist.csv"),
+    ]
+    parts = split_chronological(load_speed_table(str(out / "speed.csv")))
+    split_at = {part.offset: name for name, part in zip(("train", "val", "test"), parts)}
+    windowed = []
+
+    def recorded(series, *args, **kwargs):
+        windowed.append(split_at[series.offset])
+        return make_windows(series, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "make_windows", recorded)
+    for argv, splits in [
+        (["train-structure"], ["train"]),
+        (["export-graphs", "--export-split", "test"], ["test"]),
+        (["train-forecast"], ["train", "val"]),
+        (["predict"], ["test"]),
+        (["evaluate"], []),
+    ]:
+        windowed.clear()
+        assert main([*argv, *flags]) == 0, argv
+        assert windowed == splits, argv
+
+
+def test_structure_training_that_does_not_converge_warns_once(pipeline, tmp_path, caplog):
+    flags = [
+        "--config", str(pipeline / "run.cfg"), "--out-dir", str(tmp_path),
+        "--speed-csv", str(pipeline / "speed.csv"), "--dist-csv", str(pipeline / "dist.csv"),
+    ]
+    caplog.set_level(logging.WARNING)
+    assert main(["train-structure", *flags]) == 0
+    warned = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warned) == 1 and "constraint not satisfied" in warned[0], warned
 
 
 def test_evaluate_perfect_forecast_scores_zero(tmp_path):
@@ -507,10 +601,9 @@ def test_constant_graph_sources_are_read_only_views_of_one_pair(pipeline, source
         static_graph_file=str(pipeline / "truth_edges.csv"),
         t_in=6, t_out=3, stride=3, graph_source=source,
     )
-    series = load_speed_table(cfg.speed_csv)
-    _, sets, _ = cli._split_windows(cfg, series)
+    sets, prior, _, _ = cli._load_inputs(cfg, "train")
     windows = sets["train"]
-    intra, inter = cli._graph_stacks(cfg, "train", windows, cli._load_prior(cfg, series.sensor_ids), None)
+    intra, inter = cli._graph_stacks(cfg, sets, prior)["train"]
     for stack in (intra, inter):
         assert stack.shape == (len(windows), 5, 4, 4)
         assert stack.strides[:2] == (0, 0)
