@@ -81,9 +81,16 @@ from .verification import gradient_suite
 
 log = logging.getLogger("tvdbn")
 
-@dataclass
+_RATIO_KEYS = {"train": "train_ratio", "val": "val_ratio", "test": "1 - train_ratio - val_ratio"}
+
+
+@dataclass(frozen=True)
 class RunConfig:
-    """Every tunable of the pipeline, flat so config files stay trivial."""
+    """Every tunable of the pipeline, flat so config files stay trivial.
+
+    Building one builds, and so checks, every component config it feeds:
+    a bad value fails before any file is read.
+    """
 
     # paths
     speed_csv: str = ""
@@ -148,6 +155,15 @@ class RunConfig:
     horizons: str = "3,6,12"
     export_split: str = "train"  # which split export-graphs writes
 
+    def __post_init__(self) -> None:
+        for build in (self.grcsl_dims, self.dgcpm_dims, self.grcsl_train_config, self.dgcpm_train_config):
+            build()
+        self.horizon_list()
+        if self.graph_source not in ("grcsl", "distance", "static-dbn-file"):
+            raise ConfigError(f"unknown graph_source {self.graph_source!r}")
+        if self.export_split not in _RATIO_KEYS:
+            raise ConfigError(f"export_split must be one of train/val/test, got {self.export_split!r}")
+
     def horizon_list(self) -> list[int]:
         try:
             return [int(tok) for tok in self.horizons.split(",") if tok.strip()]
@@ -184,7 +200,7 @@ def _coerce(key: str, raw: str):
     field = _FIELDS.get(key)
     if field is None:
         raise ConfigError(f"unknown configuration key {key!r}")
-    if field.type in ("bool", bool):
+    if field.type == "bool":
         low = raw.strip().lower()
         if low in ("true", "1", "yes", "on"):
             return True
@@ -192,9 +208,9 @@ def _coerce(key: str, raw: str):
             return False
         raise ConfigError(f"key {key!r}: expected a boolean, got {raw!r}")
     try:
-        if field.type in ("int", int):
+        if field.type == "int":
             return int(raw)
-        if field.type in ("float", float):
+        if field.type == "float":
             return float(raw)
     except ValueError:
         raise ConfigError(f"key {key!r}: cannot parse {raw!r} as {field.type}") from None
@@ -218,16 +234,15 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     for key in _FIELDS:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
-            merged[key] = _coerce(key, str(flag_value)) if isinstance(flag_value, str) else flag_value
-    cfg = RunConfig(**merged)
+            merged[key] = _coerce(key, flag_value)
     env_seed = os.environ.get("TVDBN_SEED")
     if env_seed is not None:
         try:
-            cfg.seed = int(env_seed)
+            merged["seed"] = int(env_seed)
         except ValueError:
             raise ConfigError(f"TVDBN_SEED must be an integer, got {env_seed!r}") from None
-        log.info("seed overridden by TVDBN_SEED=%d", cfg.seed)
-    return cfg
+        log.info("seed overridden by TVDBN_SEED=%d", merged["seed"])
+    return RunConfig(**merged)
 
 
 # --------------------------------------------------------------------- #
@@ -248,9 +263,6 @@ def _load_prior(cfg: RunConfig, sensor_ids: list[str]) -> np.ndarray | None:
     _require(cfg, "dist_csv")
     rows = load_distance_rows(cfg.dist_csv, sensor_ids)
     return build_distance_graph(rows, sensor_ids, kappa=cfg.kappa).weights
-
-
-_RATIO_KEYS = {"train": "train_ratio", "val": "val_ratio", "test": "1 - train_ratio - val_ratio"}
 
 
 def _load_inputs(
@@ -343,17 +355,13 @@ def _graph_stacks(
             stacks[split] = graph_stacks(windows.values, windows.tod, prior, params, cfg.structure_batch)
             ckpt.save_graphs(path, key, *stacks[split])
         return stacks
-    if cfg.graph_source == "distance":
-        if prior is None:
-            raise ConfigError("graph_source=distance needs a distance file")
+    if cfg.graph_source == "distance":  # _load_prior has read the distance file
         intra0, inter0 = prior.copy(), prior
         np.fill_diagonal(intra0, 0.0)
-    elif cfg.graph_source == "static-dbn-file":
+    else:  # static-dbn-file
         _require(cfg, "static_graph_file")
         sensor_ids = next(iter(sets.values())).sensor_ids
         intra0, inter0 = _static_graphs_from_file(cfg.static_graph_file, sensor_ids)
-    else:
-        raise ConfigError(f"unknown graph_source {cfg.graph_source!r}")
     # One constant pair serves every window and step: read-only views, no copies.
     for split, windows in sets.items():
         shape = (len(windows), cfg.t_in - 1) + intra0.shape
@@ -443,8 +451,6 @@ def cmd_train_structure(cfg: RunConfig) -> int:
 
 def cmd_export_graphs(cfg: RunConfig) -> int:
     _require(cfg, "speed_csv", "out_dir")
-    if cfg.export_split not in _RATIO_KEYS:
-        raise ConfigError(f"export_split must be one of train/val/test, got {cfg.export_split!r}")
     _make_out_dirs(cfg)
     sets, prior, _, _ = _load_inputs(cfg, cfg.export_split)
     windows = sets[cfg.export_split]
@@ -503,32 +509,42 @@ def cmd_predict(cfg: RunConfig) -> int:
     return 0
 
 
+_FORECAST_CELL = np.dtype(
+    [("ts", "i8"), ("h", "i8"), ("sensor", "i8"), ("pred", "f8"), ("actual", "f8"), ("valid", "?")]
+)
+
+
 def _load_forecast_csv(path: str):
-    cells: dict[tuple[int, int, int], tuple[float, float, bool]] = {}  # by (window ts, step, sensor)
     sensor_index: dict[str, int] = {}  # in order of first appearance
     rows = read_table(path)
     if next(rows)[1] != FORECAST_CSV_HEADER:
         raise DataError(f"{path}: expected forecast CSV header {','.join(FORECAST_CSV_HEADER)}")
-    for line_no, (ts, step, sid, pred, actual, valid) in rows:
-        try:
-            window, h = int(ts), int(step)
-            cell = (float(pred), float(actual), bool(int(valid)))
-        except ValueError:
-            raise DataError(f"{path} line {line_no}: malformed cell") from None
-        if h < 1:
-            raise DataError(f"{path} line {line_no}: horizon_step must be >= 1, got {h}")
-        cells[window, h, sensor_index.setdefault(sid, len(sensor_index))] = cell
-    if not cells:
+
+    def cells():
+        for line_no, (ts, step, sid, pred, actual, valid) in rows:
+            try:
+                window, h = int(ts), int(step)
+                cell = (float(pred), float(actual), bool(int(valid)))
+            except ValueError:
+                raise DataError(f"{path} line {line_no}: malformed cell") from None
+            if h < 1:
+                raise DataError(f"{path} line {line_no}: horizon_step must be >= 1, got {h}")
+            yield (window, h, sensor_index.setdefault(sid, len(sensor_index)), *cell)
+
+    try:
+        table = np.fromiter(cells(), dtype=_FORECAST_CELL)
+    except OverflowError:
+        raise DataError(f"{path}: a window_start_ts or horizon_step does not fit in 64 bits") from None
+    if not table.size:
         raise DataError(f"{path}: no forecast rows")
-    windows = {ts: k for k, ts in enumerate(sorted({ts for ts, _, _ in cells}))}
-    shape = (len(windows), max(h for _, h, _ in cells), len(sensor_index))
-    preds = np.zeros(shape)
-    actuals = np.zeros(shape)
-    valid = np.zeros(shape, dtype=bool)
-    for (ts, h, i), (p, a, v) in cells.items():
-        preds[windows[ts], h - 1, i] = p
-        actuals[windows[ts], h - 1, i] = a
-        valid[windows[ts], h - 1, i] = v
+    starts, win = np.unique(table["ts"], return_inverse=True)
+    shape = (len(starts), int(table["h"].max()), len(sensor_index))
+    flat = np.ravel_multi_index((win, table["h"] - 1, table["sensor"]), shape)
+    if len(np.unique(flat)) < len(flat):
+        raise DataError(f"{path}: a (window, horizon_step, sensor_id) cell appears more than once")
+    preds, actuals, valid = np.zeros(shape), np.zeros(shape), np.zeros(shape, dtype=bool)
+    for out, column in ((preds, "pred"), (actuals, "actual"), (valid, "valid")):
+        np.put(out, flat, table[column])
     return preds, actuals, valid
 
 

@@ -62,13 +62,12 @@ class AugLagState:
 
     alpha: float
     rho: float
-    iteration: int = 0
     last_s: float = float("inf")
 
 
-@dataclass
+@dataclass(frozen=True)
 class GrcslTrainConfig:
-    """Knobs of the structure-learning loop."""
+    """Knobs of the structure-learning loop, checked when built."""
 
     lam: float = 2e-5
     eta: float = 10.0
@@ -82,7 +81,7 @@ class GrcslTrainConfig:
     batch_size: int = 32
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.eta <= 1:
             raise ConfigError(f"eta must exceed 1, got {self.eta}")
         if not 0 < self.gamma < 1:
@@ -91,8 +90,10 @@ class GrcslTrainConfig:
             raise ConfigError("xi, rho0, and lr must be positive")
         if self.lam < 0 or self.alpha0 < 0:
             raise ConfigError("lam and alpha0 must be non-negative")
-        if self.inner_epochs < 0 or self.max_outer_iters < 1 or self.batch_size < 1:
+        if self.inner_epochs < 0 or self.max_outer_iters < 1:
             raise ConfigError("bad loop sizes")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
 
 
 @dataclass
@@ -109,7 +110,6 @@ class GrcslTrainResult:
     inter: np.ndarray
     history: list[dict] = field(default_factory=list)
     converged: bool = False
-    warning: str | None = None
     final_s: float = float("inf")
 
 
@@ -150,7 +150,7 @@ def auglag_update(state: AugLagState, s_new: float, eta: float = 10.0, gamma: fl
         raise ValueError("constraint total cannot be negative")
     alpha = state.alpha + state.rho * s_new
     rho = state.rho * eta if s_new > gamma * state.last_s else state.rho
-    return AugLagState(alpha=alpha, rho=rho, iteration=state.iteration + 1, last_s=s_new)
+    return AugLagState(alpha=alpha, rho=rho, last_s=s_new)
 
 
 # --------------------------------------------------------------------- #
@@ -211,7 +211,7 @@ def train_grcsl(
 
     Returns the parameters at termination (constraint satisfied) or, if the
     outer loop exhausts max_outer_iters first, the parameters with the
-    smallest eval-mode S seen, with a warning recorded; either way with the
+    smallest eval-mode S seen, with a warning logged; either way with the
     eval-mode graph stacks that scored them. History rows hold, per outer
     iteration, the eval-mode f and S after inner minimization, the
     multipliers after the update driven by that S, the mean number of
@@ -220,7 +220,6 @@ def train_grcsl(
     (`peak_rss_mb`). A run whose `grcsl_peak_mb` exceeds the memory
     available is refused with ConfigError before anything is built.
     """
-    cfg.validate()
     if len(windows) == 0:
         raise ConfigError("no training windows")
     w, t_in, n, _ = windows.values.shape
@@ -238,7 +237,6 @@ def train_grcsl(
     opt = Adam(params.parameters(), lr=cfg.lr)
 
     values, tod, mask = windows.values, windows.tod, windows.mask
-    w = values.shape[0]
     state = AugLagState(alpha=cfg.alpha0, rho=cfg.rho0)
     history: list[dict] = []
     best_s = float("inf")
@@ -301,20 +299,18 @@ def train_grcsl(
             converged = True
             break
 
-    warning = None
     if not converged:
-        warning = (
-            f"constraint not satisfied after {cfg.max_outer_iters} outer iterations "
-            f"(best S={best_s:.3e}, tolerance {cfg.xi:.1e}); returning best parameters"
+        log.warning(
+            "constraint not satisfied after %d outer iterations (best S=%.3e, tolerance %.1e); "
+            "returning best parameters",
+            cfg.max_outer_iters, best_s, cfg.xi,
         )
-        log.warning(warning)
     return GrcslTrainResult(
         params=best_params,
         intra=best_intra,
         inter=best_inter,
         history=history,
         converged=converged,
-        warning=warning,
         final_s=best_s,
     )
 

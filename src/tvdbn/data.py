@@ -77,7 +77,6 @@ class PriorGraph:
 
     sensor_ids: list[str]
     weights: np.ndarray  # (N, N) float64
-    kappa: float
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
@@ -128,9 +127,6 @@ class WindowSet:
     target_mask: np.ndarray
     start_index: np.ndarray
     start_ts: np.ndarray
-    t_in: int
-    t_out: int
-    stride: int
     sensor_ids: list[str] = field(default_factory=list)
 
     def __len__(self) -> int:
@@ -317,7 +313,7 @@ def build_distance_graph(
         w = float(np.exp(-(dist**2) / sigma**2))
         if w >= kappa:
             weights[index[src], index[dst]] = w
-    return PriorGraph(sensor_ids=list(sensor_ids), weights=weights, kappa=kappa)
+    return PriorGraph(sensor_ids=list(sensor_ids), weights=weights)
 
 
 # --------------------------------------------------------------------- #
@@ -422,9 +418,6 @@ def make_windows(series: SpeedSeries, t_in: int, t_out: int, stride: int = 1) ->
         target_mask=_slide(mask[t_in:], t_out, stride),
         start_index=series.offset + starts,
         start_ts=series.timestamps[starts],
-        t_in=t_in,
-        t_out=t_out,
-        stride=stride,
         sensor_ids=list(series.sensor_ids),
     )
 

@@ -32,9 +32,9 @@ log = logging.getLogger(__name__)
 FORECAST_CSV_HEADER = ["window_start_ts", "horizon_step", "sensor_id", "predicted", "actual", "valid"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class DgcpmDims:
-    """Width configuration of the forecaster."""
+    """Width configuration of the forecaster, checked when built."""
 
     t_in: int = 12
     t_out: int = 12
@@ -47,7 +47,7 @@ class DgcpmDims:
     def fused_width(self) -> int:
         return self.dy_width + (self.prior_width if self.use_prior else 0)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.t_in < 2 or self.t_out < 1:
             raise ConfigError(f"bad horizon geometry t_in={self.t_in}, t_out={self.t_out}")
         if self.dy_width < 1 or (self.use_prior and self.prior_width < 1):
@@ -66,7 +66,6 @@ class DgcpmParams(Params):
 
     @classmethod
     def init(cls, rng: np.random.Generator, dims: DgcpmDims) -> "DgcpmParams":
-        dims.validate()
         steps = dims.t_in - 1
         fan_in = steps * dims.fused_width
         prior = (
@@ -158,7 +157,7 @@ def masked_mae_loss(
 # --------------------------------------------------------------------- #
 
 
-@dataclass
+@dataclass(frozen=True)
 class DgcpmTrainConfig:
     lr: float = 1e-3
     max_epochs: int = 60
@@ -167,9 +166,11 @@ class DgcpmTrainConfig:
     patience: int = 10
     seed: int = 0
 
-    def validate(self) -> None:
-        if self.lr <= 0 or self.max_epochs < 1 or self.batch_size < 1:
+    def __post_init__(self) -> None:
+        if self.lr <= 0 or self.max_epochs < 1:
             raise ConfigError("bad optimizer settings")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
         if self.curriculum_step < 1 or self.patience < 1:
             raise ConfigError("curriculum_step and patience must be >= 1")
 
@@ -248,8 +249,6 @@ def curriculum_train(
     complete, early stopping with the configured patience returns the
     best-on-validation parameters.
     """
-    cfg.validate()
-    dims.validate()
     seq = np.random.SeedSequence(cfg.seed)
     init_seed, shuffle_seed = seq.spawn(2)
     params = DgcpmParams.init(np.random.default_rng(init_seed), dims)
@@ -360,11 +359,14 @@ def export_forecasts(
 ) -> None:
     """Write per-cell forecasts: window_start_ts,horizon_step,sensor_id,predicted,actual,valid.
 
-    Rows run by window, then horizon step, then sensor.
+    Rows run by window, then horizon step, then sensor. Cells become Python
+    values one window at a time, so the rows never exist all at once.
     """
-    win, step, node = np.indices(predictions.shape).reshape(3, -1).tolist()
-    ts = np.asarray(start_ts)[win].tolist()
-    columns = (predictions.ravel().tolist(), actuals.ravel().tolist(), valid.ravel().astype(int).tolist())
-    cells = zip(ts, step, node, *columns)
-    rows = ((t, h + 1, sensor_ids[i], f"{p:.10g}", f"{a:.10g}", v) for t, h, i, p, a, v in cells)
-    write_table(path, FORECAST_CSV_HEADER, rows)
+
+    def rows():
+        for t, p_w, a_w, v_w in zip(start_ts, predictions, actuals, valid):
+            for h, cells in enumerate(zip(p_w.tolist(), a_w.tolist(), v_w.astype(int).tolist()), start=1):
+                for sid, p, a, v in zip(sensor_ids, *cells):
+                    yield t, h, sid, f"{p:.10g}", f"{a:.10g}", v
+
+    write_table(path, FORECAST_CSV_HEADER, rows())

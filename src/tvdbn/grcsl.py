@@ -62,9 +62,9 @@ _pool = None  # the thread pool of the GRU and graph-head tasks, made on first u
 # --------------------------------------------------------------------- #
 
 
-@dataclass
+@dataclass(frozen=True)
 class GrcslDims:
-    """Width configuration of the structure learner."""
+    """Width configuration of the structure learner, checked when built."""
 
     heads: int = 4
     d_att: int = 16
@@ -80,7 +80,7 @@ class GrcslDims:
     def d_feat(self) -> int:
         return 2 + (self.d_s if self.use_prior else 0)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.tau <= 0:
             raise ConfigError(f"temperature must be positive, got {self.tau}")
         for name in ("heads", "d_att", "h_r", "h_m", "sem_width"):
@@ -199,7 +199,6 @@ class GrcslParams(Params):
 
     @classmethod
     def init(cls, rng: np.random.Generator, dims: GrcslDims) -> "GrcslParams":
-        dims.validate()
         feature = GconvParams.init(rng, 1, dims.d_s, dims.gconv_layers) if dims.use_prior else None
         return cls(
             dims=dims,

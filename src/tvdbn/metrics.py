@@ -64,7 +64,7 @@ def evaluate(
     predictions: np.ndarray,
     actuals: np.ndarray,
     valid: np.ndarray,
-    horizons: list[int] | None = None,
+    horizons: list[int],
 ) -> EvalReport:
     """Score (W, T_out, N) forecasts at per-step horizons plus overall.
 
@@ -82,7 +82,6 @@ def evaluate(
     if predictions.ndim != 3:
         raise ShapeError(f"expected (W, T_out, N) arrays, got {predictions.shape}")
     t_out = predictions.shape[1]
-    horizons = list(horizons) if horizons is not None else [3, 6, 12]
     for h in horizons:
         if not 1 <= h <= t_out:
             raise ConfigError(f"horizon {h} outside the forecast range 1..{t_out}")

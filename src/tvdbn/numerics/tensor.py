@@ -19,6 +19,8 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from ..errors import ShapeError
+
 _grad_enabled: bool = True
 
 
@@ -53,8 +55,6 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
-        if isinstance(data, Tensor):
-            data = data.data
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
@@ -72,10 +72,6 @@ class Tensor:
     @property
     def ndim(self) -> int:
         return self.data.ndim
-
-    @property
-    def size(self) -> int:
-        return self.data.size
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -162,31 +158,11 @@ class Tensor:
 
     def __matmul__(self, other) -> "Tensor":
         other = _lift(other)
-        a_vec = self.data.ndim == 1
-        b_vec = other.data.ndim == 1
-        # Promote 1-D operands to matrices so the transpose-based gradient
-        # rules apply uniformly, then strip the synthetic axes again.
-        a = self.data[None, :] if a_vec else self.data
-        b = other.data[:, None] if b_vec else other.data
-        out_data = np.matmul(a, b)
-        if b_vec:
-            out_data = out_data[..., 0]
-        if a_vec:
-            out_data = out_data[..., 0] if b_vec else out_data[..., 0, :]
-
-        def promoted(g: np.ndarray) -> np.ndarray:
-            g = g[..., None] if b_vec else g
-            return g[..., None, :] if a_vec else g
-
-        def grad_a(g: np.ndarray) -> np.ndarray:
-            ga = np.matmul(promoted(g), np.swapaxes(b, -1, -2))
-            return ga[..., 0, :] if a_vec else ga
-
-        def grad_b(g: np.ndarray) -> np.ndarray:
-            gb = np.matmul(np.swapaxes(a, -1, -2), promoted(g))
-            return gb[..., 0] if b_vec else gb
-
-        return _record(out_data, (self, other), (grad_a, grad_b))
+        a, b = self.data, other.data
+        if a.ndim < 2 or b.ndim < 2:
+            raise ShapeError(f"matmul needs operands of at least 2 dimensions, got {a.shape} and {b.shape}")
+        rules = (lambda g: np.matmul(g, np.swapaxes(b, -1, -2)), lambda g: np.matmul(np.swapaxes(a, -1, -2), g))
+        return _record(np.matmul(a, b), (self, other), rules)
 
     def relu(self) -> "Tensor":
         return _record(np.maximum(self.data, 0.0), (self,), (lambda g: g * (self.data > 0.0),))
@@ -222,12 +198,6 @@ class Tensor:
         return _record(
             self.data.transpose(axes), (self,), (lambda g: g.transpose(tuple(np.argsort(axes))),)
         )
-
-    def swap_last(self) -> "Tensor":
-        """Transpose the trailing two axes, keeping any batch axes in place."""
-        nd = self.data.ndim
-        axes = tuple(range(nd - 2)) + (nd - 1, nd - 2)
-        return self.transpose(axes)
 
     def __getitem__(self, index) -> "Tensor":
         """Basic indexing only (ints, slices and tuples of them); the result views the data.

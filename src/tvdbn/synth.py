@@ -82,7 +82,6 @@ def topological_order(adjacency: np.ndarray) -> list[int]:
     in_degree = support.sum(axis=1)
     ready = sorted(np.flatnonzero(in_degree == 0).tolist())
     order: list[int] = []
-    in_degree = in_degree.astype(np.int64)
     while ready:
         node = ready.pop(0)
         order.append(node)

@@ -15,10 +15,11 @@ import pytest
 from tvdbn import checkpoint, cli
 from tvdbn.checkpoint import load_graphs, load_grcsl, save_graphs
 from tvdbn.cli import RunConfig, build_parser, main, parse_config_file, resolve_config
+from tvdbn.constraint import GrcslTrainConfig
 from tvdbn.data import load_speed_table, make_windows, save_speed_table, split_chronological
-from tvdbn.dgcpm import FORECAST_CSV_HEADER
+from tvdbn.dgcpm import FORECAST_CSV_HEADER, DgcpmDims, DgcpmTrainConfig
 from tvdbn.errors import ConfigError, DataError
-from tvdbn.grcsl import EDGE_CSV_HEADER, graph_stacks
+from tvdbn.grcsl import EDGE_CSV_HEADER, GrcslDims, graph_stacks
 from tvdbn.synth import to_speed_series
 
 TINY = """
@@ -89,6 +90,16 @@ def test_run_config_builds_each_component_config():
     assert (g.lam, g.lr, g.batch_size, g.seed) == (0.25, 0.5, 3, 6)
     d = cfg.dgcpm_train_config()
     assert (d.lr, d.max_epochs, d.batch_size, d.patience, d.seed) == (0.125, 9, 4, 2, 6)
+
+
+def test_run_config_defaults_equal_the_component_defaults():
+    # RunConfig repeats every component default by hand, under renamed keys for the
+    # training configs' lr, batch_size and max_epochs; default configs must come out equal.
+    cfg = RunConfig()
+    assert cfg.grcsl_dims() == GrcslDims()
+    assert cfg.dgcpm_dims() == DgcpmDims()
+    assert cfg.grcsl_train_config() == GrcslTrainConfig()
+    assert cfg.dgcpm_train_config() == DgcpmTrainConfig()
 
 
 def test_config_file_rejects_unknown_keys_and_bad_values(tmp_path):
@@ -548,6 +559,21 @@ def test_evaluate_perfect_forecast_scores_zero(tmp_path):
         assert float(r[1]) == 0.0 and float(r[2]) == 0.0 and float(r[3]) == 0.0
 
 
+def write_forecast_rows(path, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(FORECAST_CSV_HEADER)
+        writer.writerows(rows)
+
+
+def test_evaluate_rejects_a_window_start_beyond_64_bits(tmp_path, caplog):
+    path = tmp_path / "forecasts.csv"
+    write_forecast_rows(path, [[100, 1, "a", 1.0, 1.0, 1], [2**63, 1, "a", 1.0, 1.0, 1]])
+    assert main(["evaluate", "--forecast-csv", str(path), "--out-dir", str(tmp_path / "o"), "--horizons", "1"]) == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+    assert len(errors) == 1 and str(path) in errors[0] and "does not fit in 64 bits" in errors[0], errors
+
+
 @pytest.mark.parametrize("step", [0, -1])
 def test_evaluate_rejects_a_horizon_step_below_one(tmp_path, caplog, step):
     path = tmp_path / "forecasts.csv"
@@ -559,6 +585,29 @@ def test_evaluate_rejects_a_horizon_step_below_one(tmp_path, caplog, step):
     assert main(["evaluate", "--forecast-csv", str(path), "--out-dir", str(tmp_path / "o"),
                  "--horizons", "1"]) == 2
     assert any("line 3" in r.getMessage() for r in caplog.records if r.levelno == logging.ERROR)
+
+
+def test_forecast_cells_land_by_window_time_step_and_first_seen_sensor(tmp_path):
+    path = tmp_path / "forecasts.csv"
+    write_forecast_rows(path, [[200, 2, "b", 1.5, 2.5, 1], [100, 1, "b", 3.0, 4.0, 0], [100, 2, "a", 5.0, 6.0, 1]])
+    preds, actuals, valid = cli._load_forecast_csv(str(path))
+    want_preds, want_actuals, want_valid = np.zeros((2, 2, 2)), np.zeros((2, 2, 2)), np.zeros((2, 2, 2), dtype=bool)
+    for cell, p, a, v in (((1, 1, 0), 1.5, 2.5, True), ((0, 0, 0), 3.0, 4.0, False), ((0, 1, 1), 5.0, 6.0, True)):
+        want_preds[cell], want_actuals[cell], want_valid[cell] = p, a, v
+    np.testing.assert_array_equal(preds, want_preds)
+    np.testing.assert_array_equal(actuals, want_actuals)
+    np.testing.assert_array_equal(valid, want_valid)
+
+
+def test_evaluate_rejects_a_repeated_forecast_cell(tmp_path, caplog):
+    path = tmp_path / "forecasts.csv"
+    write_forecast_rows(path, [[100, 1, "a", 1.0, 1.0, 1], [100, 1, "b", 1.0, 1.0, 1], [100, 1, "a", 9.0, 1.0, 1]])
+    assert main(["evaluate", "--forecast-csv", str(path), "--out-dir", str(tmp_path / "o"),
+                 "--horizons", "1"]) == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+    assert len(errors) == 1 and str(path) in errors[0], errors
+    assert "cell appears more than once" in errors[0], errors
+    assert not (tmp_path / "o" / "report.csv").exists()
 
 
 def test_evaluate_rejects_horizons_beyond_the_forecast(tmp_path):
@@ -686,6 +735,34 @@ def test_batch_sizes_below_one_are_configuration_errors(pipeline, tmp_path, capl
     assert main([stage, *flags, f"--{key}={size}"]) == 1
     assert any(f"batch size must be >= 1, got {size}" in r.getMessage() for r in caplog.records)
     assert not (tmp_path / "graphs.csv").exists() and not (tmp_path / "forecasts.csv").exists()
+
+
+@pytest.mark.parametrize("stage, flag, message", [
+    ("train-forecast", "--forecast-batch=0", "batch size must be >= 1, got 0"),
+    ("predict", "--forecast-batch=0", "batch size must be >= 1, got 0"),
+    ("train-structure", "--tau=0", "temperature must be positive"),
+    ("export-graphs", "--export-split=bogus", "export_split"),
+    ("predict", "--graph-source=bogus", "unknown graph_source 'bogus'"),
+], ids=["train-forecast-batch", "predict-batch", "tau", "export-split", "graph-source"])
+def test_a_bad_config_exits_one_before_any_file_is_read_or_written(
+    pipeline, tmp_path, monkeypatch, caplog, stage, flag, message
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a bad config must fail before a stage reads data or generates graphs")
+
+    monkeypatch.setattr(cli, "load_speed_table", refuse)
+    monkeypatch.setattr(cli, "graph_stacks", refuse)
+    out = tmp_path / "out"
+    flags = [
+        "--config", str(pipeline / "run.cfg"), "--out-dir", str(out),
+        "--speed-csv", str(pipeline / "speed.csv"), "--dist-csv", str(pipeline / "dist.csv"),
+        "--structure-checkpoint", str(pipeline / "grcsl.npz"),
+        "--forecast-checkpoint", str(pipeline / "dgcpm.npz"),
+    ]
+    assert main([stage, *flags, flag]) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+    assert len(errors) == 1 and message in errors[0], errors
+    assert not out.exists()
 
 
 def test_checkpoint_paths_without_a_suffix_are_used_verbatim(pipeline, tmp_path):

@@ -207,11 +207,11 @@ def test_first_update_never_escalates_rho():
     nxt = auglag_update(state, s_new=1.0)
     assert nxt.alpha == pytest.approx(1e-3)
     assert nxt.rho == pytest.approx(1e-3)
-    assert nxt.iteration == 1 and nxt.last_s == 1.0
+    assert nxt.last_s == 1.0
 
 
 def test_rho_escalates_exactly_on_slow_progress():
-    state = AugLagState(alpha=1e-3, rho=1e-3, iteration=1, last_s=1.0)
+    state = AugLagState(alpha=1e-3, rho=1e-3, last_s=1.0)
     slow = auglag_update(state, s_new=0.6, eta=10.0, gamma=0.5)  # 0.6 > 0.5
     assert slow.rho == pytest.approx(1e-2)
     assert slow.alpha == pytest.approx(1e-3 + 1e-3 * 0.6)
@@ -222,7 +222,7 @@ def test_rho_escalates_exactly_on_slow_progress():
 
 def test_alpha_absorbs_rho_times_s_after_escalation():
     # Escalation applies to the next round: alpha uses the pre-update rho.
-    state = AugLagState(alpha=0.0, rho=1.0, iteration=3, last_s=0.1)
+    state = AugLagState(alpha=0.0, rho=1.0, last_s=0.1)
     nxt = auglag_update(state, s_new=0.09, eta=10.0, gamma=0.5)
     assert nxt.alpha == pytest.approx(0.09)
     assert nxt.rho == pytest.approx(10.0)
@@ -234,7 +234,7 @@ def test_update_rejects_negative_constraint():
 
 
 def test_train_config_validation():
-    GrcslTrainConfig().validate()
+    GrcslTrainConfig()
     for bad in (
         dict(eta=1.0),
         dict(gamma=0.0),
@@ -249,7 +249,7 @@ def test_train_config_validation():
         dict(batch_size=0),
     ):
         with pytest.raises(ConfigError):
-            GrcslTrainConfig(**bad).validate()
+            GrcslTrainConfig(**bad)
 
 
 # ------------------------------------------------------------------ #
@@ -285,23 +285,24 @@ def test_zero_inner_epochs_leaves_parameters_at_init():
     assert row["rho"] == pytest.approx(1e-3)
 
 
-def test_loop_stops_when_constraint_is_satisfied():
+def test_loop_stops_when_constraint_is_satisfied(caplog):
     windows = tiny_windows()
     cfg = GrcslTrainConfig(inner_epochs=0, max_outer_iters=10, xi=1e30)
     result = train_grcsl(windows, None, tiny_dims(), cfg)
     assert result.converged
     assert len(result.history) == 1
-    assert result.warning is None
+    assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
     assert result.final_s == result.history[-1]["S"] < 1e30
 
 
-def test_loop_exhaustion_returns_best_with_warning():
+def test_loop_exhaustion_returns_best_with_warning(caplog):
     windows = tiny_windows()
     cfg = GrcslTrainConfig(inner_epochs=0, max_outer_iters=2, xi=1e-300)
     result = train_grcsl(windows, None, tiny_dims(), cfg)
     assert not result.converged
     assert len(result.history) == 2
-    assert result.warning is not None and "2 outer iterations" in result.warning
+    warned = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warned) == 1 and "2 outer iterations" in warned[0], warned
     assert result.final_s == min(row["S"] for row in result.history)
 
 
@@ -354,7 +355,7 @@ def test_oversized_run_is_refused_before_it_allocates(monkeypatch):
     z = np.zeros((64, 12, 30, 1))
     windows = replace(
         tiny_windows(), values=z, mask=z + 1.0, tod=z, target=z[:, :2], target_mask=z[:, :2] + 1.0,
-        start_index=np.arange(64), start_ts=np.arange(64), t_in=12,
+        start_index=np.arange(64), start_ts=np.arange(64),
     )
     monkeypatch.setattr(constraint, "available_mb", lambda: 200.0)
     assert constraint.grcsl_peak_mb(32, 30, 12, GrcslDims()) > 900.0

@@ -132,11 +132,11 @@ def test_later_graphs_do_not_leak_into_earlier_steps(rng):
 
 def test_dims_validation():
     with pytest.raises(ConfigError):
-        small_dims(t_in=1).validate()
+        small_dims(t_in=1)
     with pytest.raises(ConfigError):
-        small_dims(t_out=0).validate()
+        small_dims(t_out=0)
     with pytest.raises(ConfigError):
-        small_dims(dy_width=0).validate()
+        small_dims(dy_width=0)
     assert small_dims().fused_width == 5
 
 
@@ -341,11 +341,11 @@ def test_second_epoch_reuses_the_first_epochs_pages(monkeypatch):
 
 def test_training_config_validation():
     with pytest.raises(ConfigError):
-        DgcpmTrainConfig(lr=0.0).validate()
+        DgcpmTrainConfig(lr=0.0)
     with pytest.raises(ConfigError):
-        DgcpmTrainConfig(curriculum_step=0).validate()
+        DgcpmTrainConfig(curriculum_step=0)
     with pytest.raises(ConfigError):
-        DgcpmTrainConfig(patience=0).validate()
+        DgcpmTrainConfig(patience=0)
     split, stats, _, _ = build_split()
     split.values = split.values[:0]
     with pytest.raises(ConfigError):

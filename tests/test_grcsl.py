@@ -207,8 +207,8 @@ def composed_msdot(q, k, attn):
     scale = 1.0 / float(np.sqrt(attn.w_q.shape[-1]))
     qp = q.reshape(q.shape[:-2] + (1,) + q.shape[-2:]) @ attn.w_q  # (..., heads, N, d_att)
     kp = k.reshape(k.shape[:-2] + (1,) + k.shape[-2:]) @ attn.w_k
-    scores = (qp @ kp.swap_last()) * scale  # (..., heads, N, N)
-    nd = scores.ndim
+    nd = qp.ndim
+    scores = (qp @ kp.transpose(tuple(range(nd - 2)) + (nd - 1, nd - 2))) * scale  # (..., heads, N, N)
     return scores.transpose(tuple(range(nd - 3)) + (nd - 2, nd - 1, nd - 3))
 
 
@@ -1204,8 +1204,8 @@ def test_dims_feature_width_depends_on_prior_branch():
 
 def test_dims_validation_rejects_bad_widths():
     with pytest.raises(ConfigError):
-        small_dims(tau=0.0).validate()
+        small_dims(tau=0.0)
     with pytest.raises(ConfigError):
-        small_dims(heads=0).validate()
+        small_dims(heads=0)
     with pytest.raises(ConfigError):
-        small_dims(use_prior=True, d_s=0).validate()
+        small_dims(use_prior=True, d_s=0)

@@ -107,9 +107,9 @@ def test_rmse_dominates_mae(seed):
 def test_evaluate_validation():
     ones = np.ones((1, 2, 1))
     with pytest.raises(ShapeError):
-        evaluate(ones, np.ones((1, 3, 1)), np.ones((1, 3, 1), bool))
+        evaluate(ones, np.ones((1, 3, 1)), np.ones((1, 3, 1), bool), horizons=[1])
     with pytest.raises(ShapeError):
-        evaluate(np.ones((2, 1)), np.ones((2, 1)), np.ones((2, 1), bool))
+        evaluate(np.ones((2, 1)), np.ones((2, 1)), np.ones((2, 1), bool), horizons=[1])
     with pytest.raises(ConfigError):
         evaluate(ones, ones, np.ones((1, 2, 1), bool), horizons=[3])
     with pytest.raises(ConfigError):
