@@ -17,11 +17,13 @@ Commands:
 
 Configuration is a flat ``key=value`` file (``#`` starts a comment line);
 any key can be overridden by the matching ``--key`` flag. Unknown config
-keys are rejected. The environment variable ``TVDBN_SEED`` overrides the
-seed for every command, and ``TVDBN_LOG`` sets the log level: DEBUG, INFO
-(the default), WARNING, ERROR or CRITICAL. Logs go to stderr;
-machine-readable output goes to files and stdout. Exit codes: 0 success,
-1 usage or configuration error, 2 data error, 3 numerical failure.
+keys are rejected. The keys are the fields of `RunConfig` and of the four
+component configs it holds; `_key_table` says which key sets which field.
+The environment variable ``TVDBN_SEED`` overrides the seed for every
+command, and ``TVDBN_LOG`` sets the log level: DEBUG, INFO (the default),
+WARNING, ERROR or CRITICAL. Logs go to stderr; machine-readable output goes
+to files and stdout. Exit codes: 0 success, 1 usage or configuration error,
+2 data error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import dataclasses
 import logging
 import os
 import sys
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +45,9 @@ from .data import (
     SpeedSeries,
     WindowSet,
     build_distance_graph,
+    check_kappa,
+    check_split_ratios,
+    check_window_geometry,
     load_distance_rows,
     load_manifest,
     load_speed_table,
@@ -86,10 +92,11 @@ _RATIO_KEYS = {"train": "train_ratio", "val": "val_ratio", "test": "1 - train_ra
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Every tunable of the pipeline, flat so config files stay trivial.
+    """The pipeline's own settings, and the four component configs it passes on.
 
-    Building one builds, and so checks, every component config it feeds:
-    a bad value fails before any file is read.
+    Build one with `from_keys`, which sets a key that several configs share
+    in each of them; the fields of a shared key must agree. Building it checks
+    it and every component config: a bad value fails before any file is read.
     """
 
     # paths
@@ -100,43 +107,12 @@ class RunConfig:
     forecast_checkpoint: str = ""
     forecast_csv: str = ""
     static_graph_file: str = ""
-    # windows and split
-    t_in: int = 12
-    t_out: int = 12
+    # windows, split and prior
     stride: int = 1
     train_ratio: float = 0.7
     val_ratio: float = 0.1
     kappa: float = 0.1
-    # model widths
-    heads: int = 4
-    d_att: int = 16
-    h_r: int = 32
-    d_s: int = 8
-    h_m: int = 32
-    sem_width: int = 16
-    gconv_layers: int = 2
-    tau: float = 0.2
-    dy_width: int = 16
-    prior_width: int = 16
-    use_prior: bool = True
     graph_source: str = "grcsl"  # grcsl | distance | static-dbn-file
-    # structure training
-    lam: float = 2e-5
-    eta: float = 10.0
-    gamma: float = 0.5
-    xi: float = 1e-8
-    alpha0: float = 0.0
-    rho0: float = 1e-3
-    inner_epochs: int = 5
-    max_outer_iters: int = 30
-    structure_lr: float = 1e-3
-    structure_batch: int = 32
-    # forecast training
-    forecast_lr: float = 1e-3
-    forecast_epochs: int = 60
-    forecast_batch: int = 32
-    curriculum_step: int = 1
-    patience: int = 10
     # synthetic data
     synth_n: int = 10
     synth_t: int = 2000
@@ -154,11 +130,31 @@ class RunConfig:
     graph_threshold: float = 0.5
     horizons: str = "3,6,12"
     export_split: str = "train"  # which split export-graphs writes
+    # component configs: their fields are config keys too (see `_key_table`)
+    grcsl_dims: GrcslDims = dataclasses.field(default_factory=GrcslDims)
+    dgcpm_dims: DgcpmDims = dataclasses.field(default_factory=DgcpmDims)
+    grcsl_train: GrcslTrainConfig = dataclasses.field(default_factory=GrcslTrainConfig)
+    dgcpm_train: DgcpmTrainConfig = dataclasses.field(default_factory=DgcpmTrainConfig)
+
+    @classmethod
+    def from_keys(cls, **keys) -> RunConfig:
+        """A config in which each key sets every field `_KEYS` lists for it; other fields keep their defaults."""
+        parts: dict[str | None, dict] = defaultdict(dict)
+        for key, value in keys.items():
+            for part, field in _KEYS[key]:
+                parts[part][field.name] = value
+        return cls(**parts.pop(None, {}), **{part: _PARTS[part](**values) for part, values in parts.items()})
 
     def __post_init__(self) -> None:
-        for build in (self.grcsl_dims, self.dgcpm_dims, self.grcsl_train_config, self.dgcpm_train_config):
-            build()
+        for key, spots in _KEYS.items():
+            if len({getattr(getattr(self, part) if part else self, f.name) for part, f in spots}) > 1:
+                raise ConfigError(f"the fields that key {key!r} sets disagree")
+        check_window_geometry(self.dgcpm_dims.t_in, self.dgcpm_dims.t_out, self.stride)
+        check_split_ratios(self.train_ratio, self.val_ratio)
+        check_kappa(self.kappa)
         self.horizon_list()
+        if not 0 <= self.graph_threshold < 1:
+            raise ConfigError(f"graph_threshold must be in [0, 1), got {self.graph_threshold}")
         if self.graph_source not in ("grcsl", "distance", "static-dbn-file"):
             raise ConfigError(f"unknown graph_source {self.graph_source!r}")
         if self.export_split not in _RATIO_KEYS:
@@ -166,55 +162,57 @@ class RunConfig:
 
     def horizon_list(self) -> list[int]:
         try:
-            return [int(tok) for tok in self.horizons.split(",") if tok.strip()]
+            horizons = [int(tok) for tok in self.horizons.split(",") if tok.strip()]
+            if horizons and min(horizons) >= 1 and len(set(horizons)) == len(horizons):
+                return horizons
         except ValueError:
-            raise ConfigError(f"bad horizons list {self.horizons!r}") from None
-
-    def _build(self, cls, **renames: str):
-        """An instance of dataclass `cls` whose fields take this config's keys of the same name.
-
-        `renames` maps a field of `cls` to the config key it takes instead.
-        """
-        fields = dataclasses.fields(cls)
-        return cls(**{f.name: getattr(self, renames.get(f.name, f.name)) for f in fields})
-
-    def grcsl_dims(self) -> GrcslDims:
-        return self._build(GrcslDims)
-
-    def dgcpm_dims(self) -> DgcpmDims:
-        return self._build(DgcpmDims)
-
-    def grcsl_train_config(self) -> GrcslTrainConfig:
-        return self._build(GrcslTrainConfig, lr="structure_lr", batch_size="structure_batch")
-
-    def dgcpm_train_config(self) -> DgcpmTrainConfig:
-        return self._build(
-            DgcpmTrainConfig, lr="forecast_lr", max_epochs="forecast_epochs", batch_size="forecast_batch"
-        )
+            pass
+        raise ConfigError(f"horizons must list distinct steps >= 1, got {self.horizons!r}")
 
 
-_FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
+# The component config classes, by the RunConfig field that holds each.
+_PARTS = {
+    f.name: f.default_factory for f in dataclasses.fields(RunConfig) if f.default_factory is not dataclasses.MISSING
+}
+# The component fields whose config key has another name: (component, field) -> key.
+_RENAMED = {
+    ("grcsl_train", "lr"): "structure_lr", ("grcsl_train", "batch_size"): "structure_batch",
+    ("dgcpm_train", "lr"): "forecast_lr", ("dgcpm_train", "max_epochs"): "forecast_epochs",
+    ("dgcpm_train", "batch_size"): "forecast_batch",
+}
+
+
+def _key_table() -> dict[str, list[tuple[str | None, dataclasses.Field]]]:
+    """Each config key -> the (component, field) pairs it sets; component None is a field of RunConfig itself.
+
+    A field is set by the key of its own name, or by its `_RENAMED` key; a key
+    that several dataclasses share (seed, gconv_layers, use_prior) sets each.
+    """
+    table = defaultdict(list)
+    for f in dataclasses.fields(RunConfig):
+        if f.name in _PARTS:
+            for g in dataclasses.fields(_PARTS[f.name]):
+                table[_RENAMED.get((f.name, g.name), g.name)].append((f.name, g))
+        else:
+            table[f.name].append((None, f))
+    return dict(table)
+
+
+_KEYS = _key_table()
+
+
+_WORDS = dict.fromkeys(("true", "1", "yes", "on"), True) | dict.fromkeys(("false", "0", "no", "off"), False)
+_PARSERS = {"bool": lambda raw: _WORDS[raw.strip().lower()], "int": int, "float": float, "str": str}
 
 
 def _coerce(key: str, raw: str):
-    field = _FIELDS.get(key)
-    if field is None:
+    if key not in _KEYS:
         raise ConfigError(f"unknown configuration key {key!r}")
-    if field.type == "bool":
-        low = raw.strip().lower()
-        if low in ("true", "1", "yes", "on"):
-            return True
-        if low in ("false", "0", "no", "off"):
-            return False
-        raise ConfigError(f"key {key!r}: expected a boolean, got {raw!r}")
+    kind = _KEYS[key][0][1].type  # a shared key has one type
     try:
-        if field.type == "int":
-            return int(raw)
-        if field.type == "float":
-            return float(raw)
-    except ValueError:
-        raise ConfigError(f"key {key!r}: cannot parse {raw!r} as {field.type}") from None
-    return raw
+        return _PARSERS[kind](raw)
+    except (KeyError, ValueError):
+        raise ConfigError(f"key {key!r}: cannot parse {raw!r} as {kind}") from None
 
 
 def parse_config_file(path: str) -> dict:
@@ -231,7 +229,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     merged: dict = {}
     if args.config:
         merged.update(parse_config_file(args.config))
-    for key in _FIELDS:
+    for key in _KEYS:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             merged[key] = _coerce(key, flag_value)
@@ -242,7 +240,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         except ValueError:
             raise ConfigError(f"TVDBN_SEED must be an integer, got {env_seed!r}") from None
         log.info("seed overridden by TVDBN_SEED=%d", merged["seed"])
-    return RunConfig(**merged)
+    return RunConfig.from_keys(**merged)
 
 
 # --------------------------------------------------------------------- #
@@ -258,7 +256,7 @@ def _require(cfg: RunConfig, *keys: str) -> None:
 
 def _load_prior(cfg: RunConfig, sensor_ids: list[str]) -> np.ndarray | None:
     """The distance prior's (N, N) weights; None when neither the prior branch nor the distance source uses them."""
-    if not cfg.use_prior and cfg.graph_source != "distance":
+    if not cfg.grcsl_dims.use_prior and cfg.graph_source != "distance":
         return None
     _require(cfg, "dist_csv")
     rows = load_distance_rows(cfg.dist_csv, sensor_ids)
@@ -276,7 +274,8 @@ def _load_inputs(
     sets = {}
     for name in splits:
         try:
-            sets[name] = make_windows(apply_zscore(stats, raw[name]), cfg.t_in, cfg.t_out, cfg.stride)
+            normalized = apply_zscore(stats, raw[name])
+            sets[name] = make_windows(normalized, cfg.dgcpm_dims.t_in, cfg.dgcpm_dims.t_out, cfg.stride)
         except DataError as exc:
             raise DataError(f"{name} split ({_RATIO_KEYS[name]}): {exc}") from None
     return sets, prior, stats, raw
@@ -342,7 +341,7 @@ def _graph_stacks(
         params = ckpt.load_grcsl(_structure_ckpt_path(cfg))
         for split, windows in sets.items():
             path = _graph_path(cfg, split)
-            key = ckpt.graph_key(params, windows.values, windows.tod, prior, cfg.structure_batch)
+            key = ckpt.graph_key(params, windows.values, windows.tod, prior, cfg.grcsl_train.batch_size)
             w, t_in, n, _ = windows.values.shape
             try:
                 stored_key, intra, inter = ckpt.load_graphs(path)
@@ -352,7 +351,7 @@ def _graph_stacks(
                 log.info("%s holds other graphs; regenerating the %s split", path, split)
             except DataError as exc:
                 log.info("%s; generating the %s split", exc, split)
-            stacks[split] = graph_stacks(windows.values, windows.tod, prior, params, cfg.structure_batch)
+            stacks[split] = graph_stacks(windows.values, windows.tod, prior, params, cfg.grcsl_train.batch_size)
             ckpt.save_graphs(path, key, *stacks[split])
         return stacks
     if cfg.graph_source == "distance":  # _load_prior has read the distance file
@@ -364,7 +363,7 @@ def _graph_stacks(
         intra0, inter0 = _static_graphs_from_file(cfg.static_graph_file, sensor_ids)
     # One constant pair serves every window and step: read-only views, no copies.
     for split, windows in sets.items():
-        shape = (len(windows), cfg.t_in - 1) + intra0.shape
+        shape = (len(windows), cfg.dgcpm_dims.t_in - 1) + intra0.shape
         stacks[split] = np.broadcast_to(intra0, shape), np.broadcast_to(inter0, shape)
     return stacks
 
@@ -386,8 +385,8 @@ def _write_manifest(cfg: RunConfig, stats: NormStats, raw: dict[str, SpeedSeries
             "rows": test.offset + test.length,
             "train_end": raw["val"].offset,
             "val_end": test.offset,
-            "t_in": cfg.t_in,
-            "t_out": cfg.t_out,
+            "t_in": cfg.dgcpm_dims.t_in,
+            "t_out": cfg.dgcpm_dims.t_out,
             "stride": cfg.stride,
             "seed": cfg.seed,
         },
@@ -437,10 +436,10 @@ def cmd_train_structure(cfg: RunConfig) -> int:
     _make_out_dirs(cfg, _structure_ckpt_path(cfg))
     sets, prior, stats, raw = _load_inputs(cfg, "train")
     train = sets["train"]
-    result = train_grcsl(train, prior, cfg.grcsl_dims(), cfg.grcsl_train_config())
+    result = train_grcsl(train, prior, cfg.grcsl_dims, cfg.grcsl_train)
     ckpt.save_grcsl(_structure_ckpt_path(cfg), result.params)
     # The eval epoch already generated the training split's graphs.
-    key = ckpt.graph_key(result.params, train.values, train.tod, prior, cfg.structure_batch)
+    key = ckpt.graph_key(result.params, train.values, train.tod, prior, cfg.grcsl_train.batch_size)
     ckpt.save_graphs(_graph_path(cfg, "train"), key, result.intra, result.inter)
     save_history(os.path.join(cfg.out_dir, "history.csv"), result.history)
     _write_manifest(cfg, stats, raw)
@@ -468,14 +467,8 @@ def cmd_train_forecast(cfg: RunConfig) -> int:
     _make_out_dirs(cfg, _forecast_ckpt_path(cfg))
     sets, prior, stats, raw = _load_inputs(cfg, "train", "val")
     splits = _forecast_splits(cfg, sets, prior)
-    result = curriculum_train(
-        splits["train"],
-        splits["val"],
-        prior if cfg.use_prior else None,
-        cfg.dgcpm_dims(),
-        stats,
-        cfg.dgcpm_train_config(),
-    )
+    prior = prior if cfg.dgcpm_dims.use_prior else None
+    result = curriculum_train(splits["train"], splits["val"], prior, cfg.dgcpm_dims, stats, cfg.dgcpm_train)
     ckpt.save_dgcpm(_forecast_ckpt_path(cfg), result.params)
     with open(os.path.join(cfg.out_dir, "forecast_history.csv"), "w") as fh:
         fh.write("epoch,horizon_limit,train_loss,val_mae\n")
@@ -500,7 +493,8 @@ def cmd_predict(cfg: RunConfig) -> int:
     f_params = ckpt.load_dgcpm(_forecast_ckpt_path(cfg))
     windows = sets["test"]
     split = _forecast_splits(cfg, sets, prior)["test"]
-    preds = dgcpm_predict(split, prior if cfg.use_prior else None, f_params, stats, cfg.forecast_batch)
+    prior = prior if cfg.dgcpm_dims.use_prior else None
+    preds = dgcpm_predict(split, prior, f_params, stats, cfg.dgcpm_train.batch_size)
     valid = split.target_mask[..., 0]
     actuals = np.where(valid, invert_zscore(stats, split.target[..., 0]), 0.0)
     path = os.path.join(cfg.out_dir, "forecasts.csv")
@@ -603,9 +597,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name in _HANDLERS:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="flat key=value config file")
-        for field in dataclasses.fields(RunConfig):
-            flag = "--" + field.name.replace("_", "-")
-            p.add_argument(flag, dest=field.name, default=None, help=f"override {field.name}")
+        for key in _KEYS:
+            p.add_argument("--" + key.replace("_", "-"), dest=key, default=None, help=f"override {key}")
     return parser
 
 

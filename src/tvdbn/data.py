@@ -285,6 +285,12 @@ def load_distance_rows(path: str, sensor_ids: list[str]) -> list[tuple[str, str,
     return out
 
 
+def check_kappa(kappa: float) -> None:
+    """The edge cut-off rule of `build_distance_graph`."""
+    if not 0 < kappa <= 1:
+        raise ConfigError(f"kappa must be in (0, 1], got {kappa}")
+
+
 def build_distance_graph(
     rows: list[tuple[str, str, float]],
     sensor_ids: list[str],
@@ -296,8 +302,7 @@ def build_distance_graph(
     a zero sigma (all distances identical) is a configuration error because
     the kernel scale is undefined. Unlisted pairs get weight 0.
     """
-    if not 0 < kappa <= 1:
-        raise ConfigError(f"kappa must be in (0, 1], got {kappa}")
+    check_kappa(kappa)
     if not rows:
         raise ConfigError("distance list is empty")
     index = {sid: i for i, sid in enumerate(sensor_ids)}
@@ -364,6 +369,12 @@ def time_of_day(timestamps: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------- #
 
 
+def check_split_ratios(train_ratio: float, val_ratio: float) -> None:
+    """The ratio rule of `split_chronological`: a non-empty train share and room for a test split."""
+    if train_ratio <= 0 or val_ratio < 0 or train_ratio + val_ratio >= 1:
+        raise ConfigError(f"bad split ratios train={train_ratio}, val={val_ratio}")
+
+
 def split_chronological(
     series: SpeedSeries,
     train_ratio: float = 0.7,
@@ -374,8 +385,7 @@ def split_chronological(
     Train gets floor(train_ratio * T) rows, validation floor(val_ratio * T),
     test the remainder. Each slice keeps its absolute offset.
     """
-    if train_ratio <= 0 or val_ratio < 0 or train_ratio + val_ratio >= 1:
-        raise ConfigError(f"bad split ratios train={train_ratio}, val={val_ratio}")
+    check_split_ratios(train_ratio, val_ratio)
     t = series.length
     n_train = int(np.floor(train_ratio * t))
     n_val = int(np.floor(val_ratio * t))
@@ -394,6 +404,12 @@ def split_chronological(
     return _slice(0, n_train), _slice(n_train, n_train + n_val), _slice(n_train + n_val, t)
 
 
+def check_window_geometry(t_in: int, t_out: int, stride: int = 1) -> None:
+    """The geometry rule of `make_windows`: two input steps, one target step, a positive stride."""
+    if t_in < 2 or t_out < 1 or stride < 1:
+        raise ConfigError(f"bad window geometry t_in={t_in}, t_out={t_out}, stride={stride}")
+
+
 def make_windows(series: SpeedSeries, t_in: int, t_out: int, stride: int = 1) -> WindowSet:
     """Slice a series into overlapping (input, target) windows.
 
@@ -401,8 +417,7 @@ def make_windows(series: SpeedSeries, t_in: int, t_out: int, stride: int = 1) ->
     crosses the end of the series, and windowing a split keeps every window
     inside that split.
     """
-    if t_in < 2 or t_out < 1 or stride < 1:
-        raise ConfigError(f"bad window geometry t_in={t_in}, t_out={t_out}, stride={stride}")
+    check_window_geometry(t_in, t_out, stride)
     t = series.length
     if t < t_in + t_out:
         raise DataError(f"series of length {t} shorter than one window ({t_in}+{t_out})")

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import NormStats, SpeedSeries, WindowSet, invert_zscore, write_table
+from .data import NormStats, SpeedSeries, WindowSet, check_window_geometry, invert_zscore, write_table
 from .errors import ConfigError, NumericalError, ShapeError
 from .graphops import GconvParams, dygconv, gconv_spectral
 from .numerics import Adam, Params, Tensor, concat, glorot_uniform, no_grad, peak_rss_mb
@@ -48,8 +48,7 @@ class DgcpmDims:
         return self.dy_width + (self.prior_width if self.use_prior else 0)
 
     def __post_init__(self) -> None:
-        if self.t_in < 2 or self.t_out < 1:
-            raise ConfigError(f"bad horizon geometry t_in={self.t_in}, t_out={self.t_out}")
+        check_window_geometry(self.t_in, self.t_out)
         if self.dy_width < 1 or (self.use_prior and self.prior_width < 1):
             raise ConfigError("widths must be >= 1")
 

@@ -224,25 +224,13 @@ def _check_masked_mae(rng: np.random.Generator) -> GradReport:
     return grad_check(op, [pred], name="masked_mae_loss")
 
 
-_CHECKS: list[tuple[str, Callable[[np.random.Generator], GradReport]]] = [
-    ("msdot", _check_msdot),
-    ("gru_step", _check_gru_step),
-    ("graph_head_logits", _check_graph_head),
-    ("gconv_spectral", _check_gconv_spectral),
-    ("gconv_spatial", _check_gconv_spatial),
-    ("dygconv", _check_dygconv),
-    ("sem_reconstruct", _check_sem_reconstruct),
-    ("notears_h", _check_notears_h),
-    ("grcsl_loss_full", _check_grcsl_loss),
-    ("dgcpm_forward", _check_dgcpm_forward),
-    ("masked_mae_loss", _check_masked_mae),
-    ("graph_head_train", _check_graph_head_train),
+_CHECKS: list[Callable[[np.random.Generator], GradReport]] = [
+    _check_msdot, _check_gru_step, _check_graph_head, _check_gconv_spectral, _check_gconv_spatial, _check_dygconv,
+    _check_sem_reconstruct, _check_notears_h, _check_grcsl_loss, _check_dgcpm_forward, _check_masked_mae,
+    _check_graph_head_train,
 ]
 
 
 def gradient_suite(seed: int = 7) -> list[GradReport]:
     """Run every gradient check on small seeded instances."""
-    reports = []
-    for i, (name, fn) in enumerate(_CHECKS):
-        reports.append(fn(np.random.default_rng(seed + i)))
-    return reports
+    return [check(np.random.default_rng(seed + i)) for i, check in enumerate(_CHECKS)]

@@ -1,7 +1,9 @@
 """Command-line interface tests: config resolution, exit codes, the pipeline."""
 
+import argparse
 import ast
 import csv
+import dataclasses
 import logging
 import os
 import shutil
@@ -80,26 +82,109 @@ def test_config_file_parsing(tmp_path):
 
 
 def test_run_config_builds_each_component_config():
-    cfg = RunConfig(
+    cfg = RunConfig.from_keys(
         h_r=7, t_out=5, lam=0.25, structure_lr=0.5, structure_batch=3,
         forecast_lr=0.125, forecast_epochs=9, forecast_batch=4, patience=2, seed=6,
     )
-    assert cfg.grcsl_dims().h_r == 7
-    assert cfg.dgcpm_dims().t_out == 5
-    g = cfg.grcsl_train_config()
-    assert (g.lam, g.lr, g.batch_size, g.seed) == (0.25, 0.5, 3, 6)
-    d = cfg.dgcpm_train_config()
-    assert (d.lr, d.max_epochs, d.batch_size, d.patience, d.seed) == (0.125, 9, 4, 2, 6)
+    assert cfg.grcsl_dims == GrcslDims(h_r=7)
+    assert cfg.dgcpm_dims == DgcpmDims(t_out=5)
+    assert cfg.grcsl_train == GrcslTrainConfig(lam=0.25, lr=0.5, batch_size=3, seed=6)
+    assert cfg.dgcpm_train == DgcpmTrainConfig(lr=0.125, max_epochs=9, batch_size=4, patience=2, seed=6)
+    assert cfg.seed == 6
+    assert RunConfig() == RunConfig.from_keys()
 
 
-def test_run_config_defaults_equal_the_component_defaults():
-    # RunConfig repeats every component default by hand, under renamed keys for the
-    # training configs' lr, batch_size and max_epochs; default configs must come out equal.
-    cfg = RunConfig()
-    assert cfg.grcsl_dims() == GrcslDims()
-    assert cfg.dgcpm_dims() == DgcpmDims()
-    assert cfg.grcsl_train_config() == GrcslTrainConfig()
-    assert cfg.dgcpm_train_config() == DgcpmTrainConfig()
+# The flat key namespace: every key a config file or a --flag can set.
+CONFIG_KEYS = (
+    "speed_csv dist_csv out_dir structure_checkpoint forecast_checkpoint forecast_csv static_graph_file "
+    "t_in t_out stride train_ratio val_ratio kappa heads d_att h_r d_s h_m sem_width gconv_layers tau "
+    "dy_width prior_width use_prior graph_source lam eta gamma xi alpha0 rho0 inner_epochs max_outer_iters "
+    "structure_lr structure_batch forecast_lr forecast_epochs forecast_batch curriculum_step patience "
+    "synth_n synth_t synth_regimes synth_density synth_noise_std synth_weight_min synth_weight_max "
+    "synth_max_radius synth_offset synth_scale synth_start_ts seed graph_threshold horizons export_split"
+).split()
+COMPONENTS = {"grcsl_dims": GrcslDims, "dgcpm_dims": DgcpmDims, "grcsl_train": GrcslTrainConfig,
+              "dgcpm_train": DgcpmTrainConfig}
+
+
+def test_the_config_keys_and_flags_are_pinned_by_name():
+    assert len(CONFIG_KEYS) == len(set(CONFIG_KEYS)) == 55
+    assert set(cli._KEYS) == set(CONFIG_KEYS)
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    want = {"-h", "--help", "--config", *("--" + key.replace("_", "-") for key in CONFIG_KEYS)}
+    for command, parser in subparsers.choices.items():
+        assert {flag for action in parser._actions for flag in action.option_strings} == want, command
+
+
+# The training configs' fields that take a key of another name: key -> (RunConfig field, component field).
+RENAMED = {
+    "structure_lr": ("grcsl_train", "lr"), "structure_batch": ("grcsl_train", "batch_size"),
+    "forecast_lr": ("dgcpm_train", "lr"), "forecast_epochs": ("dgcpm_train", "max_epochs"),
+    "forecast_batch": ("dgcpm_train", "batch_size"),
+}
+
+
+def every_field(cfg: RunConfig) -> dict[tuple[str | None, str], object]:
+    """(component, field) -> value for RunConfig's own fields (component None) and every component's."""
+    values = {(None, f.name): getattr(cfg, f.name) for f in dataclasses.fields(cfg) if f.name not in COMPONENTS}
+    for part in COMPONENTS:
+        component = getattr(cfg, part)
+        values.update({(part, f.name): getattr(component, f.name) for f in dataclasses.fields(component)})
+    return values
+
+
+def changed_value(key: str, default) -> str:
+    """A valid non-default value for `key`, as a config file spells it."""
+    special = {"graph_source": "distance", "export_split": "val", "horizons": "1,2"}
+    if isinstance(default, bool):
+        return str(not default).lower()
+    if isinstance(default, int):
+        return str(default + 1)
+    if isinstance(default, float):
+        return repr(default / 2 if default else 0.5)
+    return special.get(key, f"some/{key}.csv")
+
+
+@pytest.mark.parametrize("source", ["file", "flag"])
+def test_each_key_reaches_every_field_it_feeds(tmp_path, monkeypatch, source):
+    monkeypatch.delenv("TVDBN_SEED", raising=False)
+    defaults = every_field(RunConfig())
+    for key in CONFIG_KEYS:
+        fed = [RENAMED[key]] if key in RENAMED else [spot for spot in defaults if spot[1] == key]
+        raw = changed_value(key, defaults[fed[0]])
+        if source == "file":
+            path = tmp_path / f"{key}.cfg"
+            path.write_text(f"{key}={raw}\n")
+            argv = ["synth", "--config", str(path)]
+        else:
+            argv = ["synth", "--" + key.replace("_", "-"), raw]
+        values = every_field(resolve_config(build_parser().parse_args(argv)))
+        moved = {spot: value for spot, value in values.items() if value != defaults[spot]}
+        assert moved == {spot: cli._coerce(key, raw) for spot in fed}, key
+
+
+def test_shared_keys_have_one_type_and_one_default():
+    shared = {key: spots for key, spots in cli._KEYS.items() if len(spots) > 1}
+    assert set(shared) == {"seed", "gconv_layers", "use_prior"}
+    for key, spots in shared.items():
+        assert len({field.type for _, field in spots}) == 1, key
+        assert len({field.default for _, field in spots}) == 1, key
+
+
+def test_the_fields_a_shared_key_sets_must_agree():
+    with pytest.raises(ConfigError, match="key 'use_prior' sets disagree"):
+        RunConfig(grcsl_dims=GrcslDims(use_prior=False))
+    with pytest.raises(ConfigError, match="key 'seed' sets disagree"):
+        RunConfig(seed=4)
+
+
+def test_run_config_declares_no_component_field():
+    own = {f.name for f in dataclasses.fields(RunConfig)} - set(COMPONENTS)
+    for part, cls in COMPONENTS.items():
+        assert isinstance(getattr(RunConfig(), part), cls)
+        # seed also seeds `synth`, so RunConfig keeps it and the key sets all three.
+        assert own & {f.name for f in dataclasses.fields(cls)} <= {"seed"}, part
+    assert not own & set(RENAMED)
 
 
 def test_config_file_rejects_unknown_keys_and_bad_values(tmp_path):
@@ -129,9 +214,9 @@ def test_flags_override_file_values(tmp_path):
     parser = build_parser()
     args = parser.parse_args(["synth", "--config", str(path), "--t-in", "10"])
     cfg = resolve_config(args)
-    assert cfg.t_in == 10  # flag wins
-    assert cfg.seed == 3  # file wins over default
-    assert cfg.t_out == RunConfig().t_out  # untouched default
+    assert cfg.dgcpm_dims.t_in == 10  # flag wins
+    assert cfg.seed == cfg.grcsl_train.seed == cfg.dgcpm_train.seed == 3  # file wins over default
+    assert cfg.dgcpm_dims.t_out == DgcpmDims().t_out  # untouched default
 
 
 def test_env_seed_overrides_everything(tmp_path, monkeypatch):
@@ -148,10 +233,9 @@ def test_env_seed_overrides_everything(tmp_path, monkeypatch):
 
 def test_boolean_flags_accept_word_forms():
     parser = build_parser()
-    args = parser.parse_args(["synth", "--use-prior", "off"])
-    assert resolve_config(args).use_prior is False
-    args = parser.parse_args(["synth", "--use-prior", "YES"])
-    assert resolve_config(args).use_prior is True
+    for word, value in (("off", False), ("YES", True)):
+        cfg = resolve_config(parser.parse_args(["synth", "--use-prior", word]))
+        assert cfg.grcsl_dims.use_prior is cfg.dgcpm_dims.use_prior is value
 
 
 def test_horizon_list_parsing():
@@ -645,7 +729,7 @@ def test_ablation_graph_sources_run_without_a_checkpoint(pipeline, tmp_path):
 
 @pytest.mark.parametrize("source", ["distance", "static-dbn-file"])
 def test_constant_graph_sources_are_read_only_views_of_one_pair(pipeline, source):
-    cfg = RunConfig(
+    cfg = RunConfig.from_keys(
         speed_csv=str(pipeline / "speed.csv"), dist_csv=str(pipeline / "dist.csv"),
         static_graph_file=str(pipeline / "truth_edges.csv"),
         t_in=6, t_out=3, stride=3, graph_source=source,
@@ -743,7 +827,16 @@ def test_batch_sizes_below_one_are_configuration_errors(pipeline, tmp_path, capl
     ("train-structure", "--tau=0", "temperature must be positive"),
     ("export-graphs", "--export-split=bogus", "export_split"),
     ("predict", "--graph-source=bogus", "unknown graph_source 'bogus'"),
-], ids=["train-forecast-batch", "predict-batch", "tau", "export-split", "graph-source"])
+    ("train-structure", "--stride=0", "bad window geometry t_in=6, t_out=3, stride=0"),
+    ("train-structure", "--kappa=0", "kappa must be in (0, 1], got 0.0"),
+    ("train-forecast", "--train-ratio=0.95", "bad split ratios train=0.95, val=0.1"),
+    ("evaluate", "--horizons=", "horizons must list distinct steps >= 1, got ''"),
+    ("evaluate", "--horizons=0,1", "horizons must list distinct steps >= 1, got '0,1'"),
+    ("evaluate", "--horizons=1,1", "horizons must list distinct steps >= 1, got '1,1'"),
+    ("export-graphs", "--graph-threshold=-1", "graph_threshold must be in [0, 1), got -1.0"),
+    ("export-graphs", "--graph-threshold=1", "graph_threshold must be in [0, 1), got 1.0"),
+], ids=["train-forecast-batch", "predict-batch", "tau", "export-split", "graph-source", "stride", "kappa",
+        "split-ratios", "no-horizons", "horizon-0", "repeated-horizon", "threshold-below-0", "threshold-1"])
 def test_a_bad_config_exits_one_before_any_file_is_read_or_written(
     pipeline, tmp_path, monkeypatch, caplog, stage, flag, message
 ):
