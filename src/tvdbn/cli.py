@@ -11,7 +11,8 @@ Commands:
   checkpoint;
 * ``predict``: forecast the test split and write per-cell rows;
 * ``evaluate``: score the forecast CSV ``forecast_csv``, by default the
-  ``forecasts.csv`` that ``predict`` wrote to ``out_dir``, and write text and
+  ``forecasts.csv`` that ``predict`` wrote to ``out_dir``, at exactly the
+  ``horizons`` steps (each must fit the forecast's range), and write text and
   CSV reports;
 * ``gradcheck``: run the analytic-vs-numeric gradient suite.
 
@@ -41,6 +42,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from .constraint import GrcslTrainConfig, save_history, train_grcsl
 from .data import (
+    DISTANCE_CSV_HEADER,
     NormStats,
     SpeedSeries,
     WindowSet,
@@ -62,13 +64,13 @@ from .data import (
     invert_zscore,
 )
 from .dgcpm import (
-    FORECAST_CSV_HEADER,
     DgcpmDims,
     DgcpmTrainConfig,
     SplitArrays,
     baseline_masked_mae,
     curriculum_train,
     export_forecasts,
+    load_forecasts,
     node_mean_baseline,
     predict as dgcpm_predict,
 )
@@ -419,7 +421,7 @@ def cmd_synth(cfg: RunConfig) -> int:
     dist_path = os.path.join(cfg.out_dir, "dist.csv")
     save_speed_table(speed_path, series)
     rows = planar_distance_rows(series.sensor_ids, seed=cfg.seed + 1)
-    write_table(dist_path, ["from", "to", "dist"], ((src, dst, f"{d:.6f}") for src, dst, d in rows))
+    write_table(dist_path, DISTANCE_CSV_HEADER, ((src, dst, f"{d:.6f}") for src, dst, d in rows))
     save_truth(os.path.join(cfg.out_dir, "truth.npz"), truth)
     export_truth_edges(
         os.path.join(cfg.out_dir, "truth_edges.csv"), truth, series.sensor_ids, cfg.synth_start_ts
@@ -503,55 +505,11 @@ def cmd_predict(cfg: RunConfig) -> int:
     return 0
 
 
-_FORECAST_CELL = np.dtype(
-    [("ts", "i8"), ("h", "i8"), ("sensor", "i8"), ("pred", "f8"), ("actual", "f8"), ("valid", "?")]
-)
-
-
-def _load_forecast_csv(path: str):
-    sensor_index: dict[str, int] = {}  # in order of first appearance
-    rows = read_table(path)
-    if next(rows)[1] != FORECAST_CSV_HEADER:
-        raise DataError(f"{path}: expected forecast CSV header {','.join(FORECAST_CSV_HEADER)}")
-
-    def cells():
-        for line_no, (ts, step, sid, pred, actual, valid) in rows:
-            try:
-                window, h = int(ts), int(step)
-                cell = (float(pred), float(actual), bool(int(valid)))
-            except ValueError:
-                raise DataError(f"{path} line {line_no}: malformed cell") from None
-            if h < 1:
-                raise DataError(f"{path} line {line_no}: horizon_step must be >= 1, got {h}")
-            yield (window, h, sensor_index.setdefault(sid, len(sensor_index)), *cell)
-
-    try:
-        table = np.fromiter(cells(), dtype=_FORECAST_CELL)
-    except OverflowError:
-        raise DataError(f"{path}: a window_start_ts or horizon_step does not fit in 64 bits") from None
-    if not table.size:
-        raise DataError(f"{path}: no forecast rows")
-    starts, win = np.unique(table["ts"], return_inverse=True)
-    shape = (len(starts), int(table["h"].max()), len(sensor_index))
-    flat = np.ravel_multi_index((win, table["h"] - 1, table["sensor"]), shape)
-    if len(np.unique(flat)) < len(flat):
-        raise DataError(f"{path}: a (window, horizon_step, sensor_id) cell appears more than once")
-    preds, actuals, valid = np.zeros(shape), np.zeros(shape), np.zeros(shape, dtype=bool)
-    for out, column in ((preds, "pred"), (actuals, "actual"), (valid, "valid")):
-        np.put(out, flat, table[column])
-    return preds, actuals, valid
-
-
 def cmd_evaluate(cfg: RunConfig) -> int:
     _require(cfg, "out_dir")
     _make_out_dirs(cfg)
-    preds, actuals, valid = _load_forecast_csv(cfg.forecast_csv or os.path.join(cfg.out_dir, "forecasts.csv"))
-    horizons = [h for h in cfg.horizon_list() if h <= preds.shape[1]]
-    if not horizons:
-        raise ConfigError(
-            f"no requested horizon fits the forecast range 1..{preds.shape[1]}"
-        )
-    report = evaluate_metrics(preds, actuals, valid, horizons)
+    preds, actuals, valid = load_forecasts(cfg.forecast_csv or os.path.join(cfg.out_dir, "forecasts.csv"))
+    report = evaluate_metrics(preds, actuals, valid, cfg.horizon_list())
     text = render_report(report)
     write_report_csv(os.path.join(cfg.out_dir, "report.csv"), report)
     with open(os.path.join(cfg.out_dir, "report.txt"), "w") as fh:

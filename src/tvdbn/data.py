@@ -32,6 +32,7 @@ from .errors import ConfigError, DataError, NumericalError
 _EPOCH = datetime(1970, 1, 1)
 TICK_SECONDS = 300  # fixed 5-minute sampling period
 SECONDS_PER_DAY = 86400.0
+DISTANCE_CSV_HEADER = ["from", "to", "dist"]
 
 
 @dataclass
@@ -267,8 +268,8 @@ def load_distance_rows(path: str, sensor_ids: list[str]) -> list[tuple[str, str,
     """Parse a `from,to,dist` CSV between known sensors into (from_id, to_id, distance) rows."""
     known = set(sensor_ids)
     rows = read_table(path)
-    if next(rows)[1] != ["from", "to", "dist"]:
-        raise DataError(f"{path}: expected header 'from,to,dist'")
+    if next(rows)[1] != DISTANCE_CSV_HEADER:
+        raise DataError(f"{path}: expected header '{','.join(DISTANCE_CSV_HEADER)}'")
     out: list[tuple[str, str, float]] = []
     for line_no, (src, dst, dist) in rows:
         where = f"{path} line {line_no}"

@@ -9,8 +9,11 @@ every node's stacked history to its full forecast horizon.
 
 Training is curricular: the masked-MAE loss sees one horizon step at first
 and one more every few epochs until the full horizon is covered, after
-which early stopping on validation MAE takes over. The graph generator is
-frozen throughout: graphs are produced once, in eval mode, per window.
+which early stopping on validation MAE takes over. That MAE is the overall
+MAE of `metrics.evaluate` on `predict`'s forecast of the validation split,
+so early stopping minimizes exactly what the report shows. The graph
+generator is frozen throughout: graphs are produced once, in eval mode, per
+window.
 """
 
 from __future__ import annotations
@@ -22,14 +25,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import NormStats, SpeedSeries, WindowSet, check_window_geometry, invert_zscore, write_table
-from .errors import ConfigError, NumericalError, ShapeError
+from .data import NormStats, SpeedSeries, WindowSet, check_window_geometry, invert_zscore, read_table, write_table
+from .errors import ConfigError, DataError, NumericalError, ShapeError
 from .graphops import GconvParams, dygconv, gconv_spectral
+from .metrics import evaluate
 from .numerics import Adam, Params, Tensor, concat, glorot_uniform, no_grad, peak_rss_mb
 
 log = logging.getLogger(__name__)
 
 FORECAST_CSV_HEADER = ["window_start_ts", "horizon_step", "sensor_id", "predicted", "actual", "valid"]
+_FORECAST_CELL = np.dtype(
+    [("ts", "i8"), ("h", "i8"), ("sensor", "i8"), ("pred", "f8"), ("actual", "f8"), ("valid", "?")]
+)
 
 
 @dataclass(frozen=True)
@@ -204,33 +211,6 @@ class SplitArrays:
         )
 
 
-def _forward_batches(split: SplitArrays, prior, params: DgcpmParams, batch_size: int):
-    """Eval-mode forecasts (B, T_out, N, 1) of a split's consecutive batches, each with its slice."""
-    if batch_size < 1:
-        raise ConfigError(f"batch size must be >= 1, got {batch_size}")
-    for lo in range(0, split.values.shape[0], batch_size):
-        rows = slice(lo, lo + batch_size)
-        with no_grad():
-            pred = dgcpm_forward_batch(
-                split.values[rows], split.tod[rows], split.intra[rows], split.inter[rows],
-                prior, params,
-            )
-        yield rows, pred.data
-
-
-def _val_mae(split: SplitArrays, prior, params: DgcpmParams, stats: NormStats, batch: int) -> float:
-    """Full-horizon masked MAE on a split, in original units."""
-    total = 0.0
-    count = 0.0
-    for rows, pred in _forward_batches(split, prior, params, batch):
-        m = split.target_mask[rows]
-        total += float((np.abs(pred - split.target[rows]) * m).sum())
-        count += float(m.sum())
-    if count == 0:
-        return 0.0
-    return stats.std * total / count  # |a - b| scales linearly back to original units
-
-
 def curriculum_train(
     train: SplitArrays,
     val: SplitArrays,
@@ -243,20 +223,23 @@ def curriculum_train(
 
     The loss horizon starts at 1 and grows by one every `curriculum_step`
     epochs until it reaches t_out; validation MAE (full horizon, original
-    units) is recorded every epoch, with the epoch's wall time (`seconds`)
-    and the process's peak RSS so far (`peak_rss_mb`); once the schedule is
-    complete, early stopping with the configured patience returns the
-    best-on-validation parameters.
+    units, scored by `metrics.evaluate`) is recorded every epoch, with the
+    epoch's wall time (`seconds`) and the process's peak RSS so far
+    (`peak_rss_mb`); once the schedule is complete, early stopping with the
+    configured patience returns the best-on-validation parameters. A
+    validation split without one observed target cell is a `DataError`.
     """
+    w = train.values.shape[0]
+    if w == 0:
+        raise ConfigError("no training windows")
+    if not val.target_mask.any():
+        raise DataError("the validation split has no observed target cell to score")
     seq = np.random.SeedSequence(cfg.seed)
     init_seed, shuffle_seed = seq.spawn(2)
     params = DgcpmParams.init(np.random.default_rng(init_seed), dims)
     rng = np.random.default_rng(shuffle_seed)
     opt = Adam(params.parameters(), lr=cfg.lr)
 
-    w = train.values.shape[0]
-    if w == 0:
-        raise ConfigError("no training windows")
     history: list[dict] = []
     best_mae = float("inf")
     best_params = copy.deepcopy(params)
@@ -280,7 +263,10 @@ def curriculum_train(
             loss_total += float(loss.data)
             batches += 1
             del pred, loss  # free this step's graph before the next step builds its own
-        val_mae = _val_mae(val, prior, params, stats, cfg.batch_size)
+        val_mae = evaluate(
+            predict(val, prior, params, stats, cfg.batch_size),
+            invert_zscore(stats, val.target[..., 0]), val.target_mask[..., 0], [],
+        ).overall.mae
         row = {
             "epoch": epoch + 1,
             "horizon_limit": horizon,
@@ -319,10 +305,19 @@ def predict(
     prior: np.ndarray | None,
     params: DgcpmParams,
     stats: NormStats,
-    batch_size: int = 32,
+    batch_size: int,
 ) -> np.ndarray:
-    """Forecast every window of a split; returns (W, T_out, N) original units."""
-    outputs = [pred[..., 0] for _, pred in _forward_batches(split, prior, params, batch_size)]
+    """Eval-mode forecast of every window, `batch_size` at a time; returns (W, T_out, N) in original units."""
+    if batch_size < 1:
+        raise ConfigError(f"batch size must be >= 1, got {batch_size}")
+    outputs = []
+    with no_grad():
+        for lo in range(0, split.values.shape[0], batch_size):
+            rows = slice(lo, lo + batch_size)
+            pred = dgcpm_forward_batch(
+                split.values[rows], split.tod[rows], split.intra[rows], split.inter[rows], prior, params
+            )
+            outputs.append(pred.data[..., 0])
     return invert_zscore(stats, np.concatenate(outputs, axis=0))
 
 
@@ -338,14 +333,11 @@ def node_mean_baseline(train_series: SpeedSeries) -> np.ndarray:
     return np.where(observed > 0, sums / np.maximum(observed, 1), global_mean)
 
 
-def baseline_masked_mae(
-    baseline: np.ndarray, windows: WindowSet, stats: NormStats
-) -> float:
-    """Masked MAE of the constant per-node predictor, original units."""
+def baseline_masked_mae(baseline: np.ndarray, windows: WindowSet, stats: NormStats) -> float | None:
+    """Masked MAE of the constant per-node predictor, original units; None when no target cell is observed."""
     actual = invert_zscore(stats, windows.target[..., 0])
-    m = windows.target_mask[..., 0]
-    count = float(m.sum())
-    return float((np.abs(baseline - actual) * m).sum()) / count if count else 0.0
+    forecast = np.broadcast_to(baseline, actual.shape)
+    return evaluate(forecast, actual, windows.target_mask[..., 0], []).overall.mae
 
 
 def export_forecasts(
@@ -369,3 +361,42 @@ def export_forecasts(
                     yield t, h, sid, f"{p:.10g}", f"{a:.10g}", v
 
     write_table(path, FORECAST_CSV_HEADER, rows())
+
+
+def load_forecasts(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read a forecast CSV as `export_forecasts` writes it into (W, T_out, N) predictions, actuals and flags.
+
+    Windows are ordered by start time and sensors by first appearance; a
+    cell the file does not list is an invalid zero.
+    """
+    sensor_index: dict[str, int] = {}  # in order of first appearance
+    rows = read_table(path)
+    if next(rows)[1] != FORECAST_CSV_HEADER:
+        raise DataError(f"{path}: expected forecast CSV header {','.join(FORECAST_CSV_HEADER)}")
+
+    def cells():
+        for line_no, (ts, step, sid, pred, actual, valid) in rows:
+            try:
+                window, h = int(ts), int(step)
+                cell = (float(pred), float(actual), bool(int(valid)))
+            except ValueError:
+                raise DataError(f"{path} line {line_no}: malformed cell") from None
+            if h < 1:
+                raise DataError(f"{path} line {line_no}: horizon_step must be >= 1, got {h}")
+            yield (window, h, sensor_index.setdefault(sid, len(sensor_index)), *cell)
+
+    try:
+        table = np.fromiter(cells(), dtype=_FORECAST_CELL)
+    except OverflowError:
+        raise DataError(f"{path}: a window_start_ts or horizon_step does not fit in 64 bits") from None
+    if not table.size:
+        raise DataError(f"{path}: no forecast rows")
+    starts, win = np.unique(table["ts"], return_inverse=True)
+    shape = (len(starts), int(table["h"].max()), len(sensor_index))
+    flat = np.ravel_multi_index((win, table["h"] - 1, table["sensor"]), shape)
+    if len(np.unique(flat)) < len(flat):
+        raise DataError(f"{path}: a (window, horizon_step, sensor_id) cell appears more than once")
+    preds, actuals, valid = np.zeros(shape), np.zeros(shape), np.zeros(shape, dtype=bool)
+    for out, column in ((preds, "pred"), (actuals, "actual"), (valid, "valid")):
+        np.put(out, flat, table[column])
+    return preds, actuals, valid

@@ -698,7 +698,7 @@ def export_graph_edges(
     inter: np.ndarray,
     start_ts: np.ndarray,
     sensor_ids: list[str],
-    threshold: float = 0.5,
+    threshold: float,
 ) -> int:
     """Write thresholded edges as CSV rows, one per surviving edge.
 

@@ -19,7 +19,7 @@ from tvdbn.checkpoint import load_graphs, load_grcsl, save_graphs
 from tvdbn.cli import RunConfig, build_parser, main, parse_config_file, resolve_config
 from tvdbn.constraint import GrcslTrainConfig
 from tvdbn.data import load_speed_table, make_windows, save_speed_table, split_chronological
-from tvdbn.dgcpm import FORECAST_CSV_HEADER, DgcpmDims, DgcpmTrainConfig
+from tvdbn.dgcpm import FORECAST_CSV_HEADER, DgcpmDims, DgcpmTrainConfig, load_forecasts
 from tvdbn.errors import ConfigError, DataError
 from tvdbn.grcsl import EDGE_CSV_HEADER, GrcslDims, graph_stacks
 from tvdbn.synth import to_speed_series
@@ -339,7 +339,7 @@ def test_each_cli_input_is_read_in_one_function():
                 if isinstance(node, ast.Call):
                     callee = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
                     callers[callee].add(fn.name)
-    for name in ("load_speed_table", "make_windows", "load_grcsl", "_load_forecast_csv"):
+    for name in ("load_speed_table", "make_windows", "load_grcsl", "load_forecasts"):
         assert len(callers[name]) == 1, (name, sorted(callers[name]))
 
 
@@ -586,6 +586,32 @@ def test_evaluate_scores_what_predict_wrote_and_reads_nothing_else(pipeline, tmp
     assert (out / "report.csv").read_bytes() == (pipeline / "report.csv").read_bytes()
 
 
+def test_evaluate_refuses_a_horizon_beyond_the_forecast_and_writes_no_report(pipeline, tmp_path, caplog):
+    out = tmp_path / "run"
+    out.mkdir()
+    shutil.copy(pipeline / "forecasts.csv", out)
+    assert main(["evaluate", "--out-dir", str(out), "--horizons", "1,2,3,6"]) == 1  # TINY forecasts 3 steps
+    errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+    assert len(errors) == 1 and "horizon 6 outside the forecast range 1..3" in errors[0], errors
+    assert sorted(os.listdir(out)) == ["forecasts.csv"]
+
+
+def test_a_validation_split_without_readings_fails_train_forecast_before_training(pipeline, tmp_path, caplog):
+    series = load_speed_table(str(pipeline / "speed.csv"))
+    _, val, _ = split_chronological(series)
+    series.values[val.offset : val.offset + val.length] = 0.0  # the missing-reading marker
+    speed = tmp_path / "speed.csv"
+    save_speed_table(str(speed), series)
+    argv = [
+        "train-forecast", "--config", str(pipeline / "run.cfg"), "--out-dir", str(tmp_path / "run"),
+        "--speed-csv", str(speed), "--dist-csv", str(pipeline / "dist.csv"), "--graph-source", "distance",
+    ]
+    assert main(argv) == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+    assert len(errors) == 1 and "validation split has no observed target cell" in errors[0], errors
+    assert not (tmp_path / "run" / "forecast_history.csv").exists()
+
+
 def test_each_stage_windows_only_the_splits_it_reads(pipeline, tmp_path, monkeypatch):
     out = tmp_path / "run"
     shutil.copytree(pipeline, out)
@@ -674,7 +700,7 @@ def test_evaluate_rejects_a_horizon_step_below_one(tmp_path, caplog, step):
 def test_forecast_cells_land_by_window_time_step_and_first_seen_sensor(tmp_path):
     path = tmp_path / "forecasts.csv"
     write_forecast_rows(path, [[200, 2, "b", 1.5, 2.5, 1], [100, 1, "b", 3.0, 4.0, 0], [100, 2, "a", 5.0, 6.0, 1]])
-    preds, actuals, valid = cli._load_forecast_csv(str(path))
+    preds, actuals, valid = load_forecasts(str(path))
     want_preds, want_actuals, want_valid = np.zeros((2, 2, 2)), np.zeros((2, 2, 2)), np.zeros((2, 2, 2), dtype=bool)
     for cell, p, a, v in (((1, 1, 0), 1.5, 2.5, True), ((0, 0, 0), 3.0, 4.0, False), ((0, 1, 1), 5.0, 6.0, True)):
         want_preds[cell], want_actuals[cell], want_valid[cell] = p, a, v

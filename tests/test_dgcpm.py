@@ -1,7 +1,9 @@
 """Forecaster tests: composition oracle, masked loss fixtures, curriculum."""
 
+import copy
 import csv
 import ctypes
+import dataclasses
 import logging
 import resource
 import weakref
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import without_measurements
 from tvdbn import dgcpm
-from tvdbn.data import NormStats, SpeedSeries, make_windows, zscore_fit_apply
+from tvdbn.data import NormStats, SpeedSeries, invert_zscore, make_windows, zscore_fit_apply
 from tvdbn.dgcpm import (
     DgcpmDims,
     DgcpmParams,
@@ -27,8 +29,9 @@ from tvdbn.dgcpm import (
     node_mean_baseline,
     predict,
 )
-from tvdbn.errors import ConfigError, NumericalError, ShapeError
+from tvdbn.errors import ConfigError, DataError, NumericalError, ShapeError
 from tvdbn.graphops import dygconv, gconv_spectral
+from tvdbn.metrics import evaluate
 from tvdbn.numerics import Tensor, no_grad
 from tvdbn.synth import sample_tvdbn, simulate_linear_sem, to_speed_series
 
@@ -246,6 +249,46 @@ def test_best_parameters_track_the_validation_minimum():
     assert stats.std * total / count == pytest.approx(result.best_val_mae, rel=1e-12)
 
 
+def test_validation_mae_is_the_overall_mae_that_evaluate_reports(monkeypatch):
+    """Each epoch's val_mae is what `metrics.evaluate` reports for `predict` on that epoch's parameters."""
+    split, stats, _, _ = build_split()
+    val, _, _, _ = build_split(seed=3)
+    epoch_params = []
+
+    def recorded_predict(split, prior, params, stats, batch_size):
+        epoch_params.append(copy.deepcopy(params))
+        return predict(split, prior, params, stats, batch_size)
+
+    def reported_mae(params):
+        preds = predict(val, None, params, stats, batch_size=cfg.batch_size)
+        return evaluate(preds, invert_zscore(stats, val.target[..., 0]), val.target_mask[..., 0], []).overall.mae
+
+    monkeypatch.setattr(dgcpm, "predict", recorded_predict)
+    cfg = DgcpmTrainConfig(max_epochs=4, batch_size=16, patience=50, seed=2)
+    result = curriculum_train(split, val, None, small_dims(use_prior=False), stats, cfg)
+    assert len(epoch_params) == len(result.history) == 4
+    assert [row["val_mae"] for row in result.history] == [reported_mae(p) for p in epoch_params]
+    assert result.best_val_mae == reported_mae(result.params)
+
+
+@pytest.mark.parametrize("unscorable", ["no-windows", "no-observed-cell"])
+def test_an_unscorable_validation_split_is_a_data_error(monkeypatch, unscorable):
+    split, stats, _, _ = build_split()
+    val, _, _, _ = build_split(seed=3)
+    if unscorable == "no-windows":
+        val = SplitArrays(*(getattr(val, f.name)[:0] for f in dataclasses.fields(val)))
+    else:
+        val.target_mask = np.zeros_like(val.target_mask)
+
+    def refuse(*args):
+        raise AssertionError("no epoch may run")
+
+    monkeypatch.setattr(dgcpm, "dgcpm_forward_batch", refuse)
+    cfg = DgcpmTrainConfig(max_epochs=2, seed=0)
+    with pytest.raises(DataError, match="validation split has no observed target cell"):
+        curriculum_train(split, val, None, small_dims(use_prior=False), stats, cfg)
+
+
 def test_training_reduces_train_loss():
     split, stats, _, _ = build_split()
     cfg = DgcpmTrainConfig(max_epochs=10, curriculum_step=1, patience=50, seed=0)
@@ -324,15 +367,15 @@ def test_second_epoch_reuses_the_first_epochs_pages(monkeypatch):
         target_mask=np.ones(target.shape, dtype=bool), intra=intra,
         inter=rng.uniform(0.0, 0.4, (w, t_in - 1, n, n)),
     )
-    faults = []  # minor faults so far, at the end of each epoch
-    val_mae = dgcpm._val_mae
+    faults = []  # minor faults so far, at each epoch's validation forecast
+    forecast = dgcpm.predict
 
-    def counted_val_mae(*args):
-        mae = val_mae(*args)
+    def counted_predict(*args):
+        pred = forecast(*args)
         faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
-        return mae
+        return pred
 
-    monkeypatch.setattr(dgcpm, "_val_mae", counted_val_mae)
+    monkeypatch.setattr(dgcpm, "predict", counted_predict)
     dims = DgcpmDims(t_in=t_in, t_out=3, use_prior=False)
     cfg = DgcpmTrainConfig(max_epochs=2, batch_size=32, seed=0)
     curriculum_train(split, split, None, dims, NormStats(mean=0.0, std=1.0), cfg)
@@ -361,8 +404,8 @@ def test_predict_returns_original_units(rng):
     split, _, _, _ = build_split()
     dims = small_dims(use_prior=False)
     params = DgcpmParams.init(rng, dims)
-    raw = predict(split, None, params, NormStats(mean=0.0, std=1.0))
-    shifted = predict(split, None, params, NormStats(mean=5.0, std=2.0))
+    raw = predict(split, None, params, NormStats(mean=0.0, std=1.0), batch_size=32)
+    shifted = predict(split, None, params, NormStats(mean=5.0, std=2.0), batch_size=32)
     assert raw.shape == (split.values.shape[0], 3, 3)
     np.testing.assert_allclose(shifted, 5.0 + 2.0 * raw, atol=1e-12)
 

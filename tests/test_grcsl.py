@@ -1174,7 +1174,7 @@ def test_export_graph_edges_orders_rows_by_window_then_step_then_lag(tmp_path):
     intra[0, 0, 0, 1] = 0.66  # window 1, step 2, lag 0, b -> a
     path = tmp_path / "edges.csv"
     start_ts = np.array([100, 400])
-    assert export_graph_edges(str(path), intra, inter, start_ts, ["a", "b"]) == 6
+    assert export_graph_edges(str(path), intra, inter, start_ts, ["a", "b"], threshold=0.5) == 6
     assert read_rows(path)[1:] == [
         ["100", "2", "0", "b", "a", "0.66"],
         ["100", "2", "1", "a", "b", "0.64"],
@@ -1188,7 +1188,7 @@ def test_export_graph_edges_orders_rows_by_window_then_step_then_lag(tmp_path):
 def test_export_graph_edges_empty_sequence_writes_header_only(tmp_path):
     empty = np.zeros((1, 1, 2, 2))
     path = tmp_path / "edges.csv"
-    assert export_graph_edges(str(path), empty, empty, np.array([0]), ["a", "b"]) == 0
+    assert export_graph_edges(str(path), empty, empty, np.array([0]), ["a", "b"], threshold=0.5) == 0
     assert path.read_text().strip().count("\n") == 0
 
 
