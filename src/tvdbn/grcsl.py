@@ -367,11 +367,13 @@ def gru_step(c: Tensor, h0: Tensor, cells: GruCells) -> Tensor:
     (L, S, ..., P, H). One tape op: each lag's (..., P) rows are split into
     PARTS partitions, and each partition runs through every step as one task
     on 2-D rows (`_map_rows`). A task's gate products land gate-major in one
-    (3, rows, H) block [r, z, h~], so every elementwise op runs on contiguous
-    memory; its biases are tiled to that shape once and its temporaries live
-    in one scratch array, so no step allocates a temporary. The op keeps
-    only its inputs, the states and each step's gate block per partition,
-    which the backward frees as it passes them.
+    (3, rows, H) block [r, z, h~], reused at every step, so every elementwise
+    op runs on contiguous memory; its biases are tiled to that shape once and
+    its temporaries live in preallocated scratch, so no step allocates a
+    temporary. The op keeps only its inputs and the states: the backward
+    recomputes each step's gate block from the state before it with the
+    forward's own arithmetic, so the gates it differentiates are the
+    forward's bit for bit.
     """
     lags, steps, hid = cells.w_c.shape[0], c.shape[1], h0.shape[-1]
     if c.shape[0] != lags or h0.shape[0] != lags or c.shape[2:-1] != h0.shape[1:-1]:
@@ -383,27 +385,42 @@ def gru_step(c: Tensor, h0: Tensor, cells: GruCells) -> Tensor:
     w_c3, w_h2, w_hh, biases = (p.data for p in params)
     states, rows = np.empty((lags, steps) + h02.shape[1:]), h02.shape[1]
 
-    def forward(lag: int, k: int) -> list:  # partition k's gate blocks
-        part = _part(rows, k)
-        h, gates = h02[lag, part], []
-        bias = np.repeat(biases[lag][:, None], h.shape[0], axis=1)  # (3, rows, H)
-        a_h = np.empty((2,) + h.shape)  # h [w_hr, w_hz]; then r * h and its product with w_hh
-        for j in range(steps):
-            if track or not gates:
-                gates.append(np.empty((3,) + h.shape))
-            r, z, h_tilde = gate = gates[-1]
-            np.matmul(c3[lag, j, part], w_c3[lag], out=gate)
-            gate[:2] += np.matmul(h, w_h2[lag], out=a_h)
-            gate[:2] += bias[:2]
-            _stable_sigmoid(gate[:2], out=gate[:2])
-            h_tilde += np.matmul(np.multiply(r, h, out=a_h[0]), w_hh[lag], out=a_h[1])
-            h_tilde += bias[2]
-            np.tanh(h_tilde, out=h_tilde)
-            h = np.multiply(z, h, out=states[lag, j, part])
-            h += np.multiply(np.subtract(1.0, z, out=a_h[0]), h_tilde, out=a_h[0])
-        return gates if track else []
+    def buffers(lag: int, shape: tuple, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """One task's `count` (rows, H) scratch arrays, and its biases tiled to (3, rows, H).
 
-    gates = _map_rows(forward, lags)
+        The arrays are one block: allocated one by one, they split the heap's
+        free space, and structure training peaked about 10 MB higher.
+        """
+        return np.empty((count,) + shape), np.repeat(biases[lag][:, None], shape[0], axis=1)
+
+    def gates(lag: int, j: int, part: slice, h: np.ndarray, scratch: np.ndarray, bias: np.ndarray) -> None:
+        """Step j's gate block [r, z, h~] of partition `part` from the state `h` before it, into scratch[:3].
+
+        Forward and backward both run this, so the backward's gates are the
+        forward's bit for bit. scratch[3:5] (`a_h`) takes h [w_hr, w_hz], then
+        r * h, which it keeps, and its product with w_hh.
+        """
+        gate, a_h = scratch[:3], scratch[3:5]
+        r, _, h_tilde = gate
+        np.matmul(c3[lag, j, part], w_c3[lag], out=gate)
+        gate[:2] += np.matmul(h, w_h2[lag], out=a_h)
+        gate[:2] += bias[:2]
+        _stable_sigmoid(gate[:2], out=gate[:2])
+        h_tilde += np.matmul(np.multiply(r, h, out=a_h[0]), w_hh[lag], out=a_h[1])
+        h_tilde += bias[2]
+        np.tanh(h_tilde, out=h_tilde)
+
+    def forward(lag: int, k: int) -> None:  # partition k's states
+        part = _part(rows, k)
+        h = h02[lag, part]
+        scratch, bias = buffers(lag, h.shape, 5)
+        _, z, h_tilde, tmp, _ = scratch
+        for j in range(steps):
+            gates(lag, j, part, h, scratch, bias)
+            h = np.multiply(z, h, out=states[lag, j, part])
+            h += np.multiply(np.subtract(1.0, z, out=tmp), h_tilde, out=tmp)
+
+    _map_rows(forward, lags)
     out = states.reshape((lags, steps) + h0.shape[1:])
     if not track:
         return Tensor(out)
@@ -416,13 +433,15 @@ def gru_step(c: Tensor, h0: Tensor, cells: GruCells) -> Tensor:
         w_c, w_h = ([np.concatenate(w, axis=1) for w in stack] for stack in (w_c3, w_h2))
 
         def backward(lag: int, k: int) -> tuple:  # partition k's parameter gradients
-            # Steps in reverse, popping gate blocks. The pre-activation gradients are computed
-            # gate-major in `d`, then copied once into the (rows, 3H) buffer [r | z | h~] that
-            # every product and sum reads; the state's gradient becomes the carry in place.
+            # Steps in reverse, recomputing each step's gate block from the state before it. The
+            # pre-activation gradients are computed gate-major in `d`, then copied once into the
+            # (rows, 3H) buffer [r | z | h~] that every product and sum reads; the state's gradient
+            # becomes the carry in place.
             part = _part(rows, k)
-            h_0, blocks = h02[lag, part], gates[lag][k]
-            scratch = np.empty((7,) + h_0.shape)
-            d, one_minus, tmp, d_rh = scratch[:3], scratch[3:5], scratch[5], scratch[6]
+            h_0 = h02[lag, part]
+            scratch, bias = buffers(lag, h_0.shape, 11)
+            gate, d, one_minus, d_rh = scratch[:3], scratch[5:8], scratch[8:10], scratch[10]
+            r, z, h_tilde, r_h, tmp = scratch[:5]  # r_h: r * h_prev, left by `gates`
             d_rzh = np.empty(h_0.shape[:-1] + (3 * hid,))
             d_rz, d_h = d_rzh[:, : 2 * hid], d_rzh[:, 2 * hid :]
             carry = d_h0[lag, part] if d_h0 is not None else np.empty(h_0.shape)
@@ -430,7 +449,7 @@ def gru_step(c: Tensor, h0: Tensor, cells: GruCells) -> Tensor:
             for j in reversed(range(steps)):
                 g = grad[lag, j, part] if j == steps - 1 else np.add(grad[lag, j, part], carry, out=carry)
                 h_prev = states[lag, j - 1, part] if j else h_0
-                r, z, h_tilde = gate = blocks.pop()
+                gates(lag, j, part, h_prev, scratch, bias)
                 np.subtract(1.0, gate[:2], out=one_minus)
                 np.multiply(g, one_minus[1], out=d[2])
                 d[2] *= np.subtract(1.0, np.multiply(h_tilde, h_tilde, out=tmp), out=tmp)
@@ -441,7 +460,7 @@ def gru_step(c: Tensor, h0: Tensor, cells: GruCells) -> Tensor:
                 d_rzh.reshape(-1, 3, hid)[:] = d.swapaxes(0, 1)
                 g_wc = g_wc + c3[lag, j, part].T @ d_rzh
                 g_wh = g_wh + h_prev.T @ d_rz
-                g_whh = g_whh + np.multiply(r, h_prev, out=tmp).T @ d_h
+                g_whh = g_whh + r_h.T @ d_h
                 g_b = g_b + d_rzh.sum(axis=0)
                 if d_c is not None:
                     np.matmul(d_rzh, w_c[lag].T, out=d_c[lag, j, part])

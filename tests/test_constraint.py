@@ -24,7 +24,7 @@ from tvdbn.constraint import (
     save_history,
     train_grcsl,
 )
-from tvdbn.data import make_windows, zscore_fit_apply
+from tvdbn.data import WindowSet, make_windows, zscore_fit_apply
 from tvdbn.errors import ConfigError, ShapeError
 from tvdbn.grcsl import GrcslDims, GrcslForward, GrcslParams, graph_stacks, grcsl_forward_batch
 from tvdbn.numerics import Tensor
@@ -350,18 +350,20 @@ def test_training_rejects_empty_window_sets():
 
 
 def test_oversized_run_is_refused_before_it_allocates(monkeypatch):
-    # 64 windows of 30 nodes at batch 32 need about 0.9 GB; with 200 MB free the
-    # largest batch that fits is 5, and the refusal comes before any tape.
+    # 64 windows of 30 nodes at batch 32 need about 0.5 GB of tape and 19 MB
+    # for the two graph stack pairs the loop holds; with 200 MB free the
+    # largest batch that fits is 9, and the refusal comes before any tape.
     z = np.zeros((64, 12, 30, 1))
     windows = replace(
         tiny_windows(), values=z, mask=z + 1.0, tod=z, target=z[:, :2], target_mask=z[:, :2] + 1.0,
         start_index=np.arange(64), start_ts=np.arange(64),
     )
     monkeypatch.setattr(constraint, "available_mb", lambda: 200.0)
-    assert constraint.grcsl_peak_mb(32, 30, 12, GrcslDims()) > 900.0
+    assert constraint.grcsl_peak_mb(32, 30, 12, GrcslDims()) > 500.0
     tracemalloc.start()
     try:
-        with pytest.raises(ConfigError, match=r"needs about 935 MB, more than the 200 MB .* fits is 5$"):
+        with pytest.raises(ConfigError, match=r"needs about 532 MB \(19 MB of graph stacks for 64 windows\), "
+                                              r"more than the 200 MB .* fits is 9$"):
             train_grcsl(windows, None, GrcslDims(), GrcslTrainConfig(batch_size=32))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -370,6 +372,35 @@ def test_oversized_run_is_refused_before_it_allocates(monkeypatch):
     monkeypatch.setattr(constraint, "available_mb", lambda: None)  # no readout, no refusal
     cfg = GrcslTrainConfig(batch_size=32, inner_epochs=0, max_outer_iters=1)
     assert train_grcsl(tiny_windows(), None, tiny_dims(), cfg).history
+
+
+def test_graph_stacks_of_a_metr_la_length_run_are_refused_before_it_allocates(monkeypatch):
+    # METR-LA's 34,272 ticks, 70% for training, in 12 + 12 tick windows at
+    # stride 1 over 50 nodes: one (W, 11, N, N) stack pair is about 10.5 GB,
+    # and the loop holds two. Its tape alone would fit in 8 GB, so only the
+    # stacks refuse it. The windows are broadcast views: nothing is allocated.
+    w = int(0.7 * 34_272) - 12 - 12 + 1
+    z, one = np.broadcast_to(0.0, (w, 12, 50, 1)), np.broadcast_to(1.0, (w, 12, 50, 1))
+    windows = WindowSet(
+        values=z, mask=one, tod=z, target=z, target_mask=one, start_index=np.arange(w), start_ts=np.arange(w),
+    )
+    assert 2 * w * 11 * 50 * 50 * 8 > 10.5e9  # bytes of one lag-0 and lag-1 stack pair
+    assert constraint.grcsl_peak_mb(32, 50, 12, GrcslDims()) < 8_000.0
+    monkeypatch.setattr(constraint, "available_mb", lambda: 8_000.0)
+
+    def build(*_):
+        raise AssertionError("parameters built before the refusal")
+
+    monkeypatch.setattr(GrcslParams, "init", build)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=rf"needs about 21461 MB \(20114 MB of graph stacks for {w} windows\), "
+                                              r"more than the 8000 MB .* fits is 0$"):
+            train_grcsl(windows, None, GrcslDims(), GrcslTrainConfig(batch_size=32))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000, f"the refusal allocated {peak} bytes"
 
 
 def test_eval_mode_constraint_drives_termination(rng):
@@ -409,17 +440,22 @@ def test_returned_stacks_are_the_returned_parameters_graphs(cfg):
 
 
 def test_history_csv_round_trip(tmp_path):
+    # The edge columns show a lag-0 collapse in the run's own file; the timings,
+    # which differ from run to run, stay out of it.
+    timings = {"seconds": 1.25, "peak_rss_mb": 97.5}
     rows = [
-        {"outer_iter": 1, "f": 1.5, "S": 2e-4, "alpha": 0.0, "rho": 1e-3},
-        {"outer_iter": 2, "f": 1.25, "S": 5e-5, "alpha": 2e-7, "rho": 1e-2},
+        {"outer_iter": 1, "f": 1.5, "S": 2e-4, "alpha": 0.0, "rho": 1e-3, "edges_lag0": 0.0, "edges_lag1": 29.125,
+         **timings},
+        {"outer_iter": 2, "f": 1.25, "S": 5e-5, "alpha": 2e-7, "rho": 1e-2, "edges_lag0": 4.8, "edges_lag1": 1 / 3,
+         **timings},
     ]
     path = tmp_path / "history.csv"
     save_history(str(path), rows)
     with open(path, newline="") as fh:
         got = list(csv.reader(fh))
-    assert got[0] == ["outer_iter", "f", "S", "alpha", "rho"]
-    assert got[1] == ["1", "1.5", "0.0002", "0", "0.001"]
-    assert [float(x) for x in got[2][1:]] == [1.25, 5e-5, 2e-7, 1e-2]
+    assert got[0] == ["outer_iter", "f", "S", "alpha", "rho", "edges_lag0", "edges_lag1"]
+    assert got[1] == ["1", "1.5", "0.0002", "0", "0.001", "0", "29.125"]
+    assert [float(x) for x in got[2][1:]] == [1.25, 5e-5, 2e-7, 1e-2, 4.8, float(f"{1 / 3:.10g}")]
 
 
 # ------------------------------------------------------------------ #

@@ -412,8 +412,8 @@ def test_train_step_tape_stays_small(rng):
 
 def test_train_step_memory_stays_bounded(rng):
     # tracemalloc sees every numpy buffer: one training step (forward, loss,
-    # backward, Adam) at N=10, B=8, T_in=12 with default widths keeps only
-    # the states and one gate stack per lag, not every step's activations.
+    # backward, Adam) at N=10, B=8, T_in=12 with default widths keeps the
+    # GRU states, not every step's gates, which the backward recomputes.
     params = GrcslParams.init(rng, GrcslDims())
     values, tod = window_inputs(rng, b=8, t_in=12, n=10)
     prior = np.ones((10, 10)) - np.eye(10)
@@ -428,7 +428,23 @@ def test_train_step_memory_stays_bounded(rng):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 30e6, f"one training step peaked at {peak / 1e6:.1f} MB"
+    assert peak <= 16e6, f"one training step peaked at {peak / 1e6:.1f} MB"
+
+
+def test_tracked_gru_step_keeps_only_its_states(rng):
+    # A tracked forward at N=10, B=8, T_in=12 retains its (L, S, B, N*N, H)
+    # states, 4.5 MB, and no gate block: those would be three times as much.
+    cells = GruCells.init(rng, lags=2, d_in=4, hidden=32)
+    c = Tensor(rng.normal(size=(2, 11, 8, 100, 4)), requires_grad=True)
+    h0 = Tensor(np.zeros((2, 8, 100, 32)), requires_grad=True)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        h = gru_step(c, h0, cells)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept <= h.data.nbytes + 0.5e6, f"kept {kept / 1e6:.1f} MB for {h.data.nbytes / 1e6:.1f} MB of states"
 
 
 def off_lag0_diagonal(graphs):
