@@ -12,8 +12,8 @@ Names are imported from the module that defines them, for example
 
 Layout:
 
-* ``numerics``  — float64 reverse-mode autodiff over numpy arrays, the
-  matrix exponential, gradient checking, Adam;
+* ``numerics``  — reverse-mode autodiff over float64 (and float32) numpy
+  arrays, the matrix exponential, gradient checking, Adam;
 * ``graphops``  — spectral and row-normalized graph convolutions and the
   two-hop dynamic propagation step;
 * ``data``      — speed/distance table IO, normalization, windowing,

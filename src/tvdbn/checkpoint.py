@@ -29,7 +29,7 @@ import numpy as np
 
 from .dgcpm import DgcpmDims, DgcpmParams
 from .errors import DataError
-from .grcsl import GrcslDims, GrcslParams
+from .grcsl import PAIR_DTYPE, GrcslDims, GrcslParams
 
 _FORMAT_VERSION = 2
 
@@ -122,7 +122,9 @@ def graph_key(
 ) -> str:
     """SHA-256 over every input of `graph_stacks(values, tod, prior, params, batch_size)`.
 
-    The batch size counts because batching moves the last bits of the graphs.
+    The batch size counts because batching moves the last bits of the graphs,
+    and so does the dtype the pair kernels run in (`grcsl.PAIR_DTYPE`): a
+    store that a generator of another precision wrote is regenerated.
     """
     digest = hashlib.sha256()
 
@@ -141,6 +143,7 @@ def graph_key(
     else:
         add("prior", prior)
     digest.update(f"batch:{batch_size};".encode())
+    digest.update(f"pairs:{np.dtype(PAIR_DTYPE).name};".encode())
     return digest.hexdigest()
 
 

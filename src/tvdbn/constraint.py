@@ -27,7 +27,7 @@ import numpy as np
 
 from .data import WindowSet, write_table
 from .errors import ConfigError, NumericalError, ShapeError
-from .grcsl import GrcslDims, GrcslForward, GrcslParams, graph_stacks, grcsl_forward_batch
+from .grcsl import PAIR_DTYPE, GrcslDims, GrcslForward, GrcslParams, graph_stacks, grcsl_forward_batch
 from .numerics import Adam, Tensor, available_mb, peak_rss_mb, trace_expm
 
 log = logging.getLogger(__name__)
@@ -36,9 +36,10 @@ log = logging.getLogger(__name__)
 EDGE_LEVEL = 0.5
 # Peak RSS of structure training: a base plus a term per window and node pair, fitted to
 # the ru_maxrss of one train_grcsl epoch over 64 windows at T_in = 12, default widths and
-# N = 10, 20, 30 (three batch sizes each, one fresh process per point). The base is raised
-# until no measured peak lies above the fit, so the guard never admits a measured overrun.
-PEAK_BASE_MB, PEAK_MB_PER_PAIR = 43.3, 0.0163
+# N = 10, 20, 30 (three batch sizes each, one fresh process per point), with the pair
+# kernels in float32. The base is raised until no measured peak lies above the fit, so the
+# guard never admits a measured overrun.
+PEAK_BASE_MB, PEAK_MB_PER_PAIR = 40.5, 0.0094
 
 
 def notears_h(b):
@@ -221,7 +222,9 @@ def train_grcsl(
     the iteration's wall time (`seconds`) and the process's peak RSS so far
     (`peak_rss_mb`). A run whose `grcsl_peak_mb` plus its graph stacks
     exceeds the memory available is refused with ConfigError before
-    anything is built.
+    anything is built. Each batch is cast to `grcsl.PAIR_DTYPE`, so the GRUs
+    and graph heads train in float32; the parameters, their gradients, the
+    Adam state, the loss and the constraint stay float64.
     """
     if len(windows) == 0:
         raise ConfigError("no training windows")
@@ -254,9 +257,8 @@ def train_grcsl(
             order = rng.permutation(w)
             for lo in range(0, w, cfg.batch_size):
                 idx = order[lo : lo + cfg.batch_size]
-                fwd = grcsl_forward_batch(
-                    values[idx], tod[idx], prior, params, train=True, rng=rng
-                )
+                batch = (x[idx].astype(PAIR_DTYPE) for x in (values, tod))
+                fwd = grcsl_forward_batch(*batch, prior, params, train=True, rng=rng)
                 f = grcsl_loss(fwd, mask[idx], cfg.lam)
                 s = constraint_sum(fwd)
                 loss = auglag_objective(f, s, state.alpha, state.rho)

@@ -54,6 +54,9 @@ WORKERS = 2
 # host starves holds back at most an eighth of a kernel's work, and each
 # task's (rows, H) arrays are a quarter of the lag's.
 PARTS = 4
+# The dtype of the windows that `graph_stacks` and `constraint.train_grcsl` hand the forward
+# pass, and so of the pair kernels' arithmetic (`gru_step`, `graph_head`).
+PAIR_DTYPE = np.float32
 _pool = None  # the thread pool of the GRU and graph-head tasks, made on first use
 
 
@@ -374,6 +377,11 @@ def gru_step(c: Tensor, h0: Tensor, cells: GruCells) -> Tensor:
     recomputes each step's gate block from the state before it with the
     forward's own arithmetic, so the gates it differentiates are the
     forward's bit for bit.
+
+    The recurrence runs in the dtype of `h0`: `c` and the cells' weights
+    are cast to it on entry, and so are the states, the scratch and their
+    gradients. The gradients of `c` and of the cells keep those tensors'
+    own dtypes (float64 for float64 weights).
     """
     lags, steps, hid = cells.w_c.shape[0], c.shape[1], h0.shape[-1]
     if c.shape[0] != lags or h0.shape[0] != lags or c.shape[2:-1] != h0.shape[1:-1]:
@@ -381,9 +389,11 @@ def gru_step(c: Tensor, h0: Tensor, cells: GruCells) -> Tensor:
                          f"got {c.shape} and {h0.shape}")
     params = cells.parameters()
     track = _tracking(c, h0, *params)
-    c3, h02 = c.data.reshape(lags, steps, -1, c.shape[-1]), h0.data.reshape(lags, -1, hid)
-    w_c3, w_h2, w_hh, biases = (p.data for p in params)
-    states, rows = np.empty((lags, steps) + h02.shape[1:]), h02.shape[1]
+    h02 = h0.data.reshape(lags, -1, hid)
+    dtype = h02.dtype
+    c3 = c.data.reshape(lags, steps, -1, c.shape[-1]).astype(dtype, copy=False)
+    w_c3, w_h2, w_hh, biases = (p.data.astype(dtype, copy=False) for p in params)
+    states, rows = np.empty((lags, steps) + h02.shape[1:], dtype), h02.shape[1]
 
     def buffers(lag: int, shape: tuple, count: int) -> tuple[np.ndarray, np.ndarray]:
         """One task's `count` (rows, H) scratch arrays, and its biases tiled to (3, rows, H).
@@ -391,7 +401,7 @@ def gru_step(c: Tensor, h0: Tensor, cells: GruCells) -> Tensor:
         The arrays are one block: allocated one by one, they split the heap's
         free space, and structure training peaked about 10 MB higher.
         """
-        return np.empty((count,) + shape), np.repeat(biases[lag][:, None], shape[0], axis=1)
+        return np.empty((count,) + shape, dtype), np.repeat(biases[lag][:, None], shape[0], axis=1)
 
     def gates(lag: int, j: int, part: slice, h: np.ndarray, scratch: np.ndarray, bias: np.ndarray) -> None:
         """Step j's gate block [r, z, h~] of partition `part` from the state `h` before it, into scratch[:3].
@@ -426,9 +436,9 @@ def gru_step(c: Tensor, h0: Tensor, cells: GruCells) -> Tensor:
         return Tensor(out)
 
     def backward_fn(grad: np.ndarray) -> None:
-        grad = grad.reshape(states.shape)
-        d_c = np.empty(c3.shape) if c.requires_grad else None
-        d_h0 = np.empty(h02.shape) if h0.requires_grad else None
+        grad = grad.reshape(states.shape).astype(dtype, copy=False)
+        d_c = np.empty(c3.shape, dtype) if c.requires_grad else None
+        d_h0 = np.empty(h02.shape, dtype) if h0.requires_grad else None
         # Each lag's weights side by side, (d_in, 3H) and (H, 2H), the gate layout of the (rows, 3H) buffer below.
         w_c, w_h = ([np.concatenate(w, axis=1) for w in stack] for stack in (w_c3, w_h2))
 
@@ -442,9 +452,9 @@ def gru_step(c: Tensor, h0: Tensor, cells: GruCells) -> Tensor:
             scratch, bias = buffers(lag, h_0.shape, 11)
             gate, d, one_minus, d_rh = scratch[:3], scratch[5:8], scratch[8:10], scratch[10]
             r, z, h_tilde, r_h, tmp = scratch[:5]  # r_h: r * h_prev, left by `gates`
-            d_rzh = np.empty(h_0.shape[:-1] + (3 * hid,))
+            d_rzh = np.empty(h_0.shape[:-1] + (3 * hid,), dtype)
             d_rz, d_h = d_rzh[:, : 2 * hid], d_rzh[:, 2 * hid :]
-            carry = d_h0[lag, part] if d_h0 is not None else np.empty(h_0.shape)
+            carry = d_h0[lag, part] if d_h0 is not None else np.empty(h_0.shape, dtype)
             g_wc, g_wh, g_whh, g_b = 0.0, 0.0, 0.0, 0.0
             for j in reversed(range(steps)):
                 g = grad[lag, j, part] if j == steps - 1 else np.add(grad[lag, j, part], carry, out=carry)
@@ -512,6 +522,16 @@ def graph_head(
     reused at every step, and adds b1 and b2 tiled to its rows once, so no
     step allocates a (rows, H) temporary. The op keeps only its input and
     the graphs, and the backward recomputes the two ReLU layers.
+
+    The ReLU layers run in the dtype of `h`, with the heads' weights cast to
+    it on entry. The last layer's (rows, H) @ (H, 1) product is taken in
+    float64 on the float64 w3, which casts a float32 layer to a float64
+    temporary at each step: a float32 matrix-vector product rounds a row by
+    its place in the partition, so the batch size would move the graphs by
+    1e-7. The logits land in float64 graphs, and the noise, 1/tau, the
+    sigmoid and the mask act in float64, so a sigmoid saturated at a low
+    temperature keeps its float64 slope. The backward runs in the dtype of
+    `h`; the heads' gradients keep their weights' dtype.
     """
     lags = heads.w1.shape[0]
     if tau <= 0:
@@ -519,8 +539,10 @@ def graph_head(
     if h.ndim < 4 or h.shape[0] != lags or h.shape[-2] != n * n:
         raise ShapeError(f"graph_head needs ({lags}, S, ..., {n * n}, H) hidden states, got {h.shape}")
     params = heads.parameters()
-    weights = [[p.data[lag] for p in params] for lag in range(lags)]  # per lag: w1, b1, w2, b2, w3, b3
     h3 = h.data.reshape(lags, h.shape[1], -1, h.shape[-1])
+    dtype = h3.dtype
+    # Per lag: w1, b1, w2, b2, w3, b3, in the dtype of `h`.
+    weights = [[p.data[lag].astype(dtype, copy=False) for p in params] for lag in range(lags)]
     steps, rows = h3.shape[1:3]
     graph = np.empty(h.shape[:-2] + (n, n))
     inv_tau = 1.0 / tau
@@ -528,7 +550,8 @@ def graph_head(
     def buffers(lag: int, part: slice, count: int) -> tuple[np.ndarray, np.ndarray]:
         """`count` (rows, H) scratch arrays of partition `part`, and b1 and b2 tiled to (2, rows, H)."""
         shape = (part.stop - part.start, h3.shape[-1])
-        return np.empty((count,) + shape), np.repeat(np.stack(weights[lag][1:4:2])[:, None], shape[0], axis=1)
+        biases = np.repeat(np.stack(weights[lag][1:4:2])[:, None], shape[0], axis=1)
+        return np.empty((count,) + shape, dtype), biases
 
     def hidden(lag: int, j: int, part: slice, y: Sequence[np.ndarray], b: np.ndarray) -> None:  # ReLUs into y
         w1, _, w2 = weights[lag][:3]
@@ -538,7 +561,8 @@ def graph_head(
             np.maximum(y_l, 0.0, out=y_l)
 
     def forward(lag: int, k: int) -> None:  # partition k's logits, written into `graph`
-        part, (w3, b3), logits = _part(rows, k), weights[lag][4:], graph.reshape(lags, steps, rows, 1)
+        part, logits = _part(rows, k), graph.reshape(lags, steps, rows, 1)
+        w3, b3 = (p.data[lag] for p in params[4:])  # float64, as the docstring says
         y, b = buffers(lag, part, 2)
         for j in range(steps):
             hidden(lag, j, part, y, b)
@@ -555,9 +579,9 @@ def graph_head(
         return Tensor(graph)
 
     def backward_fn(g: np.ndarray) -> None:
-        d_h = np.empty(h3.shape) if h.requires_grad else None
+        d_h = np.empty(h3.shape, dtype) if h.requires_grad else None
         # A masked diagonal entry is 0 in `graph`, so its slope graph * (1 - graph) is 0 too.
-        d_logits = (g * graph * (1.0 - graph) * inv_tau).reshape(lags, steps, rows, 1)
+        d_logits = (g * graph * (1.0 - graph) * inv_tau).astype(dtype, copy=False).reshape(lags, steps, rows, 1)
 
         def backward(lag: int, k: int) -> list:  # partition k's parameter gradients
             part, (w1, _, w2, _, w3, _), sums = _part(rows, k), weights[lag], [0.0] * 6
@@ -649,6 +673,9 @@ def grcsl_forward_batch(
     step in one call each; both GRUs start from zero hidden state at the
     window head, and the same tick features feed both lags. Train mode draws
     all its Gumbel noise up front, in the order a step-by-step pass would.
+    The GRUs and graph heads run in the dtype of `values` (float32 windows
+    stay float32, anything else is float64); every other op, and the graphs,
+    are float64.
     """
     if values.ndim != 4 or values.shape != tod.shape:
         raise ShapeError(f"expected (B, T, N, 1) inputs, got {values.shape} and {tod.shape}")
@@ -667,7 +694,8 @@ def grcsl_forward_batch(
             raise ConfigError("train-mode graph sampling needs a random generator")
         g = _gumbel(rng.random((t_in - 1, LAGS, 2, b, n, n)))  # (step, lag, sample, B, N, N)
         noise = (g[:, :, 0] - g[:, :, 1]).swapaxes(0, 1)
-    h0 = Tensor(np.broadcast_to(np.zeros((b, n * n, dims.h_r)), (LAGS, b, n * n, dims.h_r)))
+    h0 = np.zeros((b, n * n, dims.h_r), readings.data.dtype)
+    h0 = Tensor(np.broadcast_to(h0, (LAGS, b, n * n, dims.h_r)))
     h = gru_step(c, h0, params.gru)
     graphs = graph_head(h, params.head, n, dims.tau, noise)
     intra, inter = graphs[0], graphs[1]
@@ -685,10 +713,12 @@ def graph_stacks(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eval-mode graph stacks of every window, generated `batch_size` windows at a time.
 
-    `values` and `tod` are (W, T_in, N, 1). Returns the lag-0 and lag-1
-    stacks, each (W, T_in - 1, N, N); slice [k, j] is window k's graph of
-    step j + 2. `on_batch`, if given, sees each batch's rows and forward
-    pass in window order, still without gradient tracking.
+    `values` and `tod` are (W, T_in, N, 1). Each batch is cast to
+    PAIR_DTYPE, so the pair kernels run in float32, as they do in training.
+    Returns the lag-0 and lag-1 stacks, each float64 (W, T_in - 1, N, N);
+    slice [k, j] is window k's graph of step j + 2. `on_batch`, if given,
+    sees each batch's rows and forward pass in window order, still without
+    gradient tracking.
     """
     if batch_size < 1:
         raise ConfigError(f"batch size must be >= 1, got {batch_size}")
@@ -698,7 +728,8 @@ def graph_stacks(
     with no_grad():
         for lo in range(0, w, batch_size):
             rows = slice(lo, min(lo + batch_size, w))
-            fwd = grcsl_forward_batch(values[rows], tod[rows], prior, params, train=False)
+            batch = (x[rows].astype(PAIR_DTYPE) for x in (values, tod))
+            fwd = grcsl_forward_batch(*batch, prior, params, train=False)
             if on_batch is not None:
                 on_batch(rows, fwd)
             intra[rows] = fwd.intra.data.swapaxes(0, 1)

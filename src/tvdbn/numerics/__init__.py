@@ -1,4 +1,4 @@
-"""Double-precision numerical core: autodiff tensors, expm, gradient checks."""
+"""Numerical core: autodiff tensors (float64, or float32 when given it), expm, gradient checks."""
 
 from .gradcheck import GradReport, grad_check
 from .linalg import expm, trace_expm

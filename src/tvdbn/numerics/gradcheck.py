@@ -25,7 +25,9 @@ class GradReport:
     """Result of one gradient check.
 
     max_rel_error is the worst elementwise relative error across all checked
-    inputs, with relative error |a - n| / max(|a|, |n|, 1e-8).
+    inputs, with relative error |a - n| / max(|a|, |n|, 1e-8). (A report
+    that compares two analytic gradients, such as the gradient suite's
+    `grcsl_loss_float32`, defines its own error.)
     """
 
     op_name: str

@@ -1,4 +1,4 @@
-"""Reverse-mode automatic differentiation over dense float64 numpy arrays.
+"""Reverse-mode automatic differentiation over dense float64 and float32 numpy arrays.
 
 A :class:`Tensor` wraps an ndarray and, when gradients are enabled, records
 the operation that produced it. Calling :meth:`Tensor.backward` on a result
@@ -8,7 +8,11 @@ the graph behind it.
 
 All operations broadcast like numpy and reduce gradients back to the input
 shapes, so parameters can be biases of shape ``(H,)`` applied to batched
-activations of shape ``(B, N, H)``. Everything is double precision.
+activations of shape ``(B, N, H)``. Data is double precision unless it is
+given as float32, which a Tensor keeps: the structure learner's pair kernels
+run in float32 on float32 states. Operations promote as numpy does, and a
+gradient is accumulated in its tensor's own dtype, so float64 parameters get
+float64 gradients from float32 arithmetic.
 """
 
 from __future__ import annotations
@@ -50,12 +54,13 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 class Tensor:
-    """A float64 ndarray with an optional gradient tape entry."""
+    """A float64 (or, when given one, float32) ndarray with an optional gradient tape entry."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype == np.float32 else data.astype(np.float64, copy=False)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
@@ -82,7 +87,7 @@ class Tensor:
     # ------------------------------------------------------------------ #
 
     def _accum(self, g: np.ndarray) -> None:
-        g = _unbroadcast(g, self.data.shape)
+        g = _unbroadcast(g, self.data.shape).astype(self.data.dtype, copy=False)
         self.grad = g if self.grad is None else self.grad + g
 
     def backward(self, grad: np.ndarray | None = None) -> None:

@@ -2,7 +2,8 @@
 
 Each entry builds a small random instance (node counts <= 8), runs the
 reverse-mode gradients against central finite differences, and returns a
-GradReport. The suite backs both the `gradcheck` CLI command and the
+GradReport. One entry, `grcsl_loss_float32`, checks the float32 pair
+kernels that training runs against the float64 path instead. The suite backs both the `gradcheck` CLI command and the
 acceptance tests, so the two can never drift apart.
 """
 
@@ -197,6 +198,36 @@ def _check_grcsl_loss(rng: np.random.Generator) -> GradReport:
     return grad_check(op, params.parameters(), name="grcsl_loss_full")
 
 
+def _check_grcsl_loss_float32(rng: np.random.Generator) -> GradReport:
+    """The full objective's parameter gradients on float32 windows against those on float64 windows.
+
+    Float32 windows run the GRUs and graph heads in float32, as training
+    does. Both passes are train mode over the same windows and Gumbel draws.
+    The error is each gradient's largest deviation relative to its largest
+    entry: float32 rounding is relative to a gradient's scale, not to each
+    of its entries, some of which cancel to nearly zero.
+    """
+    dims = GrcslDims(heads=2, d_att=4, h_r=8, d_s=2, h_m=4, sem_width=4, gconv_layers=1)
+    params = GrcslParams.init(rng, dims)
+    b, t_in, n = 4, 6, 5
+    values = rng.standard_normal((b, t_in, n, 1))
+    tod = rng.random((b, t_in, n, 1))
+    prior = _symmetric_prior(rng, n)
+    noise_seed = int(rng.integers(2**32))
+
+    def gradients(dtype) -> list[np.ndarray]:
+        for t in params.parameters():
+            t.grad = None
+        draws = np.random.default_rng(noise_seed)
+        fwd = grcsl_forward_batch(values.astype(dtype), tod.astype(dtype), prior, params, train=True, rng=draws)
+        auglag_objective(grcsl_loss(fwd, None, lam=1e-3), constraint_sum(fwd), alpha=0.7, rho=1.3).backward()
+        return [t.grad for t in params.parameters()]
+
+    pairs = zip(gradients(np.float32), gradients(np.float64))
+    worst = max(float(np.max(np.abs(g32 - g64)) / max(np.max(np.abs(g64)), 1e-8)) for g32, g64 in pairs)
+    return GradReport(op_name="grcsl_loss_float32", max_rel_error=worst)
+
+
 def _check_dgcpm_forward(rng: np.random.Generator) -> GradReport:
     dims = DgcpmDims(t_in=3, t_out=2, dy_width=2, prior_width=2, gconv_layers=1)
     params = DgcpmParams.init(rng, dims)
@@ -227,7 +258,7 @@ def _check_masked_mae(rng: np.random.Generator) -> GradReport:
 _CHECKS: list[Callable[[np.random.Generator], GradReport]] = [
     _check_msdot, _check_gru_step, _check_graph_head, _check_gconv_spectral, _check_gconv_spatial, _check_dygconv,
     _check_sem_reconstruct, _check_notears_h, _check_grcsl_loss, _check_dgcpm_forward, _check_masked_mae,
-    _check_graph_head_train,
+    _check_graph_head_train, _check_grcsl_loss_float32,
 ]
 
 

@@ -349,6 +349,7 @@ def test_03_gradient_suite_passes_on_every_trainable_operation():
         "sem_reconstruct",
         "notears_h",
         "grcsl_loss_full",
+        "grcsl_loss_float32",
     }
     assert required <= names, f"missing checks: {sorted(required - names)}"
     worst = max(reports, key=lambda r: r.max_rel_error)

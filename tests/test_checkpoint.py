@@ -171,3 +171,11 @@ def test_graph_key_covers_every_input_of_the_generator(rng):
         graph_key(params, values, tod, prior, 7),
     ]
     assert len({base, *variants}) == len(variants) + 1
+
+
+def test_graph_key_names_the_pair_kernels_dtype(rng, monkeypatch):
+    params = grcsl_params(rng)
+    values, tod = rng.random((3, 4, 2, 1)), rng.random((3, 4, 2, 1))
+    base = graph_key(params, values, tod, None, 8)
+    monkeypatch.setattr(checkpoint, "PAIR_DTYPE", np.float64)
+    assert graph_key(params, values, tod, None, 8) != base

@@ -4,6 +4,8 @@ import argparse
 import ast
 import csv
 import dataclasses
+import hashlib
+import json
 import logging
 import os
 import shutil
@@ -14,7 +16,7 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from tvdbn import checkpoint, cli
+from tvdbn import checkpoint, cli, grcsl
 from tvdbn.checkpoint import load_graphs, load_grcsl, save_graphs
 from tvdbn.cli import RunConfig, build_parser, main, parse_config_file, resolve_config
 from tvdbn.constraint import GrcslTrainConfig
@@ -347,6 +349,7 @@ def test_gradcheck_exits_zero_and_prints_reports(capsys):
     assert main(["gradcheck"]) == 0
     out = capsys.readouterr().out
     assert out.count("ok") >= 10  # one line per checked operation
+    assert "grad_check[grcsl_loss_float32]" in out  # the float32 pair kernels against the float64 path
 
 
 # ------------------------------------------------------------------ #
@@ -499,7 +502,31 @@ def test_pipeline_generates_only_val_and_test_once(pipeline, generated):
         assert intra.shape == inter.shape == (w, 5, 4, 4)
 
 
-@pytest.mark.parametrize("case", ["retrained", "structure-batch", "stride", "truncated", "shape"])
+def key_without_pair_dtype(params, values, tod, prior, batch_size) -> str:
+    """`checkpoint.graph_key` as it was when the pair kernels ran only in float64 and the key did not name a dtype."""
+    digest = hashlib.sha256()
+
+    def add(label, arr):
+        arr = np.ascontiguousarray(arr, dtype=np.float64)
+        digest.update(f"{label}:{arr.shape};".encode())
+        digest.update(arr.tobytes())
+
+    digest.update(json.dumps(dataclasses.asdict(params.dims), sort_keys=True).encode())
+    for name, tensor in params.named_parameters():
+        add("param/" + name, tensor.data)
+    add("values", values)
+    add("tod", tod)
+    if prior is None:
+        digest.update(b"prior:none;")
+    else:
+        add("prior", prior)
+    digest.update(f"batch:{batch_size};".encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "case", ["retrained", "structure-batch", "stride", "truncated", "shape", "float64-generator"]
+)
 def test_graph_store_regenerates_what_it_cannot_serve(pipeline, tmp_path, caplog, case):
     out = tmp_path / "run"
     shutil.copytree(pipeline, out)
@@ -521,14 +548,23 @@ def test_graph_store_regenerates_what_it_cannot_serve(pipeline, tmp_path, caplog
     elif case == "truncated":
         with open(stored, "r+b") as fh:
             fh.truncate(os.path.getsize(stored) // 2)
-    else:  # the right key over one window too few
+    elif case == "shape":  # the right key over one window too few
         key, intra, inter = load_graphs(str(stored))
         save_graphs(str(stored), key, intra[:-1], inter[:-1])
+    else:  # the float64 generator's graphs, under the key of a store that did not name the dtype
+        cfg = resolve_config(build_parser().parse_args(["export-graphs", *flags]))
+        sets, prior, _, _ = cli._load_inputs(cfg, "train")
+        train, params, batch = sets["train"], load_grcsl(cli._structure_ckpt_path(cfg)), cfg.grcsl_train.batch_size
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(grcsl, "PAIR_DTYPE", np.float64)
+            intra, inter = graph_stacks(train.values, train.tod, prior, params, batch)
+        assert not np.array_equal(intra, load_graphs(str(stored))[1])
+        save_graphs(str(stored), key_without_pair_dtype(params, train.values, train.tod, prior, batch), intra, inter)
     caplog.set_level(logging.INFO, logger="tvdbn")
     assert generated_by(["export-graphs", *flags]) == expected
     assert any("graphs-train.npz" in r.getMessage() for r in caplog.records if r.levelno == logging.INFO)
     assert generated_by(["export-graphs", *flags]) == 0  # the file was rewritten
-    if case in ("truncated", "shape"):
+    if case in ("truncated", "shape", "float64-generator"):
         assert (out / "graphs.csv").read_bytes() == (pipeline / "graphs.csv").read_bytes()
 
 

@@ -350,20 +350,20 @@ def test_training_rejects_empty_window_sets():
 
 
 def test_oversized_run_is_refused_before_it_allocates(monkeypatch):
-    # 64 windows of 30 nodes at batch 32 need about 0.5 GB of tape and 19 MB
+    # 64 windows of 30 nodes at batch 32 need about 0.3 GB of tape and 19 MB
     # for the two graph stack pairs the loop holds; with 200 MB free the
-    # largest batch that fits is 9, and the refusal comes before any tape.
+    # largest batch that fits is 16, and the refusal comes before any tape.
     z = np.zeros((64, 12, 30, 1))
     windows = replace(
         tiny_windows(), values=z, mask=z + 1.0, tod=z, target=z[:, :2], target_mask=z[:, :2] + 1.0,
         start_index=np.arange(64), start_ts=np.arange(64),
     )
     monkeypatch.setattr(constraint, "available_mb", lambda: 200.0)
-    assert constraint.grcsl_peak_mb(32, 30, 12, GrcslDims()) > 500.0
+    assert constraint.grcsl_peak_mb(32, 30, 12, GrcslDims()) > 300.0
     tracemalloc.start()
     try:
-        with pytest.raises(ConfigError, match=r"needs about 532 MB \(19 MB of graph stacks for 64 windows\), "
-                                              r"more than the 200 MB .* fits is 9$"):
+        with pytest.raises(ConfigError, match=r"needs about 331 MB \(19 MB of graph stacks for 64 windows\), "
+                                              r"more than the 200 MB .* fits is 16$"):
             train_grcsl(windows, None, GrcslDims(), GrcslTrainConfig(batch_size=32))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -394,7 +394,7 @@ def test_graph_stacks_of_a_metr_la_length_run_are_refused_before_it_allocates(mo
     monkeypatch.setattr(GrcslParams, "init", build)
     tracemalloc.start()
     try:
-        with pytest.raises(ConfigError, match=rf"needs about 21461 MB \(20114 MB of graph stacks for {w} windows\), "
+        with pytest.raises(ConfigError, match=rf"needs about 20906 MB \(20114 MB of graph stacks for {w} windows\), "
                                               r"more than the 8000 MB .* fits is 0$"):
             train_grcsl(windows, None, GrcslDims(), GrcslTrainConfig(batch_size=32))
         peak = tracemalloc.get_traced_memory()[1]

@@ -1,5 +1,6 @@
 """Graph-generator tests: closed-form fixtures, sampling statistics, causality."""
 
+import copy
 import csv
 import functools
 import multiprocessing
@@ -445,6 +446,62 @@ def test_tracked_gru_step_keeps_only_its_states(rng):
     finally:
         tracemalloc.stop()
     assert kept <= h.data.nbytes + 0.5e6, f"kept {kept / 1e6:.1f} MB for {h.data.nbytes / 1e6:.1f} MB of states"
+
+
+def test_tracked_float32_gru_step_keeps_only_its_float32_states(rng):
+    # Float32 states at N=10, B=8, T_in=12 are 2.3 MB; the float32 copy of c it
+    # keeps for the backward is 0.1 MB.
+    cells = GruCells.init(rng, lags=2, d_in=4, hidden=32)
+    c = Tensor(rng.normal(size=(2, 11, 8, 100, 4)), requires_grad=True)
+    h0 = Tensor(np.zeros((2, 8, 100, 32), np.float32), requires_grad=True)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        h = gru_step(c, h0, cells)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert h.data.dtype == np.float32
+    assert kept <= h.data.nbytes + 0.5e6, f"kept {kept / 1e6:.1f} MB for {h.data.nbytes / 1e6:.1f} MB of states"
+
+
+def float32_and_float64_steps(rng):
+    """One train-mode step at B=32, N=10 on float32 windows and one on float64 windows, same draws.
+
+    Each is (graphs, parameters, optimizer) after loss.backward() and one Adam step.
+    """
+    init = GrcslParams.init(rng, GrcslDims())
+    values, tod = window_inputs(rng, b=32, t_in=12, n=10)
+    prior = np.ones((10, 10)) - np.eye(10)
+    steps = []
+    for dtype in (np.float32, np.float64):
+        params = copy.deepcopy(init)
+        opt = Adam(params.parameters(), lr=1e-3)
+        fwd = grcsl_forward_batch(
+            values.astype(dtype), tod.astype(dtype), prior, params, train=True, rng=np.random.default_rng(5)
+        )
+        graphs = (fwd.intra.data.copy(), fwd.inter.data.copy())
+        auglag_objective(grcsl_loss(fwd, None, lam=1e-3), constraint_sum(fwd), alpha=0.5, rho=1.0).backward()
+        opt.step()
+        steps.append((graphs, params, opt))
+    return steps
+
+
+def test_float32_pair_kernels_track_the_float64_path(rng):
+    (graphs32, params32, _), (graphs64, params64, _) = float32_and_float64_steps(rng)
+    for g32, g64 in zip(graphs32, graphs64):
+        assert g32.dtype == np.float64
+        np.testing.assert_allclose(g32, g64, rtol=0, atol=1e-5)
+    for p32, p64 in zip(params32.parameters(), params64.parameters()):
+        scale = np.abs(p64.grad).max()
+        assert np.abs(p32.grad - p64.grad).max() <= 1e-5 * scale
+
+
+def test_float32_training_keeps_float64_gradients_and_adam_moments(rng):
+    (_, params, opt), _ = float32_and_float64_steps(rng)
+    for name, p in params.named_parameters():
+        assert p.data.dtype == p.grad.dtype == np.float64, name
+    assert all(m.dtype == v.dtype == np.float64 for m, v in zip(opt._m, opt._v))
 
 
 def off_lag0_diagonal(graphs):
@@ -1067,8 +1124,8 @@ def test_forward_same_seed_same_graphs(rng):
 def test_graph_stacks_are_the_eval_forward_in_any_batching(rng):
     params = GrcslParams.init(rng, small_dims())
     values, tod = window_inputs(rng, b=5)
-    with no_grad():
-        fwd = grcsl_forward_batch(values, tod, None, params, train=False)
+    with no_grad():  # graph_stacks runs the pair kernels on float32 windows
+        fwd = grcsl_forward_batch(values.astype(np.float32), tod.astype(np.float32), None, params, train=False)
     intra, inter = graph_stacks(values, tod, None, params, batch_size=5)
     assert intra.shape == inter.shape == (5, 4, 3, 3)
     np.testing.assert_array_equal(intra, np.stack([g.data for g in fwd.intra], axis=1))
