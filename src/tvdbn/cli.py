@@ -43,6 +43,9 @@ from . import checkpoint as ckpt
 from .constraint import GrcslTrainConfig, save_history, train_grcsl
 from .data import (
     DISTANCE_CSV_HEADER,
+    KAPPA,
+    TRAIN_RATIO,
+    VAL_RATIO,
     NormStats,
     SpeedSeries,
     WindowSet,
@@ -111,9 +114,9 @@ class RunConfig:
     static_graph_file: str = ""
     # windows, split and prior
     stride: int = 1
-    train_ratio: float = 0.7
-    val_ratio: float = 0.1
-    kappa: float = 0.1
+    train_ratio: float = TRAIN_RATIO
+    val_ratio: float = VAL_RATIO
+    kappa: float = KAPPA
     graph_source: str = "grcsl"  # grcsl | distance | static-dbn-file
     # synthetic data
     synth_n: int = 10
@@ -121,12 +124,6 @@ class RunConfig:
     synth_regimes: int = 4
     synth_density: float = 0.2
     synth_noise_std: float = 0.1
-    synth_weight_min: float = 0.3
-    synth_weight_max: float = 0.8
-    synth_max_radius: float = 0.95
-    synth_offset: float = 50.0
-    synth_scale: float = 10.0
-    synth_start_ts: int = 1330560000
     # misc
     seed: int = 0
     graph_threshold: float = 0.5
@@ -409,14 +406,9 @@ def cmd_synth(cfg: RunConfig) -> int:
         num_regimes=cfg.synth_regimes,
         density=cfg.synth_density,
         noise_std=cfg.synth_noise_std,
-        weight_range=(cfg.synth_weight_min, cfg.synth_weight_max),
         seed=cfg.seed,
-        max_radius=cfg.synth_max_radius,
     )
-    values = simulate_linear_sem(truth)
-    series = to_speed_series(
-        values, start_ts=cfg.synth_start_ts, offset=cfg.synth_offset, scale=cfg.synth_scale
-    )
+    series = to_speed_series(simulate_linear_sem(truth))
     speed_path = os.path.join(cfg.out_dir, "speed.csv")
     dist_path = os.path.join(cfg.out_dir, "dist.csv")
     save_speed_table(speed_path, series)
@@ -424,7 +416,7 @@ def cmd_synth(cfg: RunConfig) -> int:
     write_table(dist_path, DISTANCE_CSV_HEADER, ((src, dst, f"{d:.6f}") for src, dst, d in rows))
     save_truth(os.path.join(cfg.out_dir, "truth.npz"), truth)
     export_truth_edges(
-        os.path.join(cfg.out_dir, "truth_edges.csv"), truth, series.sensor_ids, cfg.synth_start_ts
+        os.path.join(cfg.out_dir, "truth_edges.csv"), truth, series.sensor_ids, series.timestamps[0]
     )
     log.info(
         "synth: wrote %s (%d ticks x %d sensors), %s, truth.npz, truth_edges.csv",

@@ -33,6 +33,9 @@ _EPOCH = datetime(1970, 1, 1)
 TICK_SECONDS = 300  # fixed 5-minute sampling period
 SECONDS_PER_DAY = 86400.0
 DISTANCE_CSV_HEADER = ["from", "to", "dist"]
+# Default prior edge cut-off and chronological split shares; the CLI's keys default to them too.
+KAPPA = 0.1
+TRAIN_RATIO, VAL_RATIO = 0.7, 0.1
 
 
 @dataclass
@@ -295,7 +298,7 @@ def check_kappa(kappa: float) -> None:
 def build_distance_graph(
     rows: list[tuple[str, str, float]],
     sensor_ids: list[str],
-    kappa: float = 0.1,
+    kappa: float = KAPPA,
 ) -> PriorGraph:
     """Gaussian-kernel prior: w = exp(-dist^2 / sigma^2), kept iff w >= kappa.
 
@@ -378,8 +381,8 @@ def check_split_ratios(train_ratio: float, val_ratio: float) -> None:
 
 def split_chronological(
     series: SpeedSeries,
-    train_ratio: float = 0.7,
-    val_ratio: float = 0.1,
+    train_ratio: float = TRAIN_RATIO,
+    val_ratio: float = VAL_RATIO,
 ) -> tuple[SpeedSeries, SpeedSeries, SpeedSeries]:
     """Split into train/val/test ordered in time.
 

@@ -28,8 +28,6 @@ depend only on ticks 1..t (the recurrence never looks ahead).
 
 from __future__ import annotations
 
-import functools
-import os
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
@@ -57,7 +55,6 @@ PARTS = 4
 # The dtype of the windows that `graph_stacks` and `constraint.train_grcsl` hand the forward
 # pass, and so of the pair kernels' arithmetic (`gru_step`, `graph_head`).
 PAIR_DTYPE = np.float32
-_pool = None  # the thread pool of the GRU and graph-head tasks, made on first use
 
 
 # --------------------------------------------------------------------- #
@@ -277,30 +274,17 @@ def extract_features(
     return concat(parts, axis=-1)
 
 
-def _run(tasks: list[Callable[[], object]]) -> list:
-    """The tasks' results in task order, once every task has ended; the first error in task order is raised.
-
-    The tasks run on a pool of WORKERS threads, made on first use so that
-    importing tvdbn starts no thread.
-    """
-    global _pool
-    if _pool is None:
-        from concurrent.futures import ThreadPoolExecutor
-
-        _pool = ThreadPoolExecutor(max_workers=WORKERS)
-    futures = [_pool.submit(task) for task in tasks]
-    for future in futures:
-        future.exception()  # waits for the task without raising
-    return [future.result() for future in futures]
-
-
 def _part(rows: int, k: int) -> slice:
     """Partition k of `rows` rows, one of PARTS nearly equal slices."""
     return slice(rows * k // PARTS, rows * (k + 1) // PARTS)
 
 
 def _map_rows(body: Callable[[int, int], object], lags: int) -> list[list]:
-    """body(lag, k) for every lag and row partition k, run by `_run`: per lag, the results in partition order.
+    """body(lag, k) for every lag and row partition k on WORKERS threads: per lag, the results in partition order.
+
+    The threads live for this call only. Every task has ended before it
+    returns, and the first error in task order is raised, so no thread
+    outlives a kernel call and a forked child inherits none.
 
     A body does numpy arithmetic on arrays only and writes only into its own
     rows: it makes no Tensor and touches no tape, so every tape op and
@@ -309,18 +293,11 @@ def _map_rows(body: Callable[[int, int], object], lags: int) -> list[list]:
     by partition, and BLAS may round a product of fewer rows differently, so
     another PARTS may move results in their last bits.
     """
-    results = _run([functools.partial(body, lag, k) for lag in range(lags) for k in range(PARTS)])
-    return [results[lag * PARTS : (lag + 1) * PARTS] for lag in range(lags)]
+    from concurrent.futures import ThreadPoolExecutor  # here, so that no CLI start-up pays for it
 
-
-def _drop_pool() -> None:
-    """Forget the pool in a forked child: it inherits the pool but not the pool's threads."""
-    global _pool
-    _pool = None
-
-
-if hasattr(os, "register_at_fork"):  # POSIX; a platform without it has no fork
-    os.register_at_fork(after_in_child=_drop_pool)
+    with ThreadPoolExecutor(WORKERS) as pool:  # leaving the block waits for every task
+        futures = [[pool.submit(body, lag, k) for k in range(PARTS)] for lag in range(lags)]
+    return [[future.result() for future in lag_futures] for lag_futures in futures]
 
 
 def msdot(q: Tensor, keys: Sequence[Tensor], attn: AttnParams) -> Tensor:

@@ -6,7 +6,7 @@ to the kernel (large blocks are unmapped on free, and the heap top is
 trimmed past 128 KiB), so every step would fault its tape in again page by
 page. Importing this module raises both thresholds once, so freed tape pages
 stay in the process for the next step to reuse, and keeps every thread on
-one malloc arena. The structure learner's two pool threads make every GRU
+one malloc arena. The structure learner's kernel threads make every GRU
 and graph-head buffer; with an arena each, every thread keeps free pages of
 its own. Even with kernels that allocate their scratch once per task,
 structure-train peak RSS was 163.3 MB with an arena each against 148.5 MB

@@ -102,15 +102,14 @@ CONFIG_KEYS = (
     "t_in t_out stride train_ratio val_ratio kappa heads d_att h_r d_s h_m sem_width gconv_layers tau "
     "dy_width prior_width use_prior graph_source lam eta gamma xi alpha0 rho0 inner_epochs max_outer_iters "
     "structure_lr structure_batch forecast_lr forecast_epochs forecast_batch curriculum_step patience "
-    "synth_n synth_t synth_regimes synth_density synth_noise_std synth_weight_min synth_weight_max "
-    "synth_max_radius synth_offset synth_scale synth_start_ts seed graph_threshold horizons export_split"
+    "synth_n synth_t synth_regimes synth_density synth_noise_std seed graph_threshold horizons export_split"
 ).split()
 COMPONENTS = {"grcsl_dims": GrcslDims, "dgcpm_dims": DgcpmDims, "grcsl_train": GrcslTrainConfig,
               "dgcpm_train": DgcpmTrainConfig}
 
 
 def test_the_config_keys_and_flags_are_pinned_by_name():
-    assert len(CONFIG_KEYS) == len(set(CONFIG_KEYS)) == 55
+    assert len(CONFIG_KEYS) == len(set(CONFIG_KEYS)) == 49
     assert set(cli._KEYS) == set(CONFIG_KEYS)
     subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     want = {"-h", "--help", "--config", *("--" + key.replace("_", "-") for key in CONFIG_KEYS)}

@@ -2,7 +2,6 @@
 
 import copy
 import csv
-import functools
 import multiprocessing
 import os
 import subprocess
@@ -763,7 +762,7 @@ def test_pooled_and_inline_lag_maps_give_the_same_bits(monkeypatch, b, n):
         pooled = train_and_eval_bits(b, n)
     finally:
         sys.setswitchinterval(interval)
-    monkeypatch.setattr(grcsl, "_run", lambda tasks: [task() for task in tasks])
+    monkeypatch.setattr(grcsl, "WORKERS", 1)  # one thread runs every task in task order
     inline = train_and_eval_bits(b, n)
     assert pooled.keys() == inline.keys()
     for key, value in pooled.items():
@@ -963,7 +962,7 @@ def test_run_returns_after_every_task_even_when_one_raises():
     # Task 1 raises first in time; the error raised is task 0's, the first in task order.
     finished = []
 
-    def task(k):
+    def body(lag, k):
         if k == 0:
             time.sleep(0.05)
         if k < 2:
@@ -972,48 +971,50 @@ def test_run_returns_after_every_task_even_when_one_raises():
         finished.append(k)
 
     with pytest.raises(ValueError, match="task 0 failed"):
-        grcsl._run([lambda k=k: task(k) for k in range(4)])
+        grcsl._map_rows(body, 1)
     assert sorted(finished) == [2, 3]
 
 
 def test_run_runs_tasks_on_two_threads_at_once_and_returns_them_in_task_order():
-    # Both tasks wait at a barrier, so each must run on its own pool thread.
+    # Tasks wait at a barrier in twos, so tasks 0 and 1 must each run on a thread of their own.
     barrier, threads = threading.Barrier(2, timeout=10), {}
 
-    def task(k):
+    def body(lag, k):
         threads[k] = threading.get_ident()
         barrier.wait()
         return k * 10
 
-    assert grcsl._run([lambda k=k: task(k) for k in range(2)]) == [0, 10]
+    assert grcsl._map_rows(body, 1) == [[0, 10, 20, 30]]
     assert len({threads[0], threads[1], threading.get_ident()}) == 3
 
 
 def test_a_stalled_task_holds_back_only_itself_and_results_stay_in_order():
-    # Task 0 blocks until every other task has run: the other pool thread
-    # must run them all while it waits, and the results come back in task order.
-    tasks, lock, threads, others_done = 2 * grcsl.PARTS, threading.Lock(), {}, threading.Event()
+    # Task 0 blocks until every other task has run: the other thread must
+    # run them all while it waits, and the results come back in task order.
+    tasks, lock, threads, others_done = grcsl.LAGS * grcsl.PARTS, threading.Lock(), {}, threading.Event()
 
-    def task(k):
-        if k == 0:
+    def body(lag, k):
+        task = lag * grcsl.PARTS + k
+        if task == 0:
             assert others_done.wait(timeout=10)
         with lock:
-            threads[k] = threading.get_ident()
+            threads[task] = threading.get_ident()
             if len(threads) == tasks - 1 and 0 not in threads:
                 others_done.set()
-        return k
+        return task
 
-    assert grcsl._run([lambda k=k: task(k) for k in range(tasks)]) == list(range(tasks))
+    want = [list(range(lag * grcsl.PARTS, (lag + 1) * grcsl.PARTS)) for lag in range(grcsl.LAGS)]
+    assert grcsl._map_rows(body, grcsl.LAGS) == want
     assert len({threads[k] for k in range(1, tasks)}) == 1
     assert threads[0] != threads[1]
 
 
 def test_lag_workers_never_touch_the_tape(rng, monkeypatch):
     # Every tape node and every gradient accumulation of a train step and an
-    # eval batch comes from the calling thread; the kernels' tasks run only on
-    # the pool's threads, every lag and partition of every kernel call.
-    tape_threads, task_threads, batches = set(), set(), []
-    from_op, accum, run = grcsl._from_op, Tensor._accum, grcsl._run
+    # eval batch comes from the calling thread; each kernel call runs its
+    # tasks, every lag and partition, on at most WORKERS threads of its own.
+    tape_threads, calls = set(), []
+    from_op, accum, map_rows = grcsl._from_op, Tensor._accum, grcsl._map_rows
 
     def recording_from_op(*args):
         tape_threads.add(threading.get_ident())
@@ -1023,19 +1024,22 @@ def test_lag_workers_never_touch_the_tape(rng, monkeypatch):
         tape_threads.add(threading.get_ident())
         return accum(self, g)
 
-    def recording_run(tasks):
-        batches.append(len(tasks))
+    def recording_map_rows(body, lags):
+        tasks, threads = [], set()
 
-        def recorded(task):
-            task_threads.add(threading.get_ident())
-            return task()
+        def recorded(lag, k):
+            tasks.append((lag, k))
+            threads.add(threading.get_ident())
+            return body(lag, k)
 
-        return run([functools.partial(recorded, task) for task in tasks])
+        results = map_rows(recorded, lags)
+        calls.append((len(tasks), threads))
+        return results
 
     for module in (tensor_module, grcsl):
         monkeypatch.setattr(module, "_from_op", recording_from_op)
     monkeypatch.setattr(Tensor, "_accum", recording_accum)
-    monkeypatch.setattr(grcsl, "_run", recording_run)
+    monkeypatch.setattr(grcsl, "_map_rows", recording_map_rows)
     params = GrcslParams.init(rng, GrcslDims(**TAPE_DIMS))
     values, tod = window_inputs(rng, b=4, t_in=5, n=4)
     prior = np.ones((4, 4)) - np.eye(4)
@@ -1049,8 +1053,28 @@ def test_lag_workers_never_touch_the_tape(rng, monkeypatch):
     caller = threading.get_ident()
     assert tape_threads == {caller}
     # GRU and head, forward and backward, then two eval batches of GRU and head.
-    assert batches == [grcsl.LAGS * grcsl.PARTS] * 8
-    assert caller not in task_threads and len(task_threads) <= grcsl.WORKERS
+    assert [tasks for tasks, _ in calls] == [grcsl.LAGS * grcsl.PARTS] * 8
+    for _, threads in calls:
+        assert caller not in threads and len(threads) <= grcsl.WORKERS
+
+
+def test_no_thread_outlives_a_kernel_call():
+    # In a fresh process, so that no earlier test's thread is counted.
+    code = """
+import threading
+import numpy as np
+from tvdbn.constraint import auglag_objective, constraint_sum, grcsl_loss
+from tvdbn.grcsl import GrcslDims, GrcslParams, graph_stacks, grcsl_forward_batch
+rng = np.random.default_rng(0)
+params = GrcslParams.init(rng, GrcslDims(use_prior=False))
+values, tod = rng.normal(size=(4, 5, 3, 1)), rng.uniform(size=(4, 5, 3, 1))
+before = threading.active_count()
+fwd = grcsl_forward_batch(values, tod, None, params, train=True, rng=rng)
+auglag_objective(grcsl_loss(fwd, None, lam=1e-3), constraint_sum(fwd), alpha=0.5, rho=1.0).backward()
+graph_stacks(values, tod, None, params, batch_size=2)
+print(before, threading.active_count())
+"""
+    assert run_python(code).split() == ["1", "1"]
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork here")
@@ -1076,11 +1100,15 @@ def test_a_forked_child_runs_both_lags_after_its_parent_did(rng):
     np.testing.assert_array_equal(got, want)
 
 
+def run_python(code):
+    """The standard output of `code` run by a fresh interpreter that imports tvdbn from this checkout."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True).stdout
+
+
 def test_importing_the_package_starts_no_thread():
     code = "import threading, tvdbn, tvdbn.cli, tvdbn.grcsl; print(threading.active_count())"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.strip() == "1"
+    assert run_python(code).strip() == "1"
 
 
 def test_forward_rejects_bad_rank_and_short_windows(rng):
